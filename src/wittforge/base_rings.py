@@ -903,11 +903,16 @@ class _Tokens:
         return self.i >= len(self.toks)
 
 
-def _expect_kv_int(ts: _Tokens, key: str) -> int:
+def _expect_key(ts: _Tokens, key: str, need: str | None = None) -> None:
+    """Consume ``key =``; a missing key raises need (or a generic message)."""
     k, v = ts.next()
-    if k != "ident" or v != key:
-        raise SpecParseError(f"expected {key}=..., got {v!r}")
+    if (k, v) != ("ident", key):
+        raise SpecParseError(need or f"expected {key}=..., got {v!r}")
     ts.expect("sym", "=")
+
+
+def _expect_kv_int(ts: _Tokens, key: str) -> int:
+    _expect_key(ts, key)
     sign = 1
     if ts.peek() == ("sym", "-"):
         ts.next()
@@ -932,52 +937,34 @@ def _parse_ring(ts: _Tokens) -> Ring:
         modulus = None
         gen_name = "u"
         if ts.peek() == ("ident", "modulus"):
-            ts.next()
-            ts.expect("sym", "=")
-            modulus, name = _parse_field_poly(ts, p)
-            if name is not None:
-                gen_name = name
+            _expect_key(ts, "modulus")
+            alg = IntPolyAlgebra(what="modulus")
+            poly = parse_expression(ts, alg)
+            modulus = tuple(poly.get(d, 0) for d in range(max(poly) + 1))
+            gen_name = alg.var or gen_name
         return make_field(p, e, modulus, gen_name)
     if kind == "frac":
-        k, v = ts.next()
-        if (k, v) != ("ident", "base"):
-            raise SpecParseError("frac needs base=(...)")
-        ts.expect("sym", "=")
-        ts.expect("sym", "(")
-        base = _parse_ring(ts)
-        if not isinstance(base, FiniteFieldSpec):
-            raise SpecParseError("frac base must be a finite field")
-        ts.expect("sym", ")")
-        k, v = ts.next()
-        if (k, v) != ("ident", "vars"):
-            raise SpecParseError("frac needs vars=...")
-        ts.expect("sym", "=")
+        base = _parse_base_field(ts, "frac")
+        _expect_key(ts, "vars", "frac needs vars=...")
         names = [ts.expect("ident")]
         while ts.peek() == ("sym", ","):
             ts.next()
             names.append(ts.expect("ident"))
         depth_p = _expect_kv_int(ts, "depth_p")
         depth_2 = _expect_kv_int(ts, "depth_2")
-        k, v = ts.next()
-        if (k, v) != ("ident", "laurent"):
-            raise SpecParseError("frac needs laurent=true|false")
-        ts.expect("sym", "=")
+        _expect_key(ts, "laurent", "frac needs laurent=true|false")
         flag = ts.expect("ident")
         if flag not in ("true", "false"):
             raise SpecParseError("laurent must be true or false")
         laurent = flag == "true"
         quotient: list[tuple[Fraction, ...]] = []
         if ts.peek() == ("ident", "mod"):
-            ts.next()
-            ts.expect("sym", "=")
+            _expect_key(ts, "mod")
             ring0 = FracLaurentRing(base, tuple(names), depth_p, depth_2, laurent, ())
-            while True:
-                mexp = _parse_monomial_exps(ts, ring0)
-                quotient.append(mexp)
-                if ts.peek() == ("sym", ","):
-                    ts.next()
-                    continue
-                break
+            quotient.append(_parse_monomial_exps(ts, ring0))
+            while ts.peek() == ("sym", ","):
+                ts.next()
+                quotient.append(_parse_monomial_exps(ts, ring0))
         if depth_p < 0 or depth_2 < 0:
             raise SpecParseError("depths must be >= 0")
         ring = FracLaurentRing(base, tuple(names), depth_p, depth_2, laurent,
@@ -996,26 +983,12 @@ def _parse_ring(ts: _Tokens) -> Ring:
             raise SpecParseError("duplicate variable names")
         return ring
     if kind == "uq":
-        k, v = ts.next()
-        if (k, v) != ("ident", "base"):
-            raise SpecParseError("uq needs base=(...)")
-        ts.expect("sym", "=")
-        ts.expect("sym", "(")
-        base = _parse_ring(ts)
-        if not isinstance(base, FiniteFieldSpec):
-            raise SpecParseError("uq base must be a finite field")
-        ts.expect("sym", ")")
-        k, v = ts.next()
-        if (k, v) != ("ident", "var"):
-            raise SpecParseError("uq needs var=...")
-        ts.expect("sym", "=")
+        base = _parse_base_field(ts, "uq")
+        _expect_key(ts, "var", "uq needs var=...")
         var = ts.expect("ident")
         if var == base.gen_name and base.e > 1:
             raise SpecParseError("quotient variable collides with the field generator")
-        k, v = ts.next()
-        if (k, v) != ("ident", "modulus"):
-            raise SpecParseError("uq needs modulus=...")
-        ts.expect("sym", "=")
+        _expect_key(ts, "modulus", "uq needs modulus=...")
         coeffs = _parse_uq_modulus(ts, base, var)
         if len(coeffs) < 2:
             raise SpecParseError("uq modulus must have degree >= 1")
@@ -1025,149 +998,195 @@ def _parse_ring(ts: _Tokens) -> Ring:
     raise SpecParseError(f"unknown ring kind {kind!r}")
 
 
-def _parse_field_poly(ts: _Tokens, p: int) -> tuple[tuple[int, ...], str | None]:
-    """Parse a modulus like u^2+u+1 into F_p coefficients (low-to-high)."""
-    coeffs: dict[int, int] = {}
-    name: str | None = None
-    sign = 1
-    while True:
-        k, v = ts.peek()
-        c, d = 1, 0
-        if k == "int":
-            ts.next()
-            c = int(v)
-            if ts.peek() == ("sym", "*"):
-                ts.next()
-                k2, v2 = ts.next()
-                if k2 != "ident":
-                    raise SpecParseError("expected generator symbol")
-                if name is None:
-                    name = v2
-                elif name != v2:
-                    raise SpecParseError("mixed generator symbols in modulus")
-                d = 1
-                if ts.peek() == ("sym", "^"):
-                    ts.next()
-                    d = int(ts.expect("int"))
-        elif k == "ident":
-            ts.next()
-            if name is None:
-                name = v
-            elif name != v:
-                raise SpecParseError("mixed generator symbols in modulus")
-            d = 1
-            if ts.peek() == ("sym", "^"):
-                ts.next()
-                d = int(ts.expect("int"))
-        else:
-            raise SpecParseError("bad modulus term")
-        coeffs[d] = (coeffs.get(d, 0) + sign * c) % p
-        k, v = ts.peek()
-        if (k, v) == ("sym", "+"):
-            ts.next()
-            sign = 1
-            continue
-        if (k, v) == ("sym", "-"):
-            ts.next()
-            sign = -1
-            continue
-        break
-    deg = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(deg + 1)), name
+def _parse_base_field(ts: _Tokens, kind: str) -> FiniteFieldSpec:
+    _expect_key(ts, "base", f"{kind} needs base=(...)")
+    ts.expect("sym", "(")
+    base = _parse_ring(ts)
+    if not isinstance(base, FiniteFieldSpec):
+        raise SpecParseError(f"{kind} base must be a finite field")
+    ts.expect("sym", ")")
+    return base
 
 
 def _parse_uq_modulus(ts: _Tokens, base: FiniteFieldSpec, var: str) -> list[FieldCoeff]:
     """Parse g(T) with coefficients in the base field."""
     tmp_ring = UnivariateQuotient(base, var, (base.zero(),) * 512 + (base.one(),))
-    expr = _parse_expr(ts, tmp_ring)
-    return _uq_poly(expr)
+    return _uq_poly(parse_expression(ts, RingAlgebra(tmp_ring)))
 
 
 def _parse_monomial_exps(ts: _Tokens, ring: FracLaurentRing) -> tuple[Fraction, ...]:
-    elt = _parse_expr(ts, ring)
+    elt = parse_expression(ts, RingAlgebra(ring))
     if not is_monomial(elt) or elt.terms[0][1] != ring.base.one():
         raise SpecParseError("quotient generators must be coefficient-1 monomials")
     return elt.terms[0][0]
 
 
-# expression evaluation ------------------------------------------------------
+# the expression grammar ----------------------------------------------------
+#
+#   expr  := term (('+'|'-') term)*
+#   term  := unary (['*'] unary)*       juxtaposition multiplies: 2x, X(X+1)
+#   unary := '-' unary | atom ['^' exp]
+#   exp   := '-' exp | '(' exp ')' | int ['/' int]
+#   atom  := int | ident | '(' expr ')'
+#
+# The grammar only shapes the input.  An algebra object gives each node its
+# meaning through int(n), name(s), add, sub, neg, mul and pow(a, Fraction);
+# ring elements, integer polynomials, ramified embeddings and polynomials in
+# X over a ramified base are the four algebras in use.
+
+
+def parse_expression(ts: _Tokens, alg):
+    """Parse the longest expression at the front of ts, valued in alg."""
+    v = _parse_term(ts, alg)
+    while True:
+        tok = ts.peek()
+        if tok == ("sym", "+"):
+            ts.next()
+            v = alg.add(v, _parse_term(ts, alg))
+        elif tok == ("sym", "-"):
+            ts.next()
+            v = alg.sub(v, _parse_term(ts, alg))
+        else:
+            return v
+
+
+def parse_all(text: str, alg, what: str = "expression"):
+    """Parse all of text as one expression valued in alg."""
+    ts = _Tokens(_tokenize(text))
+    v = parse_expression(ts, alg)
+    if not ts.at_end():
+        raise SpecParseError(f"trailing junk in {what}: {ts.peek()[1]!r}")
+    return v
+
+
+def _parse_term(ts: _Tokens, alg):
+    v = _parse_unary(ts, alg)
+    while True:
+        k, s = ts.peek()
+        if (k, s) == ("sym", "*"):
+            ts.next()
+        elif k not in ("int", "ident") and (k, s) != ("sym", "("):
+            return v
+        v = alg.mul(v, _parse_unary(ts, alg))
+
+
+def _parse_unary(ts: _Tokens, alg):
+    if ts.peek() == ("sym", "-"):
+        ts.next()
+        return alg.neg(_parse_unary(ts, alg))
+    v = _parse_atom(ts, alg)
+    if ts.peek() == ("sym", "^"):
+        ts.next()
+        v = alg.pow(v, _parse_exponent(ts))
+    return v
+
+
+def _parse_exponent(ts: _Tokens) -> Fraction:
+    k, v = ts.next()
+    if (k, v) == ("sym", "-"):
+        return -_parse_exponent(ts)
+    if (k, v) == ("sym", "("):
+        r = _parse_exponent(ts)
+        ts.expect("sym", ")")
+        return r
+    if k != "int":
+        raise SpecParseError("exponent must be an integer or (rational)")
+    if ts.peek() != ("sym", "/"):
+        return Fraction(int(v))
+    ts.next()
+    den = int(ts.expect("int"))
+    if den == 0:
+        raise SpecParseError("zero denominator in exponent")
+    return Fraction(int(v), den)
+
+
+def _parse_atom(ts: _Tokens, alg):
+    k, v = ts.next()
+    if k == "int":
+        return alg.int(int(v))
+    if k == "ident":
+        return alg.name(v)
+    if (k, v) == ("sym", "("):
+        inner = parse_expression(ts, alg)
+        ts.expect("sym", ")")
+        return inner
+    raise SpecParseError(f"unexpected token {v!r} in expression")
+
+
+class RingAlgebra:
+    """Elements of one ring, with rational powers of monomials."""
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        # looked up per instance, so wrappers put on the module functions
+        # (by a tracer, say) see every call
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.pow = pow_fraction
+
+    def int(self, n: int) -> RingElement:
+        return from_int(self.ring, n)
+
+    def name(self, s: str) -> RingElement:
+        return variable(self.ring, s)
+
+
+class IntPolyAlgebra:
+    """Integer polynomials {degree: coefficient} in one named variable.
+
+    With var=None the first identifier names the variable.  Written degrees
+    stay as keys when their coefficients cancel, so "X^2-X^2+3" has degree 2.
+    """
+
+    def __init__(self, var: str | None = None, what: str = "polynomial"):
+        self.var = var
+        self.what = what
+
+    def int(self, n: int) -> dict:
+        return {0: n}
+
+    def name(self, s: str) -> dict:
+        if self.var is None:
+            self.var = s
+        elif s != self.var:
+            raise SpecParseError(f"{self.what} variable must be {self.var}")
+        return {1: 1}
+
+    def add(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for d, c in b.items():
+            out[d] = out.get(d, 0) + c
+        return out
+
+    def neg(self, a: dict) -> dict:
+        return {d: -c for d, c in a.items()}
+
+    def sub(self, a: dict, b: dict) -> dict:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: dict, b: dict) -> dict:
+        out: dict = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+        return out
+
+    def pow(self, a: dict, r: Fraction) -> dict:
+        if r.denominator != 1 or r < 0:
+            raise SpecParseError(
+                f"{self.what} exponents must be non-negative integers")
+        out, n = {0: 1}, r.numerator
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return out
 
 
 def evaluate(ring: Ring, text: str) -> RingElement:
     """Evaluate an element expression (ints, symbols, + - *, ^int, ^(rational))."""
-    ts = _Tokens(_tokenize(text))
-    v = _parse_expr(ts, ring)
-    if not ts.at_end():
-        raise SpecParseError(f"trailing junk in expression: {ts.peek()[1]!r}")
-    return v
-
-
-def _parse_expr(ts: _Tokens, ring: Ring) -> RingElement:
-    v = _parse_term(ts, ring)
-    while True:
-        k, s = ts.peek()
-        if (k, s) == ("sym", "+"):
-            ts.next()
-            v = add(v, _parse_term(ts, ring))
-        elif (k, s) == ("sym", "-"):
-            ts.next()
-            v = sub(v, _parse_term(ts, ring))
-        else:
-            break
-    return v
-
-
-def _parse_term(ts: _Tokens, ring: Ring) -> RingElement:
-    v = _parse_unary(ts, ring)
-    while ts.peek() == ("sym", "*"):
-        ts.next()
-        v = mul(v, _parse_unary(ts, ring))
-    return v
-
-
-def _parse_unary(ts: _Tokens, ring: Ring) -> RingElement:
-    if ts.peek() == ("sym", "-"):
-        ts.next()
-        return neg(_parse_unary(ts, ring))
-    return _parse_power(ts, ring)
-
-
-def _parse_power(ts: _Tokens, ring: Ring) -> RingElement:
-    base_v = _parse_atom(ts, ring)
-    if ts.peek() == ("sym", "^"):
-        ts.next()
-        k, v = ts.peek()
-        if k == "int":
-            ts.next()
-            return pow_int(base_v, int(v))
-        if (k, v) == ("sym", "("):
-            ts.next()
-            sign = 1
-            if ts.peek() == ("sym", "-"):
-                ts.next()
-                sign = -1
-            num = int(ts.expect("int"))
-            den = 1
-            if ts.peek() == ("sym", "/"):
-                ts.next()
-                den = int(ts.expect("int"))
-            ts.expect("sym", ")")
-            return pow_fraction(base_v, Fraction(sign * num, den))
-        raise SpecParseError("exponent must be an integer or (rational)")
-    return base_v
-
-
-def _parse_atom(ts: _Tokens, ring: Ring) -> RingElement:
-    k, v = ts.next()
-    if k == "int":
-        return from_int(ring, int(v))
-    if k == "ident":
-        return variable(ring, v)
-    if (k, v) == ("sym", "("):
-        inner = _parse_expr(ts, ring)
-        ts.expect("sym", ")")
-        return inner
-    raise SpecParseError(f"unexpected token {v!r} in expression")
+    return parse_all(text, RingAlgebra(ring))
 
 
 # canonical printing ---------------------------------------------------------

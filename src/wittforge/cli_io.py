@@ -2,7 +2,7 @@
 suite, and the structural-polynomial benchmark.
 
 Canonical results go to stdout and are byte-deterministic for a fixed
-command line and cache state; timings go to stderr.  Exit codes: 0 success,
+command line; timings go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 precision/depth exhaustion.
 """
 
@@ -16,9 +16,9 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from io import StringIO
 from itertools import product as iproduct
+from itertools import zip_longest
 
 from . import base_rings as br
 from . import frobenius_lab as fl
@@ -27,7 +27,6 @@ from . import witt_core as wc
 from . import witt_ramified as rw
 from .errors import (
     BudgetExceeded,
-    CacheCorrupt,
     DepthExhausted,
     LevelTooLarge,
     NoConvergence,
@@ -146,56 +145,45 @@ def parse_fontaine(ring, text: str) -> fl.FontaineElement:
 # ---------------------------------------------------------------------------
 # polynomials in one unknown X over a ramified base, for the lift command
 
-class _PolyParser:
-    """Recursive descent for expressions like "X^2-(p+x)".
+class _PolyXAlgebra:
+    """Polynomials in X over a ramified base, for expressions like "X^2-(p+x)".
 
-    The unknown is the capital identifier X; p stands for the base prime;
-    pi for the uniformizer; other identifiers are coefficient-ring variables
-    (fractional powers allowed on those only).  Values are coefficient lists,
-    low degree first.
+    Values are coefficient lists, low degree first.  X is the unknown, p the
+    base prime and pi the uniformizer; other names are coefficient-ring
+    variables, embedded (fractional powers included) as by embed_expr.
     """
 
-    def __init__(self, base, ring, text: str):
+    def __init__(self, base, ring):
         self.base, self.ring = base, ring
-        self.toks = br._tokenize(text)
-        self.pos = 0
+        self.scalars = rw.EmbedAlgebra(base, ring)
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def int(self, n):
+        return [self.scalars.int(n)]
 
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise SpecParseError("unexpected end of polynomial")
-        self.pos += 1
-        return t
+    def name(self, s):
+        if s == "X":
+            return [rw.rw_zero(self.base, self.ring), rw.rw_one(self.base, self.ring)]
+        if s == "p":
+            return self.int(self.base.p)
+        v = self.scalars.name(s)
+        return v if isinstance(v, br.RingElement) else [v]
 
-    def expect(self, sym: str):
-        t = self.take()
-        if t != ("sym", sym):
-            raise SpecParseError(f"expected {sym!r} at token {t!r}")
+    def lift(self, a):
+        return a if isinstance(a, list) else [self.scalars.lift(a)]
 
-    def parse(self):
-        v = self.expr()
-        if self.peek() is not None:
-            raise SpecParseError(f"trailing input at {self.peek()!r}")
-        return tuple(v)
-
-    # poly values: non-empty lists of RamifiedWitt, low degree first
-    def const(self, x):
-        return [x]
-
-    def padd(self, a, b):
-        n = max(len(a), len(b))
+    def add(self, a, b):
         z = rw.rw_zero(self.base, self.ring)
-        a = a + [z] * (n - len(a))
-        b = b + [z] * (n - len(b))
-        return [rw.rw_add(u, v) for u, v in zip(a, b)]
+        return [rw.rw_add(u, v)
+                for u, v in zip_longest(self.lift(a), self.lift(b), fillvalue=z)]
 
-    def pneg(self, a):
-        return [rw.rw_neg(u) for u in a]
+    def neg(self, a):
+        return [rw.rw_neg(u) for u in self.lift(a)]
 
-    def pmul(self, a, b):
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        a, b = self.lift(a), self.lift(b)
         z = rw.rw_zero(self.base, self.ring)
         out = [z] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
@@ -205,104 +193,22 @@ class _PolyParser:
                 out[i + j] = rw.rw_add(out[i + j], rw.rw_mul(u, v))
         return out
 
-    def expr(self):
-        if self.peek() == ("sym", "-"):
-            self.take()
-            acc = self.pneg(self.term())
-        else:
-            acc = self.term()
-        while self.peek() in (("sym", "+"), ("sym", "-")):
-            op = self.take()[1]
-            t = self.term()
-            acc = self.padd(acc, self.pneg(t) if op == "-" else t)
+    def pow(self, a, r):
+        if not isinstance(a, list):
+            return self.scalars.pow(a, r)
+        if r.denominator != 1:
+            raise SpecParseError(f"expected integer exponent, got {r}")
+        if r < 0:
+            raise SpecParseError("negative powers of X are not allowed")
+        acc = [rw.rw_one(self.base, self.ring)]
+        for _ in range(r.numerator):
+            acc = self.mul(acc, a)
         return acc
-
-    def term(self):
-        acc = self.factor()
-        while True:
-            nxt = self.peek()
-            if nxt == ("sym", "*"):
-                self.take()
-                acc = self.pmul(acc, self.factor())
-            elif nxt and (nxt[0] in ("int", "ident") or nxt == ("sym", "(")):
-                acc = self.pmul(acc, self.factor())  # juxtaposition
-            else:
-                return acc
-
-    def _int_exponent(self) -> int:
-        t = self.take()
-        if t == ("sym", "("):
-            inner = self._int_exponent()
-            self.expect(")")
-            return inner
-        if t == ("sym", "-"):
-            return -self._int_exponent()
-        if t[0] != "int":
-            raise SpecParseError(f"expected integer exponent, got {t!r}")
-        return int(t[1])
-
-    def factor(self):
-        t = self.take()
-        if t == ("sym", "("):
-            v = self.expr()
-            self.expect(")")
-        elif t[0] == "int":
-            v = self.const(rw.rw_from_int(int(t[1]), self.base, self.ring))
-        elif t == ("ident", "X"):
-            z = rw.rw_zero(self.base, self.ring)
-            v = [z, rw.rw_one(self.base, self.ring)]
-        elif t == ("ident", "p"):
-            v = self.const(rw.rw_from_int(self.base.p, self.base, self.ring))
-        elif t == ("ident", "pi"):
-            v = self.const(rw.rw_pi(self.base, self.ring))
-        elif t[0] == "ident":
-            # coefficient variable; may carry a fractional power
-            if self.peek() == ("sym", "^"):
-                self.take()
-                frac = self._frac_exponent()
-                elt = br.pow_fraction(br.variable(self.ring, t[1]), frac)
-            else:
-                elt = br.variable(self.ring, t[1])
-            return self.const(rw.teich_embed(elt, self.base))
-        else:
-            raise SpecParseError(f"unexpected token {t!r}")
-        if self.peek() == ("sym", "^"):
-            self.take()
-            k = self._int_exponent()
-            if k < 0:
-                raise SpecParseError("negative powers of X are not allowed")
-            acc = self.const(rw.rw_one(self.base, self.ring))
-            for _ in range(k):
-                acc = self.pmul(acc, v)
-            return acc
-        return v
-
-    def _frac_exponent(self):
-        sign = 1
-        parened = False
-        if self.peek() == ("sym", "("):
-            self.take()
-            parened = True
-        if self.peek() == ("sym", "-"):
-            self.take()
-            sign = -1
-        t = self.take()
-        if t[0] != "int":
-            raise SpecParseError(f"expected exponent numerator, got {t!r}")
-        num, den = int(t[1]), 1
-        if self.peek() == ("sym", "/"):
-            self.take()
-            d = self.take()
-            if d[0] != "int":
-                raise SpecParseError(f"expected exponent denominator, got {d!r}")
-            den = int(d[1])
-        if parened:
-            self.expect(")")
-        return Fraction(sign * num, den)
 
 
 def parse_poly_x(base, ring, text: str):
-    coeffs = _PolyParser(base, ring, text).parse()
+    alg = _PolyXAlgebra(base, ring)
+    coeffs = tuple(alg.lift(br.parse_all(text, alg, "polynomial")))
     while len(coeffs) > 1 and rw.rw_is_zero(coeffs[-1]):
         coeffs = coeffs[:-1]
     return coeffs
@@ -323,7 +229,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class _SuiteConfig:
     seed: int
-    cache_dir: str | None
 
     def rng(self, tag: str):
         return random.Random(f"{self.seed}:{tag}")
@@ -341,23 +246,22 @@ def _check_structural_tables(cfg):
     scope = [(2, 4), (3, 4), (5, 3)]
     for p, lv in scope:
         for kind in ("sum", "product", "negation"):
-            table = wc.structural_polys(p, lv, kind, cache_dir=cfg.cache_dir)
+            table = wc.structural_polys(p, lv, kind)
             wc.verify_table(table)  # raises on any broken ghost identity
-    wc.verify_table(wc.structural_polys(5, 4, "negation",
-                                        cache_dir=cfg.cache_dir))
+    wc.verify_table(wc.structural_polys(5, 4, "negation"))
     # the level-4 sum/product tables at p=5 are over the term budget; the
     # refusal must name the exact bound
     for kind, bound in (("sum", "130941098"), ("product", "13741849")):
         try:
-            wc.structural_polys(5, 4, kind, cache_dir=cfg.cache_dir)
+            wc.structural_polys(5, 4, kind)
             wit.append(f"(5, {kind}, 4) generated but should exceed budget")
         except LevelTooLarge as exc:
             if bound not in str(exc):
                 wit.append(f"(5, {kind}, 4) bound message lacks {bound}: {exc}")
-    s = wc.structural_polys(2, 1, "sum", cache_dir=cfg.cache_dir)
+    s = wc.structural_polys(2, 1, "sum")
     if wc.table_lines(s) != ["S_0 = X0+Y0", "S_1 = -X0*Y0+X1+Y1"]:
         wit.append(f"p=2 sum table differs: {wc.table_lines(s)}")
-    pr = wc.structural_polys(2, 1, "product", cache_dir=cfg.cache_dir)
+    pr = wc.structural_polys(2, 1, "product")
     if wc.table_lines(pr) != ["P_0 = X0*Y0", "P_1 = X0^2*Y1+X1*Y0^2+2*X1*Y1"]:
         wit.append(f"p=2 product table differs: {wc.table_lines(pr)}")
     return not wit, wit
@@ -369,10 +273,9 @@ def _check_ghost_oracle(cfg):
         for n in (1, 2, 3, 4):
             rng = cfg.rng(f"ghost:{p}:{n}")
             cs = wc.compile_table(
-                wc.structural_polys(p, n - 1, "sum", cache_dir=cfg.cache_dir))
+                wc.structural_polys(p, n - 1, "sum"))
             cp = wc.compile_table(
-                wc.structural_polys(p, n - 1, "product",
-                                    cache_dir=cfg.cache_dir))
+                wc.structural_polys(p, n - 1, "product"))
             for _ in range(1000):
                 xs = tuple(rng.randrange(-9, 10) for _ in range(n))
                 ys = tuple(rng.randrange(-9, 10) for _ in range(n))
@@ -881,9 +784,9 @@ CHECKS = (
 )
 
 
-def run_verify_suite(filter_text: str | None = None, seed: int = DEFAULT_SEED,
-                     cache_dir: str | None = None) -> list[CheckResult]:
-    cfg = _SuiteConfig(seed, cache_dir)
+def run_verify_suite(filter_text: str | None = None,
+                     seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    cfg = _SuiteConfig(seed)
     results = []
     for name, anchor, fn in CHECKS:
         if filter_text and filter_text not in name and \
@@ -964,9 +867,8 @@ def _cmd_witt(ns, out, err) -> int:
 
 
 def _cmd_poly(ns, out, err) -> int:
-    cache = ns.out if ns.poly_op == "gen" else ns.cache_dir
     t0 = time.perf_counter()
-    table = wc.structural_polys(ns.p, ns.level, ns.kind, cache_dir=cache)
+    table = wc.structural_polys(ns.p, ns.level, ns.kind)
     err.write(f"table ready in {time.perf_counter() - t0:.2f}s\n")
     if ns.poly_op == "dump":
         for line in wc.table_lines(table):
@@ -974,10 +876,9 @@ def _cmd_poly(ns, out, err) -> int:
         return 0
     payload = wc._table_payload(ns.p, ns.kind, ns.level, table.polys)
     if ns.out:
-        # write explicitly: a warm in-process table would otherwise skip disk
         path = os.path.join(ns.out, "tables",
                             f"p{ns.p}_{ns.kind}_l{ns.level}.json")
-        wc._write_cache(path, payload)
+        wc._write_table(path, payload)
     out.write(f"TABLE: p={ns.p} kind={ns.kind} level={ns.level}\n")
     out.write("TERMS: " + " ".join(str(len(poly)) for poly in table.polys)
               + "\n")
@@ -1069,15 +970,14 @@ def _cmd_hensel(ns, out, err) -> int:
 
 
 def _cmd_verify(ns, out, err) -> int:
-    cache_dir = "" if ns.no_cache else ns.cache_dir
-    results = run_verify_suite(ns.filter, ns.seed, cache_dir)
+    results = run_verify_suite(ns.filter, ns.seed)
     return render_verify(results, ns.filter, ns.seed, out, err)
 
 
 def _cmd_bench(ns, out, err) -> int:
     for level in range(ns.level + 1):
         t0 = time.perf_counter()
-        table = wc.structural_polys(ns.p, level, ns.kind, cache_dir="")
+        table = wc.structural_polys(ns.p, level, ns.kind)
         wall = time.perf_counter() - t0
         poly = table.polys[level]
         bits = max((abs(c).bit_length() for c in poly.values()), default=0)
@@ -1144,8 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--level", type=int, required=True)
         if opname == "gen":
             pp.add_argument("--out", default=None, help="table directory")
-        else:
-            pp.add_argument("--cache-dir", default=None)
         pp.set_defaults(handler=_cmd_poly)
 
     rwp = sub.add_parser("rw", help="ramified Witt vector operations")
@@ -1217,8 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=("paper-examples",))
     ver.add_argument("--filter", default=None)
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.add_argument("--cache-dir", default=None)
-    ver.add_argument("--no-cache", action="store_true")
     ver.set_defaults(handler=_cmd_verify)
 
     ben = sub.add_parser("bench", help="generation benchmarks")
@@ -1235,17 +1131,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: WittforgeError) -> int:
     if isinstance(exc, (DepthExhausted, BudgetExceeded, LevelTooLarge)):
         return 3
-    if isinstance(exc, (NoConvergence, CacheCorrupt)):
+    if isinstance(exc, NoConvergence):
         return 1
     return 2
 
 
+_parser = None  # the argparse tree, built on the first call to main
+
+
 def main(argv=None, stdout=None, stderr=None) -> int:
+    global _parser
     out = sys.stdout if stdout is None else stdout
     err = sys.stderr if stderr is None else stderr
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

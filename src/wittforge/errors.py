@@ -72,7 +72,3 @@ class BudgetExceeded(WittforgeError):
 
 class MismatchError(WittforgeError):
     """Operands disagree on ring, length, or base."""
-
-
-class CacheCorrupt(WittforgeError):
-    """An on-disk structural-polynomial cache entry failed its integrity re-verification."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +40,6 @@ from .base_rings import (
 )
 from .errors import (
     DepthExhausted,
-    CacheCorrupt,
     IntegralityViolation,
     LevelTooLarge,
     MismatchError,
@@ -61,9 +59,10 @@ DEFAULT_TERM_BUDGET = 1_500_000
 # sparse integer polynomials
 #
 # A monomial is one Python int: the exponent of variable v is packed into
-# bits [16v, 16v+16).  Variable 2i encodes X_i and 2i+1 encodes Y_i.  The
-# polynomials here are isobaric of weight p^level <= 2^14, so exponents never
-# reach 2^16 and monomial multiplication is integer addition, carry-free.
+# bits [16v, 16v+16).  Variable 2i encodes X_i and 2i+1 encodes Y_i.  No
+# exponent of a level-`level` table exceeds p^level, and structural_polys
+# refuses p^level >= 2^16, so exponents never reach 2^16 and monomial
+# multiplication is integer addition, carry-free.
 # A polynomial is a dict monomial-int -> nonzero coefficient.
 
 _EXP_BITS = 16
@@ -205,17 +204,6 @@ class StructuralPolynomialTable:
 _TABLE_MEMO: dict = {}
 
 
-def _resolve_cache_dir(cache_dir: str | None) -> str | None:
-    if cache_dir is not None:
-        return cache_dir
-    env = os.environ.get("WITTFORGE_CACHE")
-    if env:
-        return env
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    root = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(root, "wittforge")
-
-
 def _table_payload(p: int, kind: str, level: int, polys) -> dict:
     ser = []
     for poly in polys:
@@ -229,63 +217,19 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_cache(path: str, payload: dict) -> None:
+def _write_table(path: str, payload: dict) -> None:
+    """Export a table as JSON with its digest (``poly gen --out``)."""
     doc = dict(payload)
     doc["sha256"] = _payload_digest(payload)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)  # last writer wins, readers never see partials
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
 
-_SYMBOLIC_VERIFY_LIMIT = 60_000
-
-
-def _load_cache(path: str, p: int, kind: str, level: int) -> StructuralPolynomialTable:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CacheCorrupt(f"unreadable table cache {path}: {exc}") from exc
-    digest = doc.pop("sha256", None)
-    if (doc.get("p"), doc.get("kind"), doc.get("level")) != (p, kind, level):
-        raise CacheCorrupt(f"cache {path} is for a different table")
-    if digest != _payload_digest(doc):
-        raise CacheCorrupt(f"cache {path} failed its checksum")
-    try:
-        polys = []
-        for ser in doc["polys"]:
-            poly = {}
-            for k, c in ser:
-                poly[_mono_key((int(v), int(e)) for v, e in k)] = int(c)
-            polys.append(poly)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise CacheCorrupt(f"malformed cache {path}: {exc}") from exc
-    table = StructuralPolynomialTable(p, kind, level, tuple(polys))
-    # mathematical re-verification: full symbolic recheck when affordable,
-    # exact random-point ghost evaluation otherwise
-    try:
-        if term_count_bound(p, level, kind) <= _SYMBOLIC_VERIFY_LIMIT:
-            verify_table(table)
-        else:
-            spot_check_table(table, trials=3, seed=0)
-    except IntegralityViolation as exc:
-        raise CacheCorrupt(f"cache {path} fails the ghost identity: {exc}") from exc
-    return table
-
-
-def structural_polys(p: int, level: int, kind: str, *, cache_dir: str | None = None,
+def structural_polys(p: int, level: int, kind: str, *,
                      level_cap: int = DEFAULT_LEVEL_CAP,
                      term_budget: int = DEFAULT_TERM_BUDGET) -> StructuralPolynomialTable:
-    """Generate (or load) the structural table for (p, kind, level)."""
+    """Generate the structural table for (p, kind, level), once per process."""
     if kind not in KINDS:
         raise SpecParseError(f"kind must be one of {KINDS}")
     if not br._is_prime(p):
@@ -294,31 +238,21 @@ def structural_polys(p: int, level: int, kind: str, *, cache_dir: str | None = N
         raise SpecParseError("level must be >= 0")
     if level > level_cap:
         raise LevelTooLarge(f"level {level} above cap {level_cap}")
+    if p ** level >= 1 << _EXP_BITS:
+        raise LevelTooLarge(
+            f"weight p^level = {p ** level} does not fit the "
+            f"{_EXP_BITS}-bit exponent packing")
     bound = term_count_bound(p, level, kind)
     if bound > term_budget:
         raise LevelTooLarge(
             f"term-count bound {bound} for (p={p}, {kind}, level {level}) "
             f"exceeds budget {term_budget}")
     key = (p, kind, level)
-    if key in _TABLE_MEMO:
-        return _TABLE_MEMO[key]
-    cdir = _resolve_cache_dir(cache_dir)
-    path = os.path.join(cdir, "tables", f"p{p}_{kind}_l{level}.json") if cdir else None
-    if path and os.path.exists(path):
-        try:
-            table = _load_cache(path, p, kind, level)
-            _TABLE_MEMO[key] = table
-            return table
-        except CacheCorrupt:
-            pass  # regenerate and overwrite below
-    polys = _generate_polys(p, level, kind)
-    table = StructuralPolynomialTable(p, kind, level, tuple(polys))
-    if path:
-        try:
-            _write_cache(path, _table_payload(p, kind, level, polys))
-        except OSError:
-            pass
-    _TABLE_MEMO[key] = table
+    table = _TABLE_MEMO.get(key)
+    if table is None:
+        polys = _generate_polys(p, level, kind)
+        table = StructuralPolynomialTable(p, kind, level, tuple(polys))
+        _TABLE_MEMO[key] = table
     return table
 
 
@@ -359,32 +293,6 @@ def verify_table(table: StructuralPolynomialTable) -> None:
         if lhs != rhs:
             raise IntegralityViolation(
                 f"ghost identity fails at level {i} for (p={p}, {table.kind})")
-
-
-def spot_check_table(table: StructuralPolynomialTable, trials: int = 3,
-                     seed: int = 0) -> None:
-    """Exact ghost-identity check at random integer points (cache-load guard)."""
-    import random
-
-    rng = random.Random(seed)
-    fns = compile_table(table)
-    n = table.level + 1
-    p = table.p
-    for _ in range(trials):
-        xs = tuple(rng.randint(-50, 50) for _ in range(n))
-        ys = tuple(rng.randint(-50, 50) for _ in range(n))
-        res = tuple(fns[i](xs, ys) for i in range(n))
-        gx, gy, gr = (ghost(v, p).components for v in (xs, ys, res))
-        for i in range(n):
-            if table.kind == "sum":
-                want = gx[i] + gy[i]
-            elif table.kind == "product":
-                want = gx[i] * gy[i]
-            else:
-                want = -gx[i]
-            if gr[i] != want:
-                raise IntegralityViolation(
-                    f"point check fails at level {i} for (p={p}, {table.kind})")
 
 
 def table_lines(table: StructuralPolynomialTable) -> list[str]:

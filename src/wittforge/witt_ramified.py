@@ -87,47 +87,8 @@ def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBa
 
 def parse_eisenstein(text: str):
     """Parse E as a monic integer polynomial in X; returns (f, [e_0..e_{f-1}])."""
-    toks = br._tokenize(text)
-    ts = br._Tokens(toks)
-    coeffs: dict[int, int] = {}
-    sign = 1
-    while True:
-        k, v = ts.peek()
-        c, d = 1, 0
-        if k == "int":
-            ts.next()
-            c = int(v)
-            if ts.peek() == ("sym", "*"):
-                ts.next()
-                name = ts.expect("ident")
-                if name != "X":
-                    raise SpecParseError("Eisenstein variable must be X")
-                d = 1
-                if ts.peek() == ("sym", "^"):
-                    ts.next()
-                    d = int(ts.expect("int"))
-        elif k == "ident":
-            ts.next()
-            if v != "X":
-                raise SpecParseError("Eisenstein variable must be X")
-            d = 1
-            if ts.peek() == ("sym", "^"):
-                ts.next()
-                d = int(ts.expect("int"))
-        else:
-            raise SpecParseError("bad term in Eisenstein polynomial")
-        coeffs[d] = coeffs.get(d, 0) + sign * c
-        k, v = ts.peek()
-        if (k, v) == ("sym", "+"):
-            ts.next()
-            sign = 1
-        elif (k, v) == ("sym", "-"):
-            ts.next()
-            sign = -1
-        else:
-            break
-    if not ts.at_end():
-        raise SpecParseError("trailing junk in Eisenstein polynomial")
+    coeffs = br.parse_all(text, br.IntPolyAlgebra("X", "Eisenstein"),
+                          "Eisenstein polynomial")
     fdeg = max(coeffs)
     if coeffs[fdeg] != 1:
         raise NotEisenstein("Eisenstein polynomial must be monic")
@@ -439,6 +400,59 @@ def digits_assemble(d: DigitExpansion) -> RamifiedWitt:
 # the polynomial-model embedding and twisted products
 
 
+class EmbedAlgebra:
+    """The embedding of V-polynomial expressions into the ramified ring.
+
+    Integers go through W_n and pi maps to pi.  A name of A stays a ring
+    element, so it can take rational powers, until a ramified operation needs
+    it; then it becomes its Teichmueller lift.  Ramified values take
+    non-negative integer powers only.
+    """
+
+    def __init__(self, base: RamifiedBase, ring: Ring, precision: int | None = None):
+        self.base, self.ring, self.precision = base, ring, precision
+
+    def int(self, n: int) -> RamifiedWitt:
+        return rw_from_int(n, self.base, self.ring, self.precision)
+
+    def name(self, s: str):
+        if s == "pi":
+            return rw_pi(self.base, self.ring, self.precision)
+        return br.variable(self.ring, s)
+
+    def lift(self, v) -> RamifiedWitt:
+        if isinstance(v, RingElement):
+            return teich_embed(v, self.base, self.precision)
+        return v
+
+    def add(self, a, b) -> RamifiedWitt:
+        return rw_add(self.lift(a), self.lift(b))
+
+    def sub(self, a, b) -> RamifiedWitt:
+        return rw_sub(self.lift(a), self.lift(b))
+
+    def neg(self, a) -> RamifiedWitt:
+        return rw_neg(self.lift(a))
+
+    def mul(self, a, b) -> RamifiedWitt:
+        return rw_mul(self.lift(a), self.lift(b))
+
+    def pow(self, a, r: Fraction):
+        if isinstance(a, RingElement):
+            return br.pow_fraction(a, r)
+        if r.denominator != 1 or r < 0:
+            raise SpecParseError("only variables take fractional or negative powers")
+        out = rw_one(self.base, self.ring, self.precision)
+        n = r.numerator
+        while n:
+            if n & 1:
+                out = rw_mul(out, a)
+            n >>= 1
+            if n:
+                a = rw_mul(a, a)
+        return out
+
+
 def embed_expr(base: RamifiedBase, ring: Ring, text: str,
                precision: int | None = None) -> RamifiedWitt:
     """Embed a V-polynomial expression: variables of A, `pi`, and integers.
@@ -449,99 +463,8 @@ def embed_expr(base: RamifiedBase, ring: Ring, text: str,
     The multiplicativity across separate embeds is a theorem checked by the
     test suite, not by this function.
     """
-    ts = br._Tokens(br._tokenize(text))
-    val = _embed_expr(ts, base, ring, precision)
-    if not ts.at_end():
-        raise SpecParseError(f"trailing junk in embed expression: {ts.peek()[1]!r}")
-    return val
-
-
-def _embed_expr(ts, base, ring, prec) -> RamifiedWitt:
-    v = _embed_term(ts, base, ring, prec)
-    while True:
-        k, s = ts.peek()
-        if (k, s) == ("sym", "+"):
-            ts.next()
-            v = rw_add(v, _embed_term(ts, base, ring, prec))
-        elif (k, s) == ("sym", "-"):
-            ts.next()
-            v = rw_sub(v, _embed_term(ts, base, ring, prec))
-        else:
-            return v
-
-
-def _embed_term(ts, base, ring, prec) -> RamifiedWitt:
-    v = _embed_factor(ts, base, ring, prec)
-    while ts.peek() == ("sym", "*"):
-        ts.next()
-        v = rw_mul(v, _embed_factor(ts, base, ring, prec))
-    return v
-
-
-def _embed_factor(ts, base, ring, prec) -> RamifiedWitt:
-    k, v = ts.peek()
-    if (k, v) == ("sym", "-"):
-        ts.next()
-        return rw_neg(_embed_factor(ts, base, ring, prec))
-    if (k, v) == ("sym", "("):
-        ts.next()
-        inner = _embed_expr(ts, base, ring, prec)
-        ts.expect("sym", ")")
-        return _embed_pow(ts, inner, None, base, ring, prec)
-    if k == "int":
-        ts.next()
-        return _embed_pow(ts, rw_from_int(int(v), base, ring, prec),
-                          None, base, ring, prec)
-    if k == "ident":
-        ts.next()
-        if v == "pi":
-            return _embed_pow(ts, rw_pi(base, ring, prec), None, base, ring, prec)
-        elt = br.variable(ring, v)
-        return _embed_pow(ts, None, elt, base, ring, prec)
-    raise SpecParseError(f"unexpected token {v!r} in embed expression")
-
-
-def _embed_pow(ts, val, atom_elt, base, ring, prec) -> RamifiedWitt:
-    # atom_elt set: a ring variable, which supports rational exponents before
-    # being Teichmueller-lifted; val set: a ramified value, integer powers only
-    if ts.peek() == ("sym", "^"):
-        ts.next()
-        k, v = ts.peek()
-        if k == "int":
-            ts.next()
-            exp = Fraction(int(v))
-        elif (k, v) == ("sym", "("):
-            ts.next()
-            sign = 1
-            if ts.peek() == ("sym", "-"):
-                ts.next()
-                sign = -1
-            num = int(ts.expect("int"))
-            den = 1
-            if ts.peek() == ("sym", "/"):
-                ts.next()
-                den = int(ts.expect("int"))
-            ts.expect("sym", ")")
-            exp = Fraction(sign * num, den)
-        else:
-            raise SpecParseError("exponent must be an integer or (rational)")
-        if atom_elt is not None:
-            return teich_embed(br.pow_fraction(atom_elt, exp), base, prec)
-        if exp.denominator != 1 or exp < 0:
-            raise SpecParseError("only variables take fractional or negative powers")
-        out = rw_one(base, ring, prec)
-        b = val
-        n = exp.numerator
-        while n:
-            if n & 1:
-                out = rw_mul(out, b)
-            n >>= 1
-            if n:
-                b = rw_mul(b, b)
-        return out
-    if atom_elt is not None:
-        return teich_embed(atom_elt, base, prec)
-    return val
+    alg = EmbedAlgebra(base, ring, precision)
+    return alg.lift(br.parse_all(text, alg, "embed expression"))
 
 
 def twisted_product(base: RamifiedBase, ring: Ring, text: str, n: int,

@@ -309,6 +309,12 @@ class TestPolyCommands:
         assert code == 3
         assert "130941098" in err
 
+    def test_packing_refusal_exit_code(self):
+        code, _, err = run_cli("poly", "dump", "--p", "257", "--kind", "negation",
+                               "--level", "2")
+        assert code == 3
+        assert "66049" in err
+
 
 class TestReportCommands:
     def test_perfection_report_quotient(self):
@@ -422,6 +428,5 @@ class TestExitCodeMapping:
         assert cli._exit_code(er.BudgetExceeded("x")) == 3
         assert cli._exit_code(er.LevelTooLarge("x")) == 3
         assert cli._exit_code(er.NoConvergence("x")) == 1
-        assert cli._exit_code(er.CacheCorrupt("x")) == 1
         assert cli._exit_code(er.NoRoot("x")) == 2
         assert cli._exit_code(er.SpecParseError("x")) == 2

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from wittforge import base_rings as br
 from wittforge import witt_core as wc
 from wittforge.errors import (
-    CacheCorrupt,
     DepthExhausted,
     LevelTooLarge,
     MismatchError,
@@ -32,9 +30,9 @@ def rand_witt(ring, rng, n):
 
 class TestStructuralTables:
     def test_frozen_level_one_p2(self):
-        s = wc.structural_polys(2, 1, "sum", cache_dir=None)
+        s = wc.structural_polys(2, 1, "sum")
         assert wc.table_lines(s) == ["S_0 = X0+Y0", "S_1 = -X0*Y0+X1+Y1"]
-        p = wc.structural_polys(2, 1, "product", cache_dir=None)
+        p = wc.structural_polys(2, 1, "product")
         assert wc.table_lines(p) == ["P_0 = X0*Y0", "P_1 = X0^2*Y1+X1*Y0^2+2*X1*Y1"]
 
     def test_negation_level_zero(self):
@@ -70,6 +68,13 @@ class TestStructuralTables:
             wc.structural_polys(5, 4, "sum")
         assert "130941098" in str(exc.value)
 
+    def test_packing_guard(self):
+        # bound 259 is inside the term budget, but X0^(257^2) would overflow
+        # its 16-bit exponent field
+        with pytest.raises(LevelTooLarge, match="66049"):
+            wc.structural_polys(257, 2, "negation")
+        assert len(wc.structural_polys(251, 2, "negation").polys) == 3
+
     def test_term_count_bounds_frozen(self):
         # weighted-composition counts, frozen as the feasibility oracle
         assert wc.term_count_bound(3, 4, "sum") == 115602
@@ -81,46 +86,6 @@ class TestStructuralTables:
         for p, level in ((2, 4), (3, 3)):
             t = wc.structural_polys(p, level, "sum")
             assert len(t.polys[level]) <= wc.term_count_bound(p, level, "sum")
-
-
-class TestTableCache:
-    def test_roundtrip(self, tmp_path):
-        wc._TABLE_MEMO.clear()
-        t1 = wc.structural_polys(3, 2, "sum", cache_dir=str(tmp_path))
-        wc._TABLE_MEMO.clear()
-        t2 = wc.structural_polys(3, 2, "sum", cache_dir=str(tmp_path))
-        assert t1 == t2
-        assert (tmp_path / "tables" / "p3_sum_l2.json").exists()
-
-    def test_corrupt_payload_detected(self, tmp_path):
-        wc._TABLE_MEMO.clear()
-        wc.structural_polys(2, 2, "sum", cache_dir=str(tmp_path))
-        path = tmp_path / "tables" / "p2_sum_l2.json"
-        doc = json.loads(path.read_text())
-        doc["polys"][1][0][1] += 1  # flip one coefficient, keep the checksum
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheCorrupt):
-            wc._load_cache(str(path), 2, "sum", 2)
-
-    def test_corrupt_cache_self_heals(self, tmp_path):
-        wc._TABLE_MEMO.clear()
-        t1 = wc.structural_polys(2, 2, "sum", cache_dir=str(tmp_path))
-        path = tmp_path / "tables" / "p2_sum_l2.json"
-        path.write_text("not json at all")
-        wc._TABLE_MEMO.clear()
-        t2 = wc.structural_polys(2, 2, "sum", cache_dir=str(tmp_path))
-        assert t1 == t2
-        # and the file is good again
-        wc._TABLE_MEMO.clear()
-        assert wc._load_cache(str(path), 2, "sum", 2) == t1
-
-    def test_truncated_file_detected(self, tmp_path):
-        wc._TABLE_MEMO.clear()
-        wc.structural_polys(2, 1, "product", cache_dir=str(tmp_path))
-        path = tmp_path / "tables" / "p2_product_l1.json"
-        path.write_text(path.read_text()[:-10])
-        with pytest.raises(CacheCorrupt):
-            wc._load_cache(str(path), 2, "product", 1)
 
 
 class TestCompiledEvaluators:
