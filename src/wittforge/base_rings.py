@@ -1,14 +1,28 @@
 """Characteristic-p coefficient rings with exact, canonical elements.
 
-Three ring kinds are supported, all with fully deterministic canonical forms:
+Every ring here is built on one coefficient ring (Z/p^K)[u]/(M~), where M~
+is the integer lift of a monic irreducible M over F_p of degree e.
+Coefficients are e-tuples of integers in [0, p^K).  At K = 1 this is the
+finite field F_q, q = p^e, and ``FiniteFieldSpec`` is that instance; the
+Witt lift route (``witt_core``) runs the same code at K = n+1, where each
+F_p digit is its own integer lift.  Three ring kinds sit on top, each with
+one product on sparse term dicts {exponent key: coefficient}:
 
-* ``FiniteFieldSpec`` -- F_q = F_p[u]/(modulus), q = p^e, elements stored as
-  coefficient vectors of length e with entries in [0, p).
+* ``FiniteFieldSpec`` -- F_q itself, a single term with key ().
 * ``FracLaurentRing`` -- (Laurent) polynomials over F_q whose exponents live in
   the lattice (1/B)Z with B = 2^depth_2 * p^depth_p, optionally cut down by a
   monomial ideal.  The p-part of B is the declared perfection depth; the 2-part
   exists so square roots of monomials have a home.
-* ``UnivariateQuotient`` -- F_q[T]/(g) for a monic g.
+* ``UnivariateQuotient`` -- F_q[T]/(g) for a monic g; a product accumulates
+  sparsely and is reduced by g once, from the top degree down.
+
+The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p`` and each
+kind's ``_kmul`` and ``_kpow``) take the coefficient ring as an argument,
+read their operands as (key, coefficient) pairs (an element's ``terms`` or a
+dict's ``items()``; ``_kpow`` takes a dict), return term dicts and keep no
+zero coefficients.  A key is
+checked for the lattice (and, outside Laurent rings, for sign) where it
+enters a ring, never in products of keys already in it.
 
 Elements are immutable: a ``RingElement`` holds a sorted tuple of
 (exponent key, field coefficient) pairs, so equal elements have identical
@@ -22,12 +36,16 @@ a ``UnivariateQuotient`` it only sees p-th powers of canonical representatives
 
 from __future__ import annotations
 
+import operator
 import re
+from itertools import product
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DepthExhausted,
+    IntegralityViolation,
     LatticeError,
     MismatchError,
     NoRoot,
@@ -36,35 +54,39 @@ from .errors import (
 )
 
 FieldCoeff = tuple[int, ...]
+_KEY = operator.itemgetter(0)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1, with multiplicity, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def _digits(n: int, p: int, e: int) -> tuple[int, ...]:
+    """The e base-p digits of n, lowest first (element n of F_q in order)."""
+    return tuple(n // p ** i % p for i in range(e))
 
 
 # ---------------------------------------------------------------------------
-# finite fields
+# coefficients: (Z/p^K)[u]/(M~), with F_q at K = 1
 
 
-@dataclass(frozen=True)
-class FiniteFieldSpec:
-    """F_p[u]/(modulus); modulus is monic of degree e, stored low-to-high."""
+class _CoeffRing:
+    """(Z/p^K)[u]/(M~): e-tuples of integers mod p^K, reduced by monic M~."""
 
-    p: int
-    e: int
-    modulus: tuple[int, ...]
-    gen_name: str = "u"
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.e
+    def __init__(self, F: FiniteFieldSpec, K: int):
+        self.p, self.e, self.modulus = F.p, F.e, F.modulus
+        self.pk = F.p ** K
 
     def zero(self) -> FieldCoeff:
         return (0,) * self.e
@@ -72,43 +94,47 @@ class FiniteFieldSpec:
     def one(self) -> FieldCoeff:
         return (1,) + (0,) * (self.e - 1)
 
-    def from_int(self, n: int) -> FieldCoeff:
-        return (n % self.p,) + (0,) * (self.e - 1)
-
-    def gen(self) -> FieldCoeff:
-        if self.e == 1:
-            raise SpecParseError("prime field has no generator symbol")
-        return (0, 1) + (0,) * (self.e - 2)
-
     def cadd(self, a: FieldCoeff, b: FieldCoeff) -> FieldCoeff:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if self.e == 1:
+            return ((a[0] + b[0]) % self.pk,)
+        pk = self.pk
+        return tuple([(x + y) % pk for x, y in zip(a, b)])
 
     def csub(self, a: FieldCoeff, b: FieldCoeff) -> FieldCoeff:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if self.e == 1:
+            return ((a[0] - b[0]) % self.pk,)
+        pk = self.pk
+        return tuple([(x - y) % pk for x, y in zip(a, b)])
 
     def cneg(self, a: FieldCoeff) -> FieldCoeff:
-        p = self.p
-        return tuple((-x) % p for x in a)
+        if self.e == 1:
+            return (-a[0] % self.pk,)
+        pk = self.pk
+        return tuple([(-x) % pk for x in a])
+
+    def cscale(self, a: FieldCoeff, s: int) -> FieldCoeff:
+        if self.e == 1:
+            return (a[0] * s % self.pk,)
+        pk = self.pk
+        return tuple([(x * s) % pk for x in a])
 
     def cmul(self, a: FieldCoeff, b: FieldCoeff) -> FieldCoeff:
-        p, e = self.p, self.e
+        pk, e = self.pk, self.e
         if e == 1:
-            return ((a[0] * b[0]) % p,)
+            return ((a[0] * b[0]) % pk,)
         prod = [0] * (2 * e - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
+                        prod[i + j] = (prod[i + j] + x * y) % pk
         # reduce by the monic modulus
         for d in range(2 * e - 2, e - 1, -1):
             c = prod[d]
             if c:
                 prod[d] = 0
                 for j in range(e):
-                    prod[d - e + j] = (prod[d - e + j] - c * self.modulus[j]) % p
+                    prod[d - e + j] = (prod[d - e + j] - c * self.modulus[j]) % pk
         return tuple(prod[:e])
 
     def cpow(self, a: FieldCoeff, n: int) -> FieldCoeff:
@@ -119,9 +145,43 @@ class FiniteFieldSpec:
         while n:
             if n & 1:
                 r = self.cmul(r, b)
-            b = self.cmul(b, b)
             n >>= 1
+            if n:
+                b = self.cmul(b, b)
         return r
+
+
+# ---------------------------------------------------------------------------
+# finite fields
+
+
+@dataclass(frozen=True)
+class FiniteFieldSpec(_CoeffRing):
+    """F_p[u]/(modulus), the coefficient ring at K = 1; modulus is monic of
+    degree e, stored low-to-high.  As a ring kind its elements are single
+    terms with key ()."""
+
+    p: int
+    e: int
+    modulus: tuple[int, ...]
+    gen_name: str = "u"
+
+    _unit_key = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "pk", self.p)
+
+    @property
+    def q(self) -> int:
+        return self.p ** self.e
+
+    def from_int(self, n: int) -> FieldCoeff:
+        return (n % self.p,) + (0,) * (self.e - 1)
+
+    def gen(self) -> FieldCoeff:
+        if self.e == 1:
+            raise SpecParseError("prime field has no generator symbol")
+        return (0, 1) + (0,) * (self.e - 2)
 
     def cinv(self, a: FieldCoeff) -> FieldCoeff:
         if a == self.zero():
@@ -137,37 +197,79 @@ class FiniteFieldSpec:
         return self.cpow(a, self.p ** k)
 
     def nth_root(self, a: FieldCoeff, n: int) -> FieldCoeff:
-        """Some b with b^n = a, or NoRoot.  Deterministic choice."""
+        """The smallest b (as a coefficient tuple) with b^n = a, or NoRoot.
+
+        With m = q-1 and d = gcd(n, m), a nonzero a has an n-th root iff
+        a^(m/d) = 1.  A d-th root r is taken one prime l | d at a time, each
+        by Adleman-Manders-Miller (Tonelli-Shanks for l = 2); then r^x with
+        x*n = d mod m is an n-th root, and the n-th roots are its multiples
+        by the d-th roots of unity.
+        """
         if n <= 0:
             raise SpecParseError("root index must be positive")
         if a == self.zero():
             return a
-        q = self.q
-        from math import gcd
+        m, one = self.q - 1, self.one()
+        d = gcd(n, m)
+        if self.cpow(a, m // d) != one:
+            raise NoRoot(f"no {n}-th root in F_{self.q}")
+        r, rest = a, d
+        for ell in _prime_factors(d):
+            r, rest = self._lth_root(r, ell), rest // ell
+            # of the l choices, keep one that is still a rest-th power
+            zeta = self._unity_root(ell)
+            while self.cpow(r, m // rest) != one:
+                r = self.cmul(r, zeta)
+        roots = [self.cpow(r, pow(n // d, -1, m // d))]
+        zeta = self._unity_root(d)
+        for _ in range(d - 1):
+            roots.append(self.cmul(roots[-1], zeta))
+        return min(roots)
 
-        if gcd(n, q - 1) == 1:
-            return self.cpow(a, pow(n, -1, q - 1))
-        if q <= 1 << 14:
-            best = None
-            for b in self.iter_elements():
-                if self.cpow(b, n) == a:
-                    if best is None or b < best:
-                        best = b
-            if best is not None:
-                return best
-            raise NoRoot(f"no {n}-th root in F_{q}")
-        raise NoRoot(f"{n}-th root search not supported for q={q}")
+    def _lth_root(self, a: FieldCoeff, ell: int) -> FieldCoeff:
+        """An l-th root of an l-th power a, for a prime l = ell dividing q-1."""
+        s, t = 0, self.q - 1
+        while t % ell == 0:
+            s, t = s + 1, t // ell
+        z = self._unity_root(ell ** s)  # generates the l-Sylow subgroup
+        zi = self.cinv(z)
+        x = self.cpow(a, pow(ell, -1, t))
+        err = self.cmul(self.cpow(x, ell), self.cinv(a))  # x^l / a, in <z^l>
+        zeta = self.cpow(z, ell ** (s - 1))
+        k = 0  # log of err to base z, one base-l digit at a time
+        for i in range(s):
+            h = self.cpow(self.cmul(err, self.cpow(zi, k)), ell ** (s - 1 - i))
+            j, w = 0, self.one()
+            while w != h:
+                j, w = j + 1, self.cmul(w, zeta)
+            k += j * ell ** i
+        return self.cmul(x, self.cpow(zi, k // ell))
+
+    def _unity_root(self, d: int) -> FieldCoeff:
+        """A primitive d-th root of unity, for d dividing q-1."""
+        p, m, one = self.p, self.q - 1, self.one()
+        primes = set(_prime_factors(d))
+        # any order finds one; from the top, elements of F_p (often all
+        # d-th powers) come last
+        for idx in range(m, 0, -1):
+            z = self.cpow(_digits(idx, p, self.e), m // d)
+            if all(self.cpow(z, d // ell) != one for ell in primes):
+                return z
 
     def iter_elements(self):
-        p, e = self.p, self.e
-        total = p ** e
-        for idx in range(total):
-            vec = []
-            t = idx
-            for _ in range(e):
-                vec.append(t % p)
-                t //= p
-            yield tuple(vec)
+        return (_digits(idx, self.p, self.e) for idx in range(self.q))
+
+    def _kmul(self, C: _CoeffRing, a, b) -> dict:
+        for _, x in a:
+            for _, y in b:
+                c = C.cmul(x, y)
+                if any(c):
+                    return {(): c}
+        return {}
+
+    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
+        c = C.cpow(a.get((), C.zero()), n)
+        return {(): c} if any(c) else {}
 
 
 def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
@@ -176,14 +278,8 @@ def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     if deg < 1:
         return False
     for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            div = []
-            t = idx
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)  # monic
-            if _fp_poly_divides(p, div, list(coeffs)):
+        for low in product(range(p), repeat=d):
+            if _fp_poly_divides(p, [*low, 1], list(coeffs)):  # monic divisors
                 return False
     return True
 
@@ -204,12 +300,7 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     if e == 1:
         return (0, 1)
     for idx in range(p ** e):
-        low = []
-        t = idx
-        for _ in range(e):
-            low.append(t % p)
-            t //= p
-        cand = tuple(low) + (1,)
+        cand = _digits(idx, p, e) + (1,)
         if _poly_is_irreducible(p, cand):
             return cand
     raise SpecParseError(f"no irreducible modulus found for p={p}, e={e}")
@@ -238,8 +329,22 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | None = None,
 # ring descriptors
 
 
+class _Polynomials:
+    """The power of the ring kinds with many terms, by square-and-multiply."""
+
+    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
+        acc, kmul = None, self._kmul
+        while n:
+            if n & 1:
+                acc = a if acc is None else kmul(C, acc.items(), a.items())
+            n >>= 1
+            if n:
+                a = kmul(C, a.items(), a.items())
+        return {self._unit_key: C.one()} if acc is None else acc
+
+
 @dataclass(frozen=True)
-class FracLaurentRing:
+class FracLaurentRing(_Polynomials):
     """F_q[x_1^(1/B), ...] (or Laurent), exponent lattice (1/B)Z, B = 2^a p^m."""
 
     base: FiniteFieldSpec
@@ -253,18 +358,72 @@ class FracLaurentRing:
     def lattice_b(self) -> int:
         return (2 ** self.depth_2) * (self.base.p ** self.depth_p)
 
+    @property
+    def _unit_key(self) -> tuple[Fraction, ...]:
+        return (Fraction(0),) * len(self.variables)
+
+    def _killed(self, key) -> bool:
+        """Whether the monomial ideal contains x^key."""
+        return any(all(e >= g for e, g in zip(key, gen)) for gen in self.quotient)
+
+    def _kmul(self, C: _CoeffRing, a, b) -> dict:
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict = {}
+        get, cmul, cadd = out.get, C.cmul, C.cadd
+        plus, quo = operator.add, self.quotient
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = tuple(map(plus, k1, k2))
+                if quo and self._killed(k):
+                    continue
+                c = cmul(c1, c2)
+                cur = get(k)
+                out[k] = c if cur is None else cadd(cur, c)
+        return _nonzero(out)
+
 
 @dataclass(frozen=True)
-class UnivariateQuotient:
+class UnivariateQuotient(_Polynomials):
     """F_q[T]/(g) with g monic of degree >= 1, stored low-to-high."""
 
     base: FiniteFieldSpec
     var: str
     modulus: tuple[FieldCoeff, ...]
 
+    _unit_key = 0
+
     @property
     def degree(self) -> int:
         return len(self.modulus) - 1
+
+    def _kmul(self, C: _CoeffRing, a, b) -> dict:
+        acc: dict = {}
+        get, cmul, cadd = acc.get, C.cmul, C.cadd
+        for i, x in a:
+            for j, y in b:
+                t = cmul(x, y)
+                cur = get(i + j)
+                acc[i + j] = t if cur is None else cadd(cur, t)
+        return self._reduce(C, acc)
+
+    def _reduce(self, C: _CoeffRing, acc: dict) -> dict:
+        """acc mod g, one pass from the top degree down; consumes acc."""
+        deg = self.degree
+        top = max(acc, default=-1)
+        if top >= deg:
+            tail = [(j, c) for j, c in enumerate(self.modulus[:deg]) if any(c)]
+            get, cmul, cneg, csub = acc.get, C.cmul, C.cneg, C.csub
+            for k in range(top, deg - 1, -1):
+                c = acc.pop(k, None)
+                if c is None or not any(c):
+                    continue
+                for j, mj in tail:
+                    kk = k - deg + j
+                    t = cmul(c, mj)
+                    cur = get(kk)
+                    acc[kk] = cneg(t) if cur is None else csub(cur, t)
+        return _nonzero(acc)
 
 
 Ring = FiniteFieldSpec | FracLaurentRing | UnivariateQuotient
@@ -276,6 +435,61 @@ def base_field(ring: Ring) -> FiniteFieldSpec:
 
 def ring_char(ring: Ring) -> int:
     return base_field(ring).p
+
+
+# ---------------------------------------------------------------------------
+# the kernel: term dicts {key: coefficient} over a coefficient ring C
+
+
+def _nonzero(d: dict) -> dict:
+    """d without its zero coefficients, deleted in place, not rebuilt."""
+    for k in [k for k, c in d.items() if not any(c)]:
+        del d[k]
+    return d
+
+
+def _kadd(C: _CoeffRing, a, b) -> dict:
+    """a + b; a may also be a term dict, copied without rehashing its keys."""
+    out = dict(a)
+    get, cadd = out.get, C.cadd
+    for k, c in b:
+        cur = get(k)
+        if cur is None:
+            out[k] = c
+        elif any(c := cadd(cur, c)):
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _kneg(C: _CoeffRing, a) -> dict:
+    out, cneg = {}, C.cneg
+    for k, c in a:
+        out[k] = cneg(c)
+    return out
+
+
+def _kscale(C: _CoeffRing, a, s: int) -> dict:
+    """s * a for an integer s; over F_q, s = 1 reduces Z/p^K digits mod p."""
+    out, cscale = {}, C.cscale
+    for k, c in a:
+        if any(c := cscale(c, s)):
+            out[k] = c
+    return out
+
+
+def _kdiv_p(C: _CoeffRing, a, i: int) -> dict:
+    """a / p^i; IntegralityViolation unless every coefficient is divisible."""
+    pi = C.p ** i
+    out = {}
+    for k, c in a:
+        for x in c:
+            if x % pi:
+                raise IntegralityViolation(
+                    f"lift coefficient {x} not divisible by {pi}")
+        out[k] = tuple(x // pi for x in c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,52 +536,33 @@ class RingElement:
 
 
 def _mk(ring: Ring, d: dict) -> RingElement:
-    F = base_field(ring)
-    zero = F.zero()
-    items = [(k, c) for k, c in d.items() if c != zero]
-    items.sort(key=lambda kc: kc[0], reverse=True)
-    return RingElement(ring, tuple(items))
+    """The canonical element of a term dict without zero coefficients."""
+    return RingElement(ring, tuple(sorted(d.items(), key=_KEY, reverse=True)))
 
 
-def _reduce_key(ring: Ring, key, coeff: FieldCoeff, out: dict) -> None:
-    """Fold one raw (key, coeff) term into out, applying the ring's relations."""
-    F = base_field(ring)
-    if isinstance(ring, FiniteFieldSpec):
-        out[()] = F.cadd(out.get((), F.zero()), coeff)
-        return
-    if isinstance(ring, FracLaurentRing):
-        b = ring.lattice_b
-        for ex in key:
-            if b % ex.denominator != 0:
-                raise LatticeError(
-                    f"exponent {ex} outside lattice (denominator must divide {b})")
-            if not ring.laurent and ex < 0:
-                raise LatticeError(f"negative exponent {ex} in a non-Laurent ring")
-        for gen in ring.quotient:
-            if all(e >= g for e, g in zip(key, gen)):
-                return  # killed by the monomial ideal
-        out[key] = F.cadd(out.get(key, F.zero()), coeff)
-        return
-    # UnivariateQuotient: reduce T^k by the monic modulus
-    deg = ring.degree
-    if key < deg:
-        out[key] = F.cadd(out.get(key, F.zero()), coeff)
-        return
-    work = {key: coeff}
-    while work:
-        k = max(work)
-        c = work.pop(k)
-        if c == F.zero():
-            continue
-        if k < deg:
-            out[k] = F.cadd(out.get(k, F.zero()), c)
-            continue
-        for j in range(deg):
-            mj = ring.modulus[j]
-            if mj != F.zero():
-                delta = F.cneg(F.cmul(c, mj))
-                kk = k - deg + j
-                work[kk] = F.cadd(work.get(kk, F.zero()), delta)
+def _term(ring: Ring, key, c: FieldCoeff) -> RingElement:
+    """c times the monomial key, for a key already in the ring."""
+    return RingElement(ring, ((key, c),) if any(c) else ())
+
+
+def _frac_term(ring: FracLaurentRing, key, c: FieldCoeff) -> RingElement:
+    """c * x^key, checking a key as it enters the ring."""
+    b = ring.lattice_b
+    for ex in key:
+        if b % ex.denominator != 0:
+            raise LatticeError(
+                f"exponent {ex} outside lattice (denominator must divide {b})")
+        if not ring.laurent and ex < 0:
+            raise LatticeError(f"negative exponent {ex} in a non-Laurent ring")
+    if ring._killed(key):
+        return zero(ring)
+    return _term(ring, key, c)
+
+
+def _uq_elt(ring: UnivariateQuotient, poly) -> RingElement:
+    """The class in F_q[T]/(g) of a polynomial given low-to-high."""
+    d = {k: c for k, c in enumerate(poly) if any(c)}
+    return _mk(ring, ring._reduce(ring.base, d))
 
 
 def zero(ring: Ring) -> RingElement:
@@ -379,15 +574,7 @@ def one(ring: Ring) -> RingElement:
 
 
 def from_coeff(ring: Ring, c: FieldCoeff) -> RingElement:
-    if isinstance(ring, FiniteFieldSpec):
-        key = ()
-    elif isinstance(ring, FracLaurentRing):
-        key = (Fraction(0),) * len(ring.variables)
-    else:
-        key = 0
-    d: dict = {}
-    _reduce_key(ring, key, c, d)
-    return _mk(ring, d)
+    return _term(ring, ring._unit_key, c)
 
 
 def from_int(ring: Ring, n: int) -> RingElement:
@@ -409,84 +596,46 @@ def variable(ring: Ring, name: str) -> RingElement:
     if isinstance(ring, FracLaurentRing) and name in ring.variables:
         i = ring.variables.index(name)
         key = tuple(Fraction(int(i == j)) for j in range(len(ring.variables)))
-        d: dict = {}
-        _reduce_key(ring, key, F.one(), d)
-        return _mk(ring, d)
+        return _frac_term(ring, key, F.one())
     if isinstance(ring, UnivariateQuotient) and name == ring.var:
-        d = {}
-        _reduce_key(ring, 1, F.one(), d)
-        return _mk(ring, d)
+        return _uq_elt(ring, [F.zero(), F.one()])
     if name == F.gen_name and F.e > 1:
         return from_coeff(ring, F.gen())
     raise SpecParseError(f"unknown symbol {name!r} in this ring")
 
 
 def monomial(ring: FracLaurentRing, exps, coeff: FieldCoeff | None = None) -> RingElement:
-    F = ring.base
     key = tuple(Fraction(e) for e in exps)
-    d: dict = {}
-    _reduce_key(ring, key, coeff if coeff is not None else F.one(), d)
-    return _mk(ring, d)
+    return _frac_term(ring, key, coeff if coeff is not None else ring.base.one())
 
 
 def add(x: RingElement, y: RingElement) -> RingElement:
     if x.ring != y.ring:
         raise MismatchError("elements from different rings")
-    F = base_field(x.ring)
-    d = {k: c for k, c in x.terms}
-    for k, c in y.terms:
-        d[k] = F.cadd(d.get(k, F.zero()), c)
-    return _mk(x.ring, d)
+    return _mk(x.ring, _kadd(base_field(x.ring), x.terms, y.terms))
 
 
 def neg(x: RingElement) -> RingElement:
-    F = base_field(x.ring)
-    return RingElement(x.ring, tuple((k, F.cneg(c)) for k, c in x.terms))
+    # the keys stay as they are, and so does their order
+    return RingElement(x.ring, tuple(_kneg(base_field(x.ring), x.terms).items()))
 
 
 def sub(x: RingElement, y: RingElement) -> RingElement:
     return add(x, neg(y))
 
 
-def _key_mul(ring: Ring, k1, k2):
-    if isinstance(ring, FiniteFieldSpec):
-        return ()
-    if isinstance(ring, FracLaurentRing):
-        return tuple(a + b for a, b in zip(k1, k2))
-    return k1 + k2
-
-
 def mul(x: RingElement, y: RingElement) -> RingElement:
     if x.ring != y.ring:
         raise MismatchError("elements from different rings")
     ring = x.ring
-    F = base_field(ring)
-    d: dict = {}
-    for k1, c1 in x.terms:
-        for k2, c2 in y.terms:
-            _reduce_key(ring, _key_mul(ring, k1, k2), F.cmul(c1, c2), d)
-    return _mk(ring, d)
-
-
-def scalar_mul(x: RingElement, c: FieldCoeff) -> RingElement:
-    F = base_field(x.ring)
-    d = {}
-    for k, cc in x.terms:
-        d[k] = F.cmul(cc, c)
-    return _mk(x.ring, d)
+    return _mk(ring, ring._kmul(base_field(ring), x.terms, y.terms))
 
 
 def pow_int(x: RingElement, n: int) -> RingElement:
     if n < 0:
         return pow_int(invert(x), -n)
-    r = one(x.ring)
-    b = x
-    while n:
-        if n & 1:
-            r = mul(r, b)
-        b = mul(b, b)
-        n >>= 1
-    return r
+    ring = x.ring
+    return _mk(ring, ring._kpow(base_field(ring), dict(x.terms), n))
 
 
 def is_monomial(x: RingElement) -> bool:
@@ -507,20 +656,12 @@ def invert(x: RingElement) -> RingElement:
         key, c = x.terms[0]
         if not ring.laurent and any(e != 0 for e in key):
             raise NotAUnit("non-constant monomial in a non-Laurent ring")
-        inv_key = tuple(-e for e in key)
-        d: dict = {}
-        _reduce_key(ring, inv_key, F.cinv(c), d)
-        return _mk(ring, d)
+        return _frac_term(ring, tuple(-e for e in key), F.cinv(c))
     # UnivariateQuotient: extended gcd of the representative with the modulus
-    g = _uq_poly(x)
-    r = _fq_poly_invmod(F, g, list(ring.modulus))
+    r = _fq_poly_invmod(F, _uq_poly(x), list(ring.modulus))
     if r is None:
         raise NotAUnit("representative shares a factor with the modulus")
-    d = {}
-    for k, c in enumerate(r):
-        if c != F.zero():
-            _reduce_key(ring, k, c, d)
-    return _mk(ring, d)
+    return _uq_elt(ring, r)
 
 
 def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
@@ -539,9 +680,7 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
     new_key = tuple(e * r for e in key)
     croot = F.nth_root(F.cpow(c, r.numerator) if r.numerator >= 0 else
                        F.cpow(F.cinv(c), -r.numerator), r.denominator)
-    d: dict = {}
-    _reduce_key(ring, new_key, croot, d)
-    return _mk(ring, d)
+    return _frac_term(ring, new_key, croot)
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +703,13 @@ def _frob_once(x: RingElement, step: int) -> RingElement:
     p = F.p
     if isinstance(ring, FiniteFieldSpec):
         return from_coeff(ring, F.cfrob(x.terms[0][1], step) if x.terms else F.zero())
+    d: dict = {}
     if isinstance(ring, FracLaurentRing):
-        d: dict = {}
         if step > 0:
             for key, c in x.terms:
-                _reduce_key(ring, tuple(e * p for e in key), F.cfrob(c, 1), d)
+                new_key = tuple(e * p for e in key)
+                if not ring._killed(new_key):
+                    d[new_key] = F.cfrob(c, 1)
         else:
             b = ring.lattice_b
             for key, c in x.terms:
@@ -578,18 +719,17 @@ def _frob_once(x: RingElement, step: int) -> RingElement:
                         raise DepthExhausted(
                             f"p-th root of exponent {e * p} leaves the lattice "
                             f"(denominator {e.denominator} does not divide {b})")
-                _reduce_key(ring, new_key, F.cfrob(c, -1), d)
+                d[new_key] = F.cfrob(c, -1)
         return _mk(ring, d)
     # UnivariateQuotient
     if step > 0:
         return pow_int(x, p)
-    d = {}
     for k, c in x.terms:
         if k % p != 0:
             raise NoRoot(
                 "canonical representative is not a p-th power "
                 f"(T-exponent {k} not divisible by {p})")
-        _reduce_key(ring, k // p, F.cfrob(c, -1), d)
+        d[k // p] = F.cfrob(c, -1)
     return _mk(ring, d)
 
 
@@ -673,10 +813,7 @@ def _fq_gcd(F, a, b):
 
 
 def _fq_deriv(F, a):
-    out = []
-    for i in range(1, len(a)):
-        out.append(F.cmul(a[i], F.from_int(i)))
-    return _fq_norm(F, out)
+    return _fq_norm(F, [F.cscale(a[i], i) for i in range(1, len(a))])
 
 
 def _fq_pth_root(F, a):
@@ -774,11 +911,7 @@ def is_reduced_univariate(ring: UnivariateQuotient) -> ReducednessReport:
     rad = fq_radical(F, g)
     if _fq_deg(rad) == _fq_deg(g):
         return ReducednessReport(True, None, None)
-    d: dict = {}
-    for k, c in enumerate(rad):
-        if c != F.zero():
-            _reduce_key(ring, k, c, d)
-    w = _mk(ring, d)
+    w = _uq_elt(ring, rad)
     # smallest k with witness^k = 0, bounded by deg g
     k = 1
     acc = w
@@ -847,7 +980,7 @@ def intersection_witness(f: RingElement, g: RingElement, a: RingElement,
         if any(e < 0 for e in new_key):
             return IntersectionWitness("refuted", None,
                                       "termwise division by f^m leaves the ring")
-        _reduce_key(ring, new_key, F.cmul(c, fcinv), d)
+        d[new_key] = F.cmul(c, fcinv)
     h = _mk(ring, d)
     if mul(h, fm) != a or mul(h, gn) != b:
         return IntersectionWitness("refuted", None, "candidate failed re-verification")
@@ -1008,10 +1141,24 @@ def _parse_base_field(ts: _Tokens, kind: str) -> FiniteFieldSpec:
     return base
 
 
+def _poly_ring(F: FiniteFieldSpec, var: str) -> FracLaurentRing:
+    """F[var], where ff and uq moduli are read and printed unreduced."""
+    return FracLaurentRing(F, (var,), 0, 0, False)
+
+
+def _poly_elt(F: FiniteFieldSpec, var: str, coeffs) -> RingElement:
+    """The element of F[var] with the given coefficients, low-to-high."""
+    d = {(Fraction(k),): c for k, c in enumerate(coeffs) if any(c)}
+    return _mk(_poly_ring(F, var), d)
+
+
 def _parse_uq_modulus(ts: _Tokens, base: FiniteFieldSpec, var: str) -> list[FieldCoeff]:
-    """Parse g(T) with coefficients in the base field."""
-    tmp_ring = UnivariateQuotient(base, var, (base.zero(),) * 512 + (base.one(),))
-    return _uq_poly(parse_expression(ts, RingAlgebra(tmp_ring)))
+    """Parse g(T) with coefficients in the base field, low-to-high."""
+    g = parse_expression(ts, RingAlgebra(_poly_ring(base, var)))
+    out = [base.zero()] * (int(g.terms[0][0][0]) + 1 if g.terms else 0)
+    for (d,), c in g.terms:
+        out[int(d)] = c
+    return out
 
 
 def _parse_monomial_exps(ts: _Tokens, ring: FracLaurentRing) -> tuple[Fraction, ...]:
@@ -1256,48 +1403,20 @@ def canonical_descriptor(ring: Ring) -> str:
     if isinstance(ring, FiniteFieldSpec):
         if ring.e == 1:
             return f"ff p={ring.p} e=1"
-        mod_parts = []
-        for d in range(ring.e, -1, -1):
-            v = ring.modulus[d]
-            if v == 0:
-                continue
-            if d == 0:
-                mod_parts.append(str(v))
-            else:
-                head = "" if v == 1 else f"{v}*"
-                tail = ring.gen_name if d == 1 else f"{ring.gen_name}^{d}"
-                mod_parts.append(head + tail)
-        return f"ff p={ring.p} e={ring.e} modulus={'+'.join(mod_parts)}"
+        mod = format_element(_poly_elt(FiniteFieldSpec(ring.p, 1, (0, 1)),
+                                       ring.gen_name, [(c,) for c in ring.modulus]))
+        return f"ff p={ring.p} e={ring.e} modulus={mod}"
     if isinstance(ring, FracLaurentRing):
         s = (f"frac base=({canonical_descriptor(ring.base)}) "
              f"vars={','.join(ring.variables)} depth_p={ring.depth_p} "
              f"depth_2={ring.depth_2} laurent={'true' if ring.laurent else 'false'}")
         if ring.quotient:
-            monos = []
-            for gen in ring.quotient:
-                factors = [_format_exp(ring.variables[i], e)
-                           for i, e in enumerate(gen) if e != 0]
-                monos.append("*".join(factors) if factors else "1")
-            s += f" mod={','.join(monos)}"
+            one = ring.base.one()
+            s += " mod=" + ",".join(format_element(RingElement(ring, ((gen, one),)))
+                                    for gen in ring.quotient)
         return s
-    parts = []
-    for d in range(ring.degree, -1, -1):
-        c = ring.modulus[d]
-        if c == ring.base.zero():
-            continue
-        if d == 0:
-            parts.append(format_coeff(ring.base, c))
-        else:
-            mono = ring.var if d == 1 else f"{ring.var}^{d}"
-            if c == ring.base.one():
-                parts.append(mono)
-            else:
-                cs = format_coeff(ring.base, c)
-                if "+" in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{mono}")
     return (f"uq base=({canonical_descriptor(ring.base)}) var={ring.var} "
-            f"modulus={'+'.join(parts)}")
+            f"modulus={format_element(_poly_elt(ring.base, ring.var, ring.modulus))}")
 
 
 def _fq_poly_invmod(F, a, mod):
@@ -1343,12 +1462,13 @@ def random_element(ring: Ring, rng, max_terms: int = 3, exp_bound: int = 3,
                     ex = -ex
                 key.append(ex)
             try:
-                _reduce_key(ring, tuple(key), random_coeff(F, rng), d)
+                t = _frac_term(ring, tuple(key), random_coeff(F, rng))
             except LatticeError:
                 continue
         else:
             k = rng.randrange(ring.degree)
-            _reduce_key(ring, k, random_coeff(F, rng), d)
+            t = _term(ring, k, random_coeff(F, rng))
+        d = _kadd(F, d, t.terms)
     out = _mk(ring, d)
     if not allow_zero and out.is_zero():
         return one(ring)

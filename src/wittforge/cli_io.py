@@ -561,13 +561,7 @@ def _check_reduced_quotient(cfg):
         wit.append("relation image (su)^2 - p u^2 is nonzero")
     # the u-presentation is a polynomial ring: no nilpotents up to degree 4
     for fp, ee in ((3, 1), (3, 2)):
-        ru = br.make_ring(
-            f"frac base=(ff p={fp} e={ee}) vars=u depth_p=0 depth_2=0 "
-            "laurent=false")
-        uvar = br.variable(ru, "u")
-        powers = [br.one(ru)]
-        for _ in range(4):
-            powers.append(br.mul(powers[-1], uvar))
+        F = br.make_field(fp, ee)
         if ee == 1:
             coeff_space = list(iproduct(range(fp), repeat=5))
         else:
@@ -575,12 +569,7 @@ def _check_reduced_quotient(cfg):
             coeff_space = [tuple(rng.randrange(fp ** ee) for _ in range(5))
                            for _ in range(200)]
         for vec in coeff_space:
-            h = br.zero(ru)
-            for k, cv in enumerate(vec):
-                if cv:
-                    coeff = (tuple(int(d) for d in _base_digits(cv, fp, ee))
-                             if ee > 1 else (cv,))
-                    h = br.add(h, br.scalar_mul(powers[k], coeff))
+            h = br._poly_elt(F, "u", [br._digits(cv, fp, ee) for cv in vec])
             if h.is_zero():
                 continue
             sq = br.mul(h, h)
@@ -588,14 +577,6 @@ def _check_reduced_quotient(cfg):
                 wit.append(f"nilpotent {h} found in F_{fp}^{ee}[u]")
                 return False, wit
     return not wit, wit
-
-
-def _base_digits(n: int, p: int, e: int):
-    out = []
-    for _ in range(e):
-        out.append(n % p)
-        n //= p
-    return out
 
 
 def _check_monomial_certificates(cfg):
@@ -631,18 +612,9 @@ def _check_monomial_certificates(cfg):
             uq = br.make_ring(
                 f"uq base=(ff p={fp} e={ee}) var=T modulus={mod_text}")
             rep = br.is_reduced_univariate(uq)
-            tvar = br.variable(uq, "T")
-            powers = [br.one(uq)]
-            for _ in range(deg - 1):
-                powers.append(br.mul(powers[-1], tvar))
             found = None
             for vec in iproduct(range(qq), repeat=deg):
-                h = br.zero(uq)
-                for k, cv in enumerate(vec):
-                    if cv:
-                        h = br.add(h, br.scalar_mul(
-                            powers[k],
-                            tuple(_base_digits(cv, fp, ee))))
+                h = br._uq_elt(uq, [br._digits(cv, fp, ee) for cv in vec])
                 if h.is_zero():
                     continue
                 if br.pow_int(h, deg).is_zero():

@@ -40,14 +40,6 @@ UNBOUNDED = "unbounded-within-budget"
 # ---------------------------------------------------------------------------
 # p-th roots in univariate quotients, decided exactly
 
-def _elt_from_poly(ring: UnivariateQuotient, poly) -> RingElement:
-    d: dict = {}
-    for k, c in enumerate(poly):
-        if c != ring.base.zero():
-            br._reduce_key(ring, k, c, d)
-    return br._mk(ring, d)
-
-
 def _vec(ring: UnivariateQuotient, x: RingElement) -> list[int]:
     F = ring.base
     out = [0] * (ring.degree * F.e)
@@ -58,13 +50,9 @@ def _vec(ring: UnivariateQuotient, x: RingElement) -> list[int]:
 
 
 def _elt_from_vec(ring: UnivariateQuotient, vec) -> RingElement:
-    F = ring.base
-    d: dict = {}
-    for i in range(ring.degree):
-        c = tuple(vec[i * F.e + a] % F.p for a in range(F.e))
-        if c != F.zero():
-            d[i] = c
-    return br._mk(ring, d)
+    p, e = ring.base.p, ring.base.e
+    return br._uq_elt(ring, [tuple(v % p for v in vec[i * e:(i + 1) * e])
+                             for i in range(ring.degree)])
 
 
 def _modulus_is_power_of_var(ring: UnivariateQuotient) -> bool:
@@ -134,7 +122,7 @@ class PthRootSolver:
                 if k % self.p:
                     return None
                 sol[k // self.p] = c
-            return _elt_from_poly(self.ring, sol)
+            return br._uq_elt(self.ring, sol)
         dim = len(self._rows)
         t = _vec(self.ring, target)
         p = self.p
@@ -180,7 +168,7 @@ def frobenius_kernel_generator(ring: UnivariateQuotient) -> RingElement | None:
         gen = br._fq_mul(F, gen, br._fq_pow(F, layer, need))
     if br._fq_deg(gen) >= br._fq_deg(g):
         return None
-    return _elt_from_poly(ring, gen)
+    return br._uq_elt(ring, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +323,7 @@ def _kernel_generated_by(ring: UnivariateQuotient, gen: RingElement,
     rng = random.Random(seed + 1)
     found = []
     for i in range(ring.degree):
-        h = _elt_from_poly(ring, [F.zero()] * i + [F.one()])
+        h = br._uq_elt(ring, [F.zero()] * i + [F.one()])
         if not h.is_zero() and br.pow_int(h, F.p).is_zero():
             found.append(h)
     for _ in range(samples):
@@ -398,7 +386,7 @@ def _stage_lift(src: UnivariateQuotient, dst: UnivariateQuotient,
     out = [dst.base.zero()] * (dilate * max(1, len(poly)))
     for k, c in enumerate(poly):
         out[k * dilate] = c
-    return _elt_from_poly(dst, out)
+    return br._uq_elt(dst, out)
 
 
 def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
@@ -436,7 +424,7 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     distinct = set()
     inj = True
     for i in range(stage.degree if depth > 1 else 1):
-        b = _elt_from_poly(stage, [stage.base.zero()] * i + [stage.base.one()])
+        b = br._uq_elt(stage, [stage.base.zero()] * i + [stage.base.one()])
         img = br.pow_int(_stage_lift(stage, ring, b), p)
         phi[i] = img
         inj = inj and not img.is_zero()
@@ -480,7 +468,7 @@ def _truncate_mod_pi(stage: UnivariateQuotient, ring: UnivariateQuotient,
                      x: RingElement, depth: int) -> RingElement:
     cut = ring.base.p ** (depth - 1)
     poly = br._uq_poly(x)[:cut]
-    return _elt_from_poly(stage, poly if depth > 1 else poly[:1])
+    return br._uq_elt(stage, poly if depth > 1 else poly[:1])
 
 
 # ---------------------------------------------------------------------------

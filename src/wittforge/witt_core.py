@@ -4,10 +4,11 @@ Two independent arithmetic routes are kept alive on purpose:
 
 * route="table": evaluate the universal structural polynomials (generated by
   the exact ghost recursion over Z, reduced mod p at evaluation time).
-* route="lift": lift coordinates to a Z/p^K coefficient ring (K = n+1), apply
-  the ghost map there, do the operation componentwise, and solve the
-  triangular system back.  Every division by p^i in the solve is checked for
-  exactness; a failure is a bug, not an input condition.
+* route="lift": read the coordinates over Z/p^K (K = n+1) with the base
+  ring's own kernel, apply the ghost map there, do the operation
+  componentwise, and solve the triangular system back.  Every division by p^i
+  in the solve is checked for exactness; a failure is a bug, not an input
+  condition.
 
 The table route is exact but its term counts explode combinatorially, so it
 only covers small (p, level) pairs; ``term_count_bound`` gives the a-priori
@@ -32,7 +33,6 @@ from fractions import Fraction
 
 from . import base_rings as br
 from .base_rings import (
-    FiniteFieldSpec,
     FracLaurentRing,
     Ring,
     RingElement,
@@ -60,7 +60,7 @@ DEFAULT_TERM_BUDGET = 1_500_000
 #
 # A monomial is one Python int: the exponent of variable v is packed into
 # bits [16v, 16v+16).  Variable 2i encodes X_i and 2i+1 encodes Y_i.  No
-# exponent of a level-`level` table exceeds p^level, and structural_polys
+# exponent of a level-`level` table exceeds p^level, and term_count_bound
 # refuses p^level >= 2^16, so exponents never reach 2^16 and monomial
 # multiplication is integer addition, carry-free.
 # A polynomial is a dict monomial-int -> nonzero coefficient.
@@ -179,7 +179,13 @@ def term_count_bound(p: int, level: int, kind: str = "sum") -> int:
     The polynomial is isobaric of weight p^level when X_j, Y_j carry weight
     p^j; product tables are bihomogeneous of that weight in each family
     separately, so their bound is the square of the one-family count.
+    Weights p^level >= 2^16 are refused with LevelTooLarge: no table could
+    pack them, and counting takes about p^level steps.
     """
+    if p ** level >= 1 << _EXP_BITS:
+        raise LevelTooLarge(
+            f"weight p^level = {p ** level} does not fit the "
+            f"{_EXP_BITS}-bit exponent packing")
     one_side = tuple(p ** j for j in range(level + 1))
     c = _weighted_count(one_side, p ** level)
     if kind == "negation":
@@ -238,10 +244,6 @@ def structural_polys(p: int, level: int, kind: str, *,
         raise SpecParseError("level must be >= 0")
     if level > level_cap:
         raise LevelTooLarge(f"level {level} above cap {level_cap}")
-    if p ** level >= 1 << _EXP_BITS:
-        raise LevelTooLarge(
-            f"weight p^level = {p ** level} does not fit the "
-            f"{_EXP_BITS}-bit exponent packing")
     bound = term_count_bound(p, level, kind)
     if bound > term_budget:
         raise LevelTooLarge(
@@ -451,325 +453,37 @@ def from_ghost(g: GhostVector | tuple, p: int | None = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# lift rings: the base ring rebuilt with Z/p^K coefficients
+# the lift route: the base ring's own kernel over Z/p^K, K = n+1
+#
+# Each F_p digit of a coordinate is its own integer lift, so a coordinate's
+# term dict is already an element of the lifted ring (Z/p^K)[u]/(M~), with
+# the same exponent keys (and g~ = g read over Z/p^K for uq rings, still
+# monic).  Each ring kind's product works there unchanged; only the
+# coefficient ring differs.
 
 
-class _LiftCoeffs:
-    """(Z/p^K)[u]/(M~) where M~ is the integer lift of the field modulus."""
-
-    __slots__ = ("p", "e", "pk", "mod")
-
-    def __init__(self, F: FiniteFieldSpec, K: int):
-        self.p = F.p
-        self.e = F.e
-        self.pk = F.p ** K
-        self.mod = tuple(int(c) for c in F.modulus)
-
-    def zero(self):
-        return (0,) * self.e
-
-    def one(self):
-        return (1,) + (0,) * (self.e - 1)
-
-    def from_field(self, c):
-        return tuple(int(v) for v in c)
-
-    def to_field(self, v):
-        p = self.p
-        return tuple(x % p for x in v)
-
-    def vadd(self, a, b):
-        pk = self.pk
-        return tuple((x + y) % pk for x, y in zip(a, b))
-
-    def vsub(self, a, b):
-        pk = self.pk
-        return tuple((x - y) % pk for x, y in zip(a, b))
-
-    def vneg(self, a):
-        pk = self.pk
-        return tuple((-x) % pk for x in a)
-
-    def vscale(self, a, s):
-        pk = self.pk
-        return tuple((x * s) % pk for x in a)
-
-    def vmul(self, a, b):
-        e, pk = self.e, self.pk
-        if e == 1:
-            return ((a[0] * b[0]) % pk,)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % pk
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(e):
-                    prod[d - e + j] = (prod[d - e + j] - c * self.mod[j]) % pk
-        return tuple(prod[:e])
-
-    def vdiv_exact(self, a, pi):
-        out = []
-        for x in a:
-            if x % pi:
-                raise IntegralityViolation(
-                    f"lift coefficient {x} not divisible by {pi}")
-            out.append(x // pi)
-        return tuple(out)
-
-
-class _LiftFF:
-    def __init__(self, ring: FiniteFieldSpec, K: int):
-        self.ring = ring
-        self.C = _LiftCoeffs(ring, K)
-
-    def zero(self):
-        return self.C.zero()
-
-    def lift(self, x: RingElement):
-        if not x.terms:
-            return self.C.zero()
-        return self.C.from_field(x.terms[0][1])
-
-    def reduce(self, v) -> RingElement:
-        return br.from_coeff(self.ring, self.C.to_field(v))
-
-    def add(self, a, b):
-        return self.C.vadd(a, b)
-
-    def sub(self, a, b):
-        return self.C.vsub(a, b)
-
-    def neg(self, a):
-        return self.C.vneg(a)
-
-    def mul(self, a, b):
-        return self.C.vmul(a, b)
-
-    def scale_int(self, a, s):
-        return self.C.vscale(a, s)
-
-    def div_exact_p(self, a, i):
-        return self.C.vdiv_exact(a, self.C.p ** i)
-
-    def pow_p(self, a):
-        out = self.C.one()
-        r = a
-        n = self.C.p
-        while n:
-            if n & 1:
-                out = self.C.vmul(out, r)
-            n >>= 1
-            if n:
-                r = self.C.vmul(r, r)
-        return out
-
-
-class _LiftFrac:
-    def __init__(self, ring: FracLaurentRing, K: int):
-        self.ring = ring
-        self.C = _LiftCoeffs(ring.base, K)
-        self.quotient = ring.quotient
-
-    def zero(self):
-        return {}
-
-    def lift(self, x: RingElement):
-        C = self.C
-        return {k: C.from_field(c) for k, c in x.terms}
-
-    def reduce(self, obj) -> RingElement:
-        C = self.C
-        d = {}
-        zero = tuple(0 for _ in range(C.e))
-        for k, v in obj.items():
-            fv = C.to_field(v)
-            if fv != zero:
-                d[k] = fv
-        return br._mk(self.ring, d)
-
-    def _fold(self, out, k, v):
-        cur = out.get(k)
-        if cur is None:
-            out[k] = v
-        else:
-            nv = self.C.vadd(cur, v)
-            if any(nv):
-                out[k] = nv
-            else:
-                del out[k]
-
-    def add(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            self._fold(out, k, v)
-        return out
-
-    def sub(self, a, b):
-        out = dict(a)
-        for k, v in b.items():
-            self._fold(out, k, self.C.vneg(v))
-        return out
-
-    def neg(self, a):
-        return {k: self.C.vneg(v) for k, v in a.items()}
-
-    def mul(self, a, b):
-        if len(a) > len(b):
-            a, b = b, a
-        C = self.C
-        out: dict = {}
-        quo = self.quotient
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                if quo and any(all(e >= g for e, g in zip(k, gen)) for gen in quo):
-                    continue
-                self._fold(out, k, C.vmul(v1, v2))
-        return out
-
-    def scale_int(self, a, s):
-        C = self.C
-        out = {}
-        for k, v in a.items():
-            nv = C.vscale(v, s)
-            if any(nv):
-                out[k] = nv
-        return out
-
-    def div_exact_p(self, a, i):
-        pi = self.C.p ** i
-        return {k: self.C.vdiv_exact(v, pi) for k, v in a.items()}
-
-    def pow_p(self, a):
-        r = a
-        acc = None
-        n = self.C.p
-        while n:
-            if n & 1:
-                acc = r if acc is None else self.mul(acc, r)
-            n >>= 1
-            if n:
-                r = self.mul(r, r)
-        return acc if acc is not None else {}
-
-
-class _LiftUQ:
-    def __init__(self, ring: UnivariateQuotient, K: int):
-        self.ring = ring
-        self.C = _LiftCoeffs(ring.base, K)
-        self.deg = ring.degree
-        self.mod = tuple(self.C.from_field(c) for c in ring.modulus)
-
-    def zero(self):
-        return (self.C.zero(),) * self.deg
-
-    def lift(self, x: RingElement):
-        C = self.C
-        vec = [C.zero()] * self.deg
-        for k, c in x.terms:
-            vec[k] = C.from_field(c)
-        return tuple(vec)
-
-    def reduce(self, obj) -> RingElement:
-        C = self.C
-        d = {}
-        for k, v in enumerate(obj):
-            fv = C.to_field(v)
-            if any(fv):
-                d[k] = fv
-        return br._mk(self.ring, d)
-
-    def add(self, a, b):
-        C = self.C
-        return tuple(C.vadd(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        C = self.C
-        return tuple(C.vsub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        C = self.C
-        return tuple(C.vneg(x) for x in a)
-
-    def mul(self, a, b):
-        C = self.C
-        d = self.deg
-        prod = [C.zero()] * (2 * d - 1) if d > 1 else [C.zero()]
-        for i, x in enumerate(a):
-            if any(x):
-                for j, y in enumerate(b):
-                    if any(y):
-                        prod[i + j] = C.vadd(prod[i + j], C.vmul(x, y))
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if any(c):
-                prod[k] = C.zero()
-                for j in range(d):
-                    if any(self.mod[j]):
-                        prod[k - d + j] = C.vsub(prod[k - d + j],
-                                                 C.vmul(c, self.mod[j]))
-        return tuple(prod[:d])
-
-    def scale_int(self, a, s):
-        C = self.C
-        return tuple(C.vscale(x, s) for x in a)
-
-    def div_exact_p(self, a, i):
-        pi = self.C.p ** i
-        return tuple(self.C.vdiv_exact(x, pi) for x in a)
-
-    def pow_p(self, a):
-        acc = None
-        r = a
-        n = self.C.p
-        while n:
-            if n & 1:
-                acc = r if acc is None else self.mul(acc, r)
-            n >>= 1
-            if n:
-                r = self.mul(r, r)
-        return acc
-
-
-def _lift_ring(ring: Ring, K: int):
-    if isinstance(ring, FiniteFieldSpec):
-        return _LiftFF(ring, K)
-    if isinstance(ring, FracLaurentRing):
-        return _LiftFrac(ring, K)
-    return _LiftUQ(ring, K)
-
-
-def _lift_ghost(L, lifted: list) -> list:
-    p = L.C.p
+def _lift_ghost(ring: Ring, C, lifted: list) -> list:
+    p, kpow, kadd, kscale = C.p, ring._kpow, br._kadd, br._kscale
     comps = []
     pw: list = []
-    for i in range(len(lifted)):
-        for j in range(i):
-            pw[j] = L.pow_p(pw[j])
-        pw.append(lifted[i])
-        acc = L.zero()
-        for j in range(i + 1):
-            acc = L.add(acc, L.scale_int(pw[j], p ** j))
+    for a in lifted:
+        pw = [kpow(C, b, p) for b in pw] + [a]
+        acc = pw[0]
+        for j in range(1, len(pw)):
+            acc = kadd(C, acc, kscale(C, pw[j].items(), p ** j).items())
         comps.append(acc)
     return comps
 
 
-def _lift_solve(L, targets: list) -> list:
-    p = L.C.p
+def _lift_solve(ring: Ring, C, targets: list) -> list:
+    p, kpow, kadd, kscale = C.p, ring._kpow, br._kadd, br._kscale
     coords = []
     pw: list = []
-    for i in range(len(targets)):
-        for j in range(i):
-            pw[j] = L.pow_p(pw[j])
-        num = targets[i]
-        for j in range(i):
-            num = L.sub(num, L.scale_int(pw[j], p ** j))
-        r = L.div_exact_p(num, i)
+    for i, num in enumerate(targets):
+        pw = [kpow(C, b, p) for b in pw]
+        for j, b in enumerate(pw):
+            num = kadd(C, num, kscale(C, b.items(), -p ** j).items())
+        r = br._kdiv_p(C, num.items(), i)
         coords.append(r)
         pw.append(r)
     return coords
@@ -863,20 +577,21 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
 
 def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
     ring = x.ring
-    n = x.length
-    p = br.ring_char(ring)
-    L = _lift_ring(ring, n + 1)
-    gx = _lift_ghost(L, [L.lift(c) for c in x.coords])
+    F = br.base_field(ring)
+    C = br._CoeffRing(F, x.length + 1)
+    gx = _lift_ghost(ring, C, [dict(c.terms) for c in x.coords])
     if op == "neg":
-        targets = [L.neg(g) for g in gx]
+        targets = [br._kneg(C, g.items()) for g in gx]
     else:
-        gy = _lift_ghost(L, [L.lift(c) for c in y.coords])
+        gy = _lift_ghost(ring, C, [dict(c.terms) for c in y.coords])
         if op == "add":
-            targets = [L.add(a, b) for a, b in zip(gx, gy)]
+            targets = [br._kadd(C, a, b.items()) for a, b in zip(gx, gy)]
         else:
-            targets = [L.mul(a, b) for a, b in zip(gx, gy)]
-    coords = _lift_solve(L, targets)
-    return WittVector(ring, tuple(L.reduce(c) for c in coords))
+            targets = [ring._kmul(C, a.items(), b.items()) for a, b in zip(gx, gy)]
+    coords = _lift_solve(ring, C, targets)
+    # scaling by 1 over F_q reduces each coefficient mod p
+    return WittVector(ring, tuple(br._mk(ring, br._kscale(F, c.items(), 1))
+                                  for c in coords))
 
 
 def _witt_op_table(op: str, x: WittVector, y: WittVector | None) -> WittVector:

@@ -17,6 +17,16 @@ def F(p, e=1, modulus=None):
     return br.make_field(p, e, modulus)
 
 
+def brute_nth_roots(f, n):
+    """{a: smallest b with b^n = a} by trying every b; the reference."""
+    out = {}
+    for b in f.iter_elements():
+        a = f.cpow(b, n)
+        if a not in out or b < out[a]:
+            out[a] = b
+    return out
+
+
 class TestFiniteField:
     def test_f4_table(self):
         # F_4 = F_2[u]/(u^2+u+1): u * u = u + 1
@@ -70,6 +80,37 @@ class TestFiniteField:
         with pytest.raises(NoRoot):
             F(3).nth_root((2,), 2)  # 2 is not a square mod 3
 
+    def test_nth_root_matches_brute_force(self):
+        # every field with q <= 2^10, n in {2, 3, 4}: all a when q <= 64,
+        # else 6 random a and 6 random n-th powers (seed 1729)
+        rng = random.Random(1729)
+        fields = [(p, e) for p in range(2, 1025) if br._is_prime(p)
+                  for e in range(1, 11) if p ** e <= 1 << 10]
+        for p, e in fields:
+            f = F(p, e)
+            elts = list(f.iter_elements())
+            for n in (2, 3, 4):
+                ref = brute_nth_roots(f, n)
+                if f.q <= 64:
+                    sample = elts
+                else:
+                    sample = ([rng.choice(elts) for _ in range(6)]
+                              + [f.cpow(rng.choice(elts), n) for _ in range(6)])
+                for a in sample:
+                    if a in ref:
+                        assert f.nth_root(a, n) == ref[a], (p, e, n, a)
+                    else:
+                        with pytest.raises(NoRoot):
+                            f.nth_root(a, n)
+
+    def test_nth_root_in_a_large_field(self):
+        # q = 1009^2: 4 = 2^2 has the square roots 2 and -2
+        f = F(1009, 2)
+        assert f.nth_root((4, 0), 2) == (2, 0)
+        # the fourth roots of u^4 are u * c with c^4 = 1 in F_1009; c = 1 is
+        # the smallest
+        assert f.nth_root(f.cpow(f.gen(), 4), 4) == f.gen()
+
 
 class TestDescriptorRoundtrip:
     CASES = [
@@ -81,6 +122,8 @@ class TestDescriptorRoundtrip:
         "frac base=(ff p=3 e=1) vars=x,y depth_p=0 depth_2=0 laurent=false mod=x^2,y^3",
         "uq base=(ff p=3 e=1) var=T modulus=T^2+1",
         "uq base=(ff p=2 e=1) var=T modulus=T^3+T+1",
+        "uq base=(ff p=3 e=1) var=T modulus=T^600+T+1",
+        "uq base=(ff p=3 e=1) var=T modulus=T^600",
     ]
 
     @pytest.mark.parametrize("desc", CASES)
@@ -89,6 +132,12 @@ class TestDescriptorRoundtrip:
         canon = br.canonical_descriptor(ring)
         assert br.make_ring(canon) == ring
         assert br.canonical_descriptor(br.make_ring(canon)) == canon
+
+    def test_uq_modulus_is_not_truncated(self):
+        for desc in self.CASES[-2:]:
+            ring = br.make_ring(desc)
+            assert ring.degree == 600
+            assert br.canonical_descriptor(ring) == desc
 
     def test_default_modulus_in_canonical_form(self):
         ring = br.make_ring("ff p=2 e=2")
@@ -185,6 +234,51 @@ class TestElements:
         ring2 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^2")
         with pytest.raises(NotAUnit):
             br.invert(br.evaluate(ring2, "T"))
+
+
+class TestKernel:
+    """The one product per ring kind, against independent routes."""
+
+    UQ = [
+        "uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1",
+        "uq base=(ff p=2 e=2) var=T modulus=T^3+u*T+1",
+        "uq base=(ff p=3 e=3) var=T modulus=T^27+T^2+2",
+        "uq base=(ff p=2 e=1) var=u modulus=u^8",
+    ]
+
+    @pytest.mark.parametrize("desc", UQ)
+    def test_uq_mul_is_polynomial_product_mod_g(self, desc):
+        # 40 random pairs per ring (seed 17), up to 6 terms each
+        ring = br.make_ring(desc)
+        F, g = ring.base, list(ring.modulus)
+        rng = random.Random(17)
+        for _ in range(40):
+            x = br.random_element(ring, rng, max_terms=6)
+            y = br.random_element(ring, rng, max_terms=6)
+            _, r = br._fq_divmod(F, br._fq_mul(F, br._uq_poly(x), br._uq_poly(y)), g)
+            assert br._uq_poly(x * y) == r
+
+    LAWS = [
+        ("ff p=3 e=2", {}),
+        ("frac base=(ff p=3 e=2) vars=x,y depth_p=1 depth_2=1 laurent=true",
+         {"max_terms": 4, "denom_depth": 1}),
+        ("frac base=(ff p=2 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false mod=x^2,x*y^(3/2)",
+         {"max_terms": 4, "denom_depth": 1}),
+        ("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1", {"max_terms": 4}),
+    ]
+
+    @pytest.mark.parametrize("desc,kw", LAWS)
+    def test_ring_laws(self, desc, kw):
+        # 30 random triples per ring (seed 31)
+        ring = br.make_ring(desc)
+        rng = random.Random(31)
+        for _ in range(30):
+            x, y, z = (br.random_element(ring, rng, **kw) for _ in range(3))
+            assert x * y == y * x and x + y == y + x
+            assert (x * y) * z == x * (y * z)
+            assert (x + y) + z == x + (y + z)
+            assert x * (y + z) == x * y + x * z
+            assert x - x == br.zero(ring) and x * br.one(ring) == x
 
 
 class TestFrobenius:

@@ -418,6 +418,15 @@ class TestExitCodeMapping:
                              "--n", "2", "--x", "W{1;0}")
         assert code == 2
 
+    def test_square_root_in_a_large_field(self):
+        # (4x^2)^(1/2) over F_(1009^2): 2*x, the smaller of the two roots
+        code, out, _ = run_cli(
+            "eval", "--ring",
+            "frac base=(ff p=1009 e=2) vars=x depth_p=0 depth_2=1 laurent=true",
+            "--expr", "(4*x^2)^(1/2)")
+        assert code == 0
+        assert out.strip() == "2*x"
+
     def test_help_exits_zero(self):
         code, _, _ = run_cli("--help")
         assert code == 0

@@ -113,7 +113,7 @@ MAKE_RING = [
     ('uq base=(ff p=3 e=1) var=T modulus=1', '!SpecParseError'),
     ('uq base=(ff p=3 e=1) var=T modulus=T^2+x', '!SpecParseError'),
     ('uq base=(ff p=3 e=1) var=T modulus=T^(1/2)', '!LatticeError'),
-    ('uq base=(ff p=3 e=1) var=T modulus=T^600', '!SpecParseError'),
+    ('uq base=(ff p=3 e=1) var=T modulus=T^600', 'uq base=(ff p=3 e=1) var=T modulus=T^600'),
     ('uq base=(ff p=3 e=1) var=T modulus=T^2+1 = 2', '!SpecParseError'),
 ]
 
@@ -182,7 +182,7 @@ EVALUATE = [
     ('X3p', 'x^(-1)', '!LatticeError'),
     ('X3', '(1+x)^(1/3)', '!NoRoot'),
     ('X3', '(1+x)^(-1)', '!NotAUnit'),
-    ('X1009', '(4*x^2)^(1/2)', '!NoRoot'),
+    ('X1009', '(4*x^2)^(1/2)', '2*x'),
     ('X3', 'x^', '!SpecParseError'),
     ('X3', 'x+', '!SpecParseError'),
     ('X3', '(x', '!SpecParseError'),

@@ -22,10 +22,15 @@ F4 = br.make_ring("ff p=2 e=2")
 UQ9 = br.make_ring("uq base=(ff p=3 e=2) var=T modulus=T^2+2*T+2")
 PX2 = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false")
 PERF3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=false")
+LAUR9 = br.make_ring("frac base=(ff p=3 e=2) vars=x depth_p=1 depth_2=0 laurent=true")
+QUOT2 = br.make_ring(
+    "frac base=(ff p=2 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false mod=x^2,x*y^(3/2)")
+UQ5 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1")
 
 
-def rand_witt(ring, rng, n):
-    return wc.WittVector(ring, tuple(br.random_element(ring, rng) for _ in range(n)))
+def rand_witt(ring, rng, n, **kw):
+    return wc.WittVector(ring, tuple(br.random_element(ring, rng, **kw)
+                                     for _ in range(n)))
 
 
 class TestStructuralTables:
@@ -74,6 +79,11 @@ class TestStructuralTables:
         with pytest.raises(LevelTooLarge, match="66049"):
             wc.structural_polys(257, 2, "negation")
         assert len(wc.structural_polys(251, 2, "negation").polys) == 3
+
+    def test_term_count_bound_refuses_packing_overflow(self):
+        # about p^level steps of counting; refused before the first one
+        with pytest.raises(LevelTooLarge, match="16-bit"):
+            wc.term_count_bound(10007, 3, "negation")
 
     def test_term_count_bounds_frozen(self):
         # weighted-composition counts, frozen as the feasibility oracle
@@ -173,12 +183,15 @@ class TestWittArithmetic:
             assert wc.witt_add(x, y).coords == (a + b,)
             assert wc.witt_mul(x, y).coords == (a * b,)
 
-    @pytest.mark.parametrize("ring", [F2, F3, F4, UQ9, PERF3])
+    @pytest.mark.parametrize("ring", [F2, F3, F4, UQ9, PERF3, LAUR9, QUOT2, UQ5])
     def test_route_equality(self, ring):
+        # the lift route runs the ring kernel at K = n+1, the table route
+        # only at K = 1; LAUR9 and QUOT2 also draw exponents over p
+        kw = {"denom_depth": 1} if ring in (LAUR9, QUOT2) else {}
         rng = random.Random(7)
         for _ in range(8):
             n = rng.randint(1, 4)
-            x, y = rand_witt(ring, rng, n), rand_witt(ring, rng, n)
+            x, y = rand_witt(ring, rng, n, **kw), rand_witt(ring, rng, n, **kw)
             for op in ("add", "mul", "neg"):
                 assert (wc.witt_arith(op, x, y, route="lift")
                         == wc.witt_arith(op, x, y, route="table"))
