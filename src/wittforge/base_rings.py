@@ -12,7 +12,9 @@ one product on sparse term dicts {exponent key: coefficient}:
 * ``FracLaurentRing`` -- (Laurent) polynomials over F_q whose exponents live in
   the lattice (1/B)Z with B = 2^depth_2 * p^depth_p, optionally cut down by a
   monomial ideal.  The p-part of B is the declared perfection depth; the 2-part
-  exists so square roots of monomials have a home.
+  exists so square roots of monomials have a home.  A key is the tuple of
+  integer numerators of the exponents over B; rational exponents exist only
+  where they enter a ring (``_frac_term``) and where they are printed.
 * ``UnivariateQuotient`` -- F_q[T]/(g) for a monic g; a product accumulates
   sparsely and is reduced by g once, from the top degree down.
 
@@ -20,9 +22,9 @@ The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p`` and each
 kind's ``_kmul`` and ``_kpow``) take the coefficient ring as an argument,
 read their operands as (key, coefficient) pairs (an element's ``terms`` or a
 dict's ``items()``; ``_kpow`` takes a dict), return term dicts and keep no
-zero coefficients.  A key is
-checked for the lattice (and, outside Laurent rings, for sign) where it
-enters a ring, never in products of keys already in it.
+zero coefficients.  Exponents are
+checked for the lattice (and, outside Laurent rings, for sign) where they
+enter a ring, never in products of keys already in it.
 
 Elements are immutable: a ``RingElement`` holds a sorted tuple of
 (exponent key, field coefficient) pairs, so equal elements have identical
@@ -41,6 +43,7 @@ import re
 from itertools import product
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -247,14 +250,7 @@ class FiniteFieldSpec(_CoeffRing):
 
     def _unity_root(self, d: int) -> FieldCoeff:
         """A primitive d-th root of unity, for d dividing q-1."""
-        p, m, one = self.p, self.q - 1, self.one()
-        primes = set(_prime_factors(d))
-        # any order finds one; from the top, elements of F_p (often all
-        # d-th powers) come last
-        for idx in range(m, 0, -1):
-            z = self.cpow(_digits(idx, p, self.e), m // d)
-            if all(self.cpow(z, d // ell) != one for ell in primes):
-                return z
+        return self.cpow(_multiplicative_generator(self), (self.q - 1) // d)
 
     def iter_elements(self):
         return (_digits(idx, self.p, self.e) for idx in range(self.q))
@@ -270,6 +266,19 @@ class FiniteFieldSpec(_CoeffRing):
     def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
         c = C.cpow(a.get((), C.zero()), n)
         return {(): c} if any(c) else {}
+
+
+@lru_cache(maxsize=64)
+def _multiplicative_generator(F: FiniteFieldSpec) -> FieldCoeff:
+    """A generator of F_q^*, searched for once per field."""
+    m, one = F.q - 1, F.one()
+    primes = set(_prime_factors(m))
+    # any order finds one; from the top, elements of F_p (never generators
+    # when e > 1) come last
+    for idx in range(m, 0, -1):
+        g = _digits(idx, F.p, F.e)
+        if all(F.cpow(g, m // ell) != one for ell in primes):
+            return g
 
 
 def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
@@ -345,22 +354,27 @@ class _Polynomials:
 
 @dataclass(frozen=True)
 class FracLaurentRing(_Polynomials):
-    """F_q[x_1^(1/B), ...] (or Laurent), exponent lattice (1/B)Z, B = 2^a p^m."""
+    """F_q[x_1^(1/B), ...] (or Laurent), exponent lattice (1/B)Z, B = 2^a p^m.
+
+    The monomial x_1^(n_1/B) * ... has the key (n_1, ...), integers over
+    B = ``lattice_b``; ``quotient`` holds the monomial ideal's generators as
+    keys of the same kind.
+    """
 
     base: FiniteFieldSpec
     variables: tuple[str, ...]
     depth_p: int
     depth_2: int
     laurent: bool
-    quotient: tuple[tuple[Fraction, ...], ...] = ()
+    quotient: tuple[tuple[int, ...], ...] = ()
 
     @property
     def lattice_b(self) -> int:
         return (2 ** self.depth_2) * (self.base.p ** self.depth_p)
 
     @property
-    def _unit_key(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * len(self.variables)
+    def _unit_key(self) -> tuple[int, ...]:
+        return (0,) * len(self.variables)
 
     def _killed(self, key) -> bool:
         """Whether the monomial ideal contains x^key."""
@@ -495,8 +509,8 @@ def _kdiv_p(C: _CoeffRing, a, i: int) -> dict:
 # ---------------------------------------------------------------------------
 # elements
 
-# exponent keys: () for field constants, tuple[Fraction,...] for FracLaurent,
-# plain int (T-degree) for UnivariateQuotient.
+# exponent keys: () for field constants, a tuple of integer numerators over
+# lattice_b for FracLaurent, plain int (T-degree) for UnivariateQuotient.
 
 
 @dataclass(frozen=True)
@@ -545,18 +559,27 @@ def _term(ring: Ring, key, c: FieldCoeff) -> RingElement:
     return RingElement(ring, ((key, c),) if any(c) else ())
 
 
-def _frac_term(ring: FracLaurentRing, key, c: FieldCoeff) -> RingElement:
-    """c * x^key, checking a key as it enters the ring."""
+def _frac_term(ring: FracLaurentRing, exps, c: FieldCoeff) -> RingElement:
+    """c * x^exps for rational exponents: the one way from exponents to a key."""
     b = ring.lattice_b
-    for ex in key:
+    key = []
+    for ex in map(Fraction, exps):
         if b % ex.denominator != 0:
             raise LatticeError(
                 f"exponent {ex} outside lattice (denominator must divide {b})")
         if not ring.laurent and ex < 0:
             raise LatticeError(f"negative exponent {ex} in a non-Laurent ring")
+        key.append(ex.numerator * (b // ex.denominator))
+    key = tuple(key)
     if ring._killed(key):
         return zero(ring)
     return _term(ring, key, c)
+
+
+def _exponents(ring: FracLaurentRing, key) -> tuple[Fraction, ...]:
+    """The rational exponents of a key."""
+    b = ring.lattice_b
+    return tuple(Fraction(n, b) for n in key)
 
 
 def _uq_elt(ring: UnivariateQuotient, poly) -> RingElement:
@@ -594,9 +617,7 @@ def coerce(ring: Ring, v) -> RingElement:
 def variable(ring: Ring, name: str) -> RingElement:
     F = base_field(ring)
     if isinstance(ring, FracLaurentRing) and name in ring.variables:
-        i = ring.variables.index(name)
-        key = tuple(Fraction(int(i == j)) for j in range(len(ring.variables)))
-        return _frac_term(ring, key, F.one())
+        return _frac_term(ring, [int(v == name) for v in ring.variables], F.one())
     if isinstance(ring, UnivariateQuotient) and name == ring.var:
         return _uq_elt(ring, [F.zero(), F.one()])
     if name == F.gen_name and F.e > 1:
@@ -605,8 +626,7 @@ def variable(ring: Ring, name: str) -> RingElement:
 
 
 def monomial(ring: FracLaurentRing, exps, coeff: FieldCoeff | None = None) -> RingElement:
-    key = tuple(Fraction(e) for e in exps)
-    return _frac_term(ring, key, coeff if coeff is not None else ring.base.one())
+    return _frac_term(ring, exps, coeff if coeff is not None else ring.base.one())
 
 
 def add(x: RingElement, y: RingElement) -> RingElement:
@@ -656,7 +676,7 @@ def invert(x: RingElement) -> RingElement:
         key, c = x.terms[0]
         if not ring.laurent and any(e != 0 for e in key):
             raise NotAUnit("non-constant monomial in a non-Laurent ring")
-        return _frac_term(ring, tuple(-e for e in key), F.cinv(c))
+        return _term(ring, tuple(-n for n in key), F.cinv(c))
     # UnivariateQuotient: extended gcd of the representative with the modulus
     r = _fq_poly_invmod(F, _uq_poly(x), list(ring.modulus))
     if r is None:
@@ -677,10 +697,9 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
         raise NoRoot("fractional power of a non-monomial")
     F = ring.base
     key, c = x.terms[0]
-    new_key = tuple(e * r for e in key)
     croot = F.nth_root(F.cpow(c, r.numerator) if r.numerator >= 0 else
                        F.cpow(F.cinv(c), -r.numerator), r.denominator)
-    return _frac_term(ring, new_key, croot)
+    return _frac_term(ring, [e * r for e in _exponents(ring, key)], croot)
 
 
 # ---------------------------------------------------------------------------
@@ -711,15 +730,15 @@ def _frob_once(x: RingElement, step: int) -> RingElement:
                 if not ring._killed(new_key):
                     d[new_key] = F.cfrob(c, 1)
         else:
-            b = ring.lattice_b
             for key, c in x.terms:
-                new_key = tuple(e / p for e in key)
-                for e in new_key:
-                    if b % e.denominator != 0:
+                for n in key:
+                    if n % p:
+                        b = ring.lattice_b
+                        e = Fraction(n, b * p)
                         raise DepthExhausted(
                             f"p-th root of exponent {e * p} leaves the lattice "
                             f"(denominator {e.denominator} does not divide {b})")
-                d[new_key] = F.cfrob(c, -1)
+                d[tuple(n // p for n in key)] = F.cfrob(c, -1)
         return _mk(ring, d)
     # UnivariateQuotient
     if step > 0:
@@ -1090,7 +1109,9 @@ def _parse_ring(ts: _Tokens) -> Ring:
         if flag not in ("true", "false"):
             raise SpecParseError("laurent must be true or false")
         laurent = flag == "true"
-        quotient: list[tuple[Fraction, ...]] = []
+        if depth_p < 0 or depth_2 < 0:
+            raise SpecParseError("depths must be >= 0")
+        quotient: list[tuple[int, ...]] = []
         if ts.peek() == ("ident", "mod"):
             _expect_key(ts, "mod")
             ring0 = FracLaurentRing(base, tuple(names), depth_p, depth_2, laurent, ())
@@ -1098,20 +1119,13 @@ def _parse_ring(ts: _Tokens) -> Ring:
             while ts.peek() == ("sym", ","):
                 ts.next()
                 quotient.append(_parse_monomial_exps(ts, ring0))
-        if depth_p < 0 or depth_2 < 0:
-            raise SpecParseError("depths must be >= 0")
         ring = FracLaurentRing(base, tuple(names), depth_p, depth_2, laurent,
                                tuple(quotient))
         if quotient and laurent:
             raise SpecParseError("a monomial quotient needs laurent=false "
                                  "(monomials are units in a Laurent ring)")
-        b = ring.lattice_b
-        for gen in quotient:
-            if all(e == 0 for e in gen):
-                raise SpecParseError("quotient generator must be non-constant")
-            for e in gen:
-                if b % e.denominator != 0 or e < 0:
-                    raise LatticeError(f"quotient exponent {e} outside the lattice")
+        if any(not any(gen) for gen in quotient):
+            raise SpecParseError("quotient generator must be non-constant")
         if len(set(names)) != len(names):
             raise SpecParseError("duplicate variable names")
         return ring
@@ -1148,20 +1162,20 @@ def _poly_ring(F: FiniteFieldSpec, var: str) -> FracLaurentRing:
 
 def _poly_elt(F: FiniteFieldSpec, var: str, coeffs) -> RingElement:
     """The element of F[var] with the given coefficients, low-to-high."""
-    d = {(Fraction(k),): c for k, c in enumerate(coeffs) if any(c)}
+    d = {(k,): c for k, c in enumerate(coeffs) if any(c)}
     return _mk(_poly_ring(F, var), d)
 
 
 def _parse_uq_modulus(ts: _Tokens, base: FiniteFieldSpec, var: str) -> list[FieldCoeff]:
     """Parse g(T) with coefficients in the base field, low-to-high."""
     g = parse_expression(ts, RingAlgebra(_poly_ring(base, var)))
-    out = [base.zero()] * (int(g.terms[0][0][0]) + 1 if g.terms else 0)
+    out = [base.zero()] * (g.terms[0][0][0] + 1 if g.terms else 0)
     for (d,), c in g.terms:
-        out[int(d)] = c
+        out[d] = c
     return out
 
 
-def _parse_monomial_exps(ts: _Tokens, ring: FracLaurentRing) -> tuple[Fraction, ...]:
+def _parse_monomial_exps(ts: _Tokens, ring: FracLaurentRing) -> tuple[int, ...]:
     elt = parse_expression(ts, RingAlgebra(ring))
     if not is_monomial(elt) or elt.terms[0][1] != ring.base.one():
         raise SpecParseError("quotient generators must be coefficient-1 monomials")
@@ -1380,11 +1394,8 @@ def format_element(x: RingElement) -> str:
         if isinstance(ring, FiniteFieldSpec):
             mono = ""
         elif isinstance(ring, FracLaurentRing):
-            factors = [
-                _format_exp(ring.variables[i], e)
-                for i, e in enumerate(key) if e != 0
-            ]
-            mono = "*".join(factors)
+            mono = "*".join(_format_exp(v, e)
+                            for v, e in zip(ring.variables, _exponents(ring, key)) if e)
         else:
             mono = "" if key == 0 else _format_exp(ring.var, key)
         cs = format_coeff(F, c)
@@ -1453,16 +1464,13 @@ def random_element(ring: Ring, rng, max_terms: int = 3, exp_bound: int = 3,
     nterms = rng.randint(0 if allow_zero else 1, max_terms)
     for _ in range(nterms):
         if isinstance(ring, FracLaurentRing):
-            key = []
+            exps = []
             for _ in ring.variables:
                 num = rng.randint(0 if not ring.laurent else -exp_bound, exp_bound)
                 den = F.p ** rng.randint(0, min(denom_depth, ring.depth_p))
-                ex = Fraction(num, den)
-                if not ring.laurent and ex < 0:
-                    ex = -ex
-                key.append(ex)
+                exps.append(Fraction(num, den))
             try:
-                t = _frac_term(ring, tuple(key), random_coeff(F, rng))
+                t = _frac_term(ring, exps, random_coeff(F, rng))
             except LatticeError:
                 continue
         else:

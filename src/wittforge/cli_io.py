@@ -54,7 +54,7 @@ _DIGITS_RE = re.compile(r"\s*DIGITS\s*\[\s*(?P<n>\d+)\s*\]\s*"
                         r"\{(?P<body>.*)\}\s*$", re.S)
 _FONT_RE = re.compile(r"\s*FONT\s*\{(?P<body>.*)\}\s*$", re.S)
 _BASE_RE = re.compile(r"\s*rw\s+p\s*=\s*(?P<p>\d+)\s+e\s*=\s*(?P<e>\d+)\s+"
-                      r"eis\s*=\s*\((?P<eis>[^)]*)\)\s+"
+                      r"eis\s*=\s*\((?P<eis>.*)\)\s+"
                       r"prec\s*=\s*(?P<prec>\d+)\s*$")
 
 

@@ -11,10 +11,8 @@ infinite-level statements, and the report banner says so.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import base_rings as br
 from .base_rings import (
@@ -64,7 +62,7 @@ class PthRootSolver:
 
     The map x -> x^p is F_p-linear, so a Gaussian solve over F_p settles
     existence exactly.  For the tower rings F_p[u]/(u^D) the p-th power map
-    is plain exponent dilation and the solve is a digit filter instead.
+    is plain exponent dilation, undone by the ring's inverse Frobenius.
     """
 
     def __init__(self, ring: UnivariateQuotient):
@@ -113,16 +111,10 @@ class PthRootSolver:
         if target.ring != self.ring:
             raise MismatchError("target from a different ring")
         if self.dilation:
-            D = self.ring.degree
-            poly = br._uq_poly(target)
-            sol = [self.ring.base.zero()] * D
-            for k, c in enumerate(poly):
-                if c == self.ring.base.zero():
-                    continue
-                if k % self.p:
-                    return None
-                sol[k // self.p] = c
-            return br._uq_elt(self.ring, sol)
+            try:
+                return br.frobenius(target, -1)
+            except NoRoot:
+                return None
         dim = len(self._rows)
         t = _vec(self.ring, target)
         p = self.p
@@ -261,21 +253,19 @@ def perfection_report(ring: Ring, budget: int = 4, samples: int = 10,
             witnesses.append(("injectivity", br.format_element(gen),
                               "kernel generator, p-th power vanishes"))
 
-    # --- surjectivity: generator-first probe with verified roots
+    # --- surjectivity: generator-first probe with verified roots; univariate
+    # quotients get the exact linear-algebra decision
     probes = _probe_elements(ring, samples, seed)
-    surjective, fail = _surjectivity_probe(ring, probes, budget)
+    if isinstance(ring, UnivariateQuotient):
+        surjective, fail = _uq_surjectivity(ring, probes, budget)
+        how = " (exact F_p-linear solve)"
+    else:
+        surjective, fail = _surjectivity_probe(ring, probes, budget)
+        how = " under the decision procedure"
     if fail is not None:
         x, k = fail
         witnesses.append(("surjectivity", br.format_element(x),
-                          f"no p^{k}-th root under the decision procedure"))
-    # univariate quotients get the exact linear-algebra decision instead
-    if isinstance(ring, UnivariateQuotient):
-        surjective, fail = _uq_surjectivity(ring, probes, budget)
-        witnesses = [w for w in witnesses if w[0] != "surjectivity"]
-        if fail is not None:
-            x, k = fail
-            witnesses.append(("surjectivity", br.format_element(x),
-                              f"no p^{k}-th root (exact F_p-linear solve)"))
+                          f"no p^{k}-th root{how}"))
 
     return PerfectionReport(ring, budget, injective, surjective,
                             kernel_gens, tuple(witnesses), tuple(notes), verdict)
@@ -291,26 +281,21 @@ def _uq_surjectivity(ring: UnivariateQuotient, probes, budget: int):
     return None, None
 
 
-def _lattice_ceil(ring: FracLaurentRing, x: Fraction) -> Fraction:
-    B = ring.lattice_b
-    return Fraction(math.ceil(x * B), B)
-
-
 def _frac_quotient_kernel(ring: FracLaurentRing) -> list[RingElement]:
     """Minimal monomial kernel elements for a monomial-quotient Laurent ring."""
     p = ring.base.p
-    cands = []
-    for qkey in ring.quotient:
-        hkey = tuple(_lattice_ceil(ring, Fraction(e) / p) for e in qkey)
-        cands.append(hkey)
+    # h = x^ceil(g/p) on the lattice, so that h^p lies in (x^g)
+    cands = [tuple(-(-n // p) for n in g) for g in ring.quotient]
     # keep the minimal keys under componentwise divisibility
     minimal = [k for k in cands
                if not any(o != k and all(a <= b for a, b in zip(o, k))
                           for o in cands)]
     out = []
     for key in dict.fromkeys(minimal):
-        h = br.monomial(ring, key)
-        if not h.is_zero() and br.pow_int(h, p).is_zero():
+        if ring._killed(key):
+            continue
+        h = br._term(ring, key, ring.base.one())
+        if br.pow_int(h, p).is_zero():
             out.append(h)
     return out
 

@@ -832,8 +832,8 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
                     ) from exc
         for gen in src.quotient:
             img = br.one(dst)
-            for i, e in enumerate(gen):
-                img = br.mul(img, br.pow_fraction(resolved[src.variables[i]], e))
+            for v, e in zip(src.variables, br._exponents(src, gen)):
+                img = br.mul(img, br.pow_fraction(resolved[v], e))
             if not img.is_zero():
                 raise RelationViolated("quotient monomial does not map to zero")
     elif isinstance(src, UnivariateQuotient):
@@ -876,10 +876,9 @@ def apply_ring_map(phi: RingMap, x: RingElement) -> RingElement:
     for key, c in x.terms:
         term = cmap(c)
         if isinstance(phi.src, FracLaurentRing):
-            for i, e in enumerate(key):
+            for v, e in zip(phi.src.variables, br._exponents(phi.src, key)):
                 if e != 0:
-                    term = br.mul(term, br.pow_fraction(
-                        resolved[phi.src.variables[i]], e))
+                    term = br.mul(term, br.pow_fraction(resolved[v], e))
         elif isinstance(phi.src, UnivariateQuotient):
             if key:
                 term = br.mul(term, br.pow_int(resolved[phi.src.var], key))

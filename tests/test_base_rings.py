@@ -295,9 +295,16 @@ class TestFrobenius:
             br.frobenius(a, -3)
 
     def test_depth_exhaustion_message_names_denominator(self):
-        ring = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=1 depth_2=0 laurent=false")
-        with pytest.raises(DepthExhausted):
-            br.frobenius(br.evaluate(ring, "x^(1/2)"), -1)
+        for spec, x, msg in [
+            ("frac base=(ff p=2 e=1) vars=x depth_p=1 depth_2=0 laurent=false",
+             "x^(1/2)", "denominator 4 does not divide 2"),
+            # B = 6: the root x^(1/9) is named by its own denominator, not 6*3
+            ("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=1 laurent=false",
+             "x^(1/3)", r"exponent 1/3 leaves the lattice \(denominator 9 does not divide 6"),
+        ]:
+            ring = br.make_ring(spec)
+            with pytest.raises(DepthExhausted, match=msg):
+                br.frobenius(br.evaluate(ring, x), -1)
 
     def test_field_coefficients_get_rooted(self):
         ring = br.make_ring("frac base=(ff p=2 e=2) vars=x depth_p=1 depth_2=0 laurent=false")

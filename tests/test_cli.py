@@ -74,6 +74,11 @@ class TestBaseDescriptor:
         assert base.f == 3
         assert base.default_precision >= 7
 
+    @pytest.mark.parametrize("eis", ["X^2-(3)", "X*(X)-3"])
+    def test_parenthesized_eisenstein(self, eis):
+        assert (cli.parse_base(f"rw p=3 e=1 eis=({eis}) prec=8")
+                == cli.parse_base("rw p=3 e=1 eis=(X^2-3) prec=8"))
+
     def test_rejects_garbage(self):
         with pytest.raises(SpecParseError, match="base descriptor"):
             cli.parse_base("rw p=3 eis=(X^2-3)")

@@ -59,12 +59,22 @@ class TestPerfectionReports:
         assert fl.frobenius_kernel_generator(U) is None
 
     def test_monomial_quotient_kernel(self):
-        R = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 "
-                         "laurent=false mod=x^4")
-        rep = fl.perfection_report(R)
-        assert rep.injective_up_to == 0
-        assert [br.format_element(g) for g in rep.kernel_generators] == ["x^2"]
-        assert rep.verdict
+        for spec, kernel in [
+            ("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false "
+             "mod=x^4", ["x^2"]),
+            ("frac base=(ff p=3 e=1) vars=x,y depth_p=2 depth_2=1 laurent=false "
+             "mod=x^(3/2),x*y^(5/3)", ["x^(1/2)", "x^(1/3)*y^(5/9)"]),
+            # y^(3/2) over p rounds up to the lattice: x^(1/2)*y, not *y^(1/2)
+            ("frac base=(ff p=2 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false "
+             "mod=x^2,x*y^(3/2)", ["x", "x^(1/2)*y"]),
+            # x^(1/3) over p rounds up to x^(1/3) itself, which is zero
+            ("frac base=(ff p=3 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false "
+             "mod=x^(1/3),y^2", ["y^(2/3)"]),
+        ]:
+            rep = fl.perfection_report(br.make_ring(spec))
+            assert rep.injective_up_to == 0
+            assert [br.format_element(g) for g in rep.kernel_generators] == kernel
+            assert rep.verdict
 
     def test_render_is_deterministic(self):
         U = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^9")

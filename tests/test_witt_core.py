@@ -359,13 +359,16 @@ class TestFunctor:
 
     def test_identity_and_frobenius_coincidence(self):
         rng = random.Random(18)
-        phi_id = wc.make_ring_map(PERF3, PERF3, {"x": "x"})
         phi_f = wc.make_ring_map(PERF3, PERF3, {"x": "x^3"})
-        for _ in range(8):
-            x = wc.WittVector(PERF3, tuple(
-                br.random_element(PERF3, rng, denom_depth=1) for _ in range(3)))
-            assert wc.witt_functor(phi_id, x) == x
-            assert wc.witt_functor(phi_f, x) == wc.frobenius_map(x)
+        # x -> x^2 is no map of QUOT2: x^2 = 0 there has no square root
+        for ring in (PERF3, QUOT2):
+            phi_id = wc.make_ring_map(ring, ring, {v: v for v in ring.variables})
+            for _ in range(8):
+                x = wc.WittVector(ring, tuple(
+                    br.random_element(ring, rng, denom_depth=1) for _ in range(3)))
+                assert wc.witt_functor(phi_id, x) == x
+                if ring == PERF3:
+                    assert wc.witt_functor(phi_f, x) == wc.frobenius_map(x)
 
     def test_is_ring_hom_and_commutes_with_project(self):
         rng = random.Random(19)
@@ -390,6 +393,15 @@ class TestFunctor:
         quo = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false mod=x^2")
         with pytest.raises(RelationViolated):
             wc.make_ring_map(quo, dst, {"x": "x"})  # x^2 not killed in dst
+        with pytest.raises(RelationViolated, match="does not map to zero"):
+            wc.make_ring_map(QUOT2, QUOT2, {"x": "y", "y": "x"})  # y^2 survives
+        with pytest.raises(RelationViolated, match="admits no 1/2 power"):
+            wc.make_ring_map(QUOT2, QUOT2, {"x": "x^(1/2)", "y": "y"})
+        # (x^(1/2))^2 = x survives x^2 = 0, though (x^(1/2))^4 = 0
+        quo4 = br.make_ring("frac base=(ff p=2 e=1) vars=x,y depth_p=2 depth_2=0 "
+                            "laurent=false mod=x^2,x*y")
+        with pytest.raises(RelationViolated, match="does not map to zero"):
+            wc.make_ring_map(QUOT2, quo4, {"x": "x^(1/2)", "y": "y"})
         f4_to_f2 = pytest.raises(RelationViolated)
         with f4_to_f2:
             wc.make_ring_map(F4, F2, {})  # no place for the field generator
