@@ -685,7 +685,8 @@ def invert(x: RingElement) -> RingElement:
 
 
 def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
-    """x^r for rational r; only single-term elements support a fractional part."""
+    """x^r for rational r; only single-term elements and zero support a
+    fractional part (0^r = 0 for r > 0)."""
     ring = x.ring
     monomial_route = isinstance(ring, FracLaurentRing) and is_monomial(x) and (
         r.denominator != 1 or r < 0)
@@ -693,6 +694,10 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
         return pow_int(x, r.numerator)
     if not isinstance(ring, FracLaurentRing):
         raise LatticeError("fractional powers need an exponent lattice")
+    if x.is_zero():
+        if r < 0:
+            raise NotAUnit("zero is not invertible")
+        return x
     if not is_monomial(x):
         raise NoRoot("fractional power of a non-monomial")
     F = ring.base

@@ -409,8 +409,12 @@ def _check_ramified_digits(cfg):
         for i in range(34):
             x = _rand_rw(base, ring, rng)
             for n in (1, max(1, cap // 2), cap):
+                # the closed forms against the division walk and Horner's rule
                 d = rw.digit_expand(x, n)
-                if not rw.rw_equal(rw.digits_assemble(d), x, n):
+                back = rw.digits_assemble(d)
+                if (d != rw._digit_walk(x, n)
+                        or back.coords != rw._horner_assemble(d).coords
+                        or not rw.rw_equal(back, x, n)):
                     wit.append(f"digit round-trip fails at {tag} N={n} run {i}")
         for i in range(100):
             x = _rand_rw(base, ring, rng)

@@ -17,6 +17,7 @@ expansions at the shared precision, never raw coordinate comparison.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +25,10 @@ from . import base_rings as br
 from . import witt_core as wc
 from .base_rings import FiniteFieldSpec, Ring, RingElement
 from .errors import (
+    DepthExhausted,
     MismatchError,
     NoConvergence,
+    NoRoot,
     NotAUnit,
     NotDivisible,
     NotEisenstein,
@@ -41,6 +44,9 @@ class RamifiedBase:
     level: int  # internal Witt length n of every coordinate
     field: FiniteFieldSpec  # F_q, q = p^e
     eis: tuple  # e_0..e_{f-1}, WittVectors over field, length = level
+    # c in F_q^* when E = X^f - p*[c], else None; derived from eis
+    c: RingElement | None = dataclasses.field(default=None, compare=False,
+                                              repr=False)
 
     @property
     def q(self) -> int:
@@ -82,7 +88,17 @@ def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBa
     if eis[0].coords[1].is_zero():
         raise NotEisenstein(
             "constant term lies in the square of the maximal ideal")
-    return RamifiedBase(p, e, f, level, field, tuple(eis))
+    return RamifiedBase(p, e, f, level, field, tuple(eis), _teichmuller_unit(eis))
+
+
+def _teichmuller_unit(eis) -> RingElement | None:
+    """c when E = X^f - p*[c], i.e. e_1..e_{f-1} = 0 and -e_0 = (0, c^p, 0, ...)."""
+    if any(wc.witt_ord(v) is not None for v in eis[1:]):
+        return None
+    neg = wc.witt_neg(eis[0]).coords
+    if any(not a.is_zero() for a in neg[:1] + neg[2:]):
+        return None
+    return br.frobenius(neg[1], -1)
 
 
 def parse_eisenstein(text: str):
@@ -346,10 +362,21 @@ def divide_by_pi(x: RamifiedWitt) -> RamifiedWitt:
 def rw_ord(x: RamifiedWitt, limit: int | None = None) -> int | None:
     """pi-adic order up to the certified precision; None when 0 mod pi^N.
 
-    Walks the digit expansion but stops at the first nonzero digit, so the
-    common case (small order) costs a handful of divisions.
+    For E = X^f - p*[c] digit k vanishes exactly when coordinate k // f of
+    slot k % f does, so the order is read off the coordinates; other bases
+    walk the digit expansion up to the first nonzero digit.
     """
-    bound = x.precision if limit is None else min(limit, x.precision)
+    bound = max(0, x.precision if limit is None else min(limit, x.precision))
+    if x.base.c is not None and bound <= x.base.f * x.base.level:
+        f = x.base.f
+        k = next((k for k in range(bound)
+                  if not x.coords[k % f].coords[k // f].is_zero()), None)
+        if _walk_roots(x, bound if k is None else k) is not None:
+            return k
+    return _ord_walk(x, bound)
+
+
+def _ord_walk(x: RamifiedWitt, bound: int) -> int | None:
     cur = x
     for i in range(bound):
         if not reduce_mod_pi(cur).is_zero():
@@ -372,12 +399,68 @@ def rw_equal(x: RamifiedWitt, y: RamifiedWitt, precision: int | None = None) -> 
     return rw_ord(rw_sub(x, y), prec) is None
 
 
+# For E = X^f - p*[c] we have p = [c]^-1 pi^f and p^i [a] = V^i [a^(p^i)], so
+# the Witt vector (r_0, r_1, ...) in slot j is sum_i [c^-i F^-i(r_i)] pi^(fi+j):
+# digit fi + j is c^-i F^-i(r_{j,i}), read off with no Witt arithmetic.  The
+# digit walk divides slot j D_j = ceil((steps - j)/f) times, taking a p-th
+# root of each coordinate i >= 1 still in the slot, so it roots r_{j,i}
+# min(i, D_j) times; the closed forms run only when all those roots exist,
+# and otherwise leave the refusal to the walk.  Digits past f*level would be
+# read from the walk's guard coordinates, so those requests walk too.  (The
+# walk also roots what its fixed-length unit -(e_0/p)^-1 leaves in the guard
+# coordinate, nonzero at p = 2; over a uq ring such a root can be missing on
+# the representative, and then the walk refuses digits the closed form reads.)
+
+
+def _walk_roots(x: RamifiedWitt, steps: int):
+    """F^-min(i, D_j)(r_{j,i}) for every slot j and coordinate i, or None
+    when one of these roots is missing."""
+    f = x.base.f
+    out = []
+    for j, r in enumerate(x.coords):
+        d = -(-(steps - j) // f)
+        try:
+            out.append([br.frobenius(a, -min(i, d)) for i, a in enumerate(r.coords)])
+        except (NoRoot, DepthExhausted):
+            return None
+    return out
+
+
+def _powers(u: RingElement, ring: Ring, k: int) -> list:
+    """[u^i for i < k], u in F_q^*, as elements of ring."""
+    out, pw = [], br.one(u.ring)
+    for _ in range(k):
+        out.append(br.from_coeff(ring, pw.terms[0][1]))
+        pw = br.mul(pw, u)
+    return out
+
+
 def digit_expand(x: RamifiedWitt, digits: int | None = None) -> DigitExpansion:
-    """Greedy Teichmueller digit extraction: a_i = residue, then divide by pi."""
+    """Teichmueller digits a_0..a_{N-1} with x = sum [a_i] pi^i mod pi^N.
+
+    For E = X^f - p*[c] digit fi + j is c^-i F^-i(r_{j,i}); other bases, and
+    elements whose digit walk would refuse, go through the walk.
+    """
     want = x.precision if digits is None else digits
     if want > x.precision:
         raise NotDivisible(
             f"requested {want} digits but only {x.precision} are certified")
+    base, f = x.base, x.base.f
+    roots = None
+    if base.c is not None and want <= f * base.level:
+        roots = _walk_roots(x, want)
+    if roots is None:
+        return _digit_walk(x, want)
+    cinv = _powers(br.invert(base.c), x.ring, -(-want // f))
+    out = []
+    for k in range(want):
+        i, j = divmod(k, f)
+        out.append(br.mul(cinv[i], roots[j][i]))
+    return DigitExpansion(base, x.ring, tuple(out))
+
+
+def _digit_walk(x: RamifiedWitt, want: int) -> DigitExpansion:
+    """Greedy extraction: a_i = residue, subtract [a_i], then divide by pi."""
     out = []
     cur = x
     for _ in range(want):
@@ -388,6 +471,27 @@ def digit_expand(x: RamifiedWitt, digits: int | None = None) -> DigitExpansion:
 
 
 def digits_assemble(d: DigitExpansion) -> RamifiedWitt:
+    """sum [a_i] pi^i at precision len(digits).
+
+    For E = X^f - p*[c] coordinate i of slot j is F^i(c^i a_{fi+j}) (digits
+    past the Witt length vanish, p^level = 0); other bases use Horner's rule.
+    """
+    base, ring = d.base, d.ring
+    if base.c is None:
+        return _horner_assemble(d)
+    _check_ring(base, ring)
+    f, n = base.f, base.level
+    used = d.digits[:f * n]
+    cpow = _powers(base.c, ring, -(-len(used) // f))
+    slots = [[br.zero(ring)] * n for _ in range(f)]
+    for k, a in enumerate(used):
+        i, j = divmod(k, f)
+        slots[j][i] = br.frobenius(br.mul(cpow[i], a), i)
+    return RamifiedWitt(base, ring, tuple(wc.WittVector(ring, tuple(s)) for s in slots),
+                        len(d.digits))
+
+
+def _horner_assemble(d: DigitExpansion) -> RamifiedWitt:
     """Sum [a_i] pi^i by a Horner walk from the top digit down."""
     acc = rw_zero(d.base, d.ring, len(d.digits))
     for a in reversed(d.digits):

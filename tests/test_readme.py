@@ -2,12 +2,10 @@
 
 Every fenced ``wittforge`` command in README.md runs through ``cli_io.main``
 and must print exactly the recorded stdout and return the recorded exit code,
-so a change that alters a documented answer fails here.  Three are left out:
-``bench poly`` prints wall times, ``verify`` is the acceptance gate in
-``test_acceptance.py``, and ``hensel lift`` takes seconds to tens of seconds
-(its root is pinned by ``test_cli.py::TestHenselCommand`` and the acceptance
-check c07).  Commands run in a temporary directory, so ``poly gen --out
-./tables`` prints the README's relative path and writes its file there.
+so a change that alters a documented answer fails here.  Two are left out:
+``bench poly`` prints wall times, and ``verify`` is the acceptance gate in
+``test_acceptance.py``.  Commands run in a temporary directory, so ``poly gen
+--out ./tables`` prints the README's relative path and writes its file there.
 """
 
 import hashlib
@@ -20,7 +18,7 @@ import pytest
 import wittforge.cli_io as cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SKIP = (("bench", "poly"), ("verify",), ("hensel", "lift"))
+SKIP = (("bench", "poly"), ("verify",))
 
 
 def readme_commands() -> list[str]:
@@ -61,6 +59,12 @@ GOLDEN = {
         (0, 'RW[base=b0, N=8]{ W{x^(1/3);0;0;0;0} | W{0;0;0;0;0} }\n'),
     "rw expand --base 'rw p=3 e=1 eis=(X^2-3) prec=6' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=6]{ W{1;0;0;0} | W{1;0;0;0} }'":
         (0, 'DIGITS[6]{1;1;0;0;0;0}\n'),
+    "hensel lift --base 'rw p=3 e=1 eis=(X^2-3) prec=8' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=10 depth_2=1 laurent=true' --poly 'X^2-(p+x)' --seed-digit 'x^(1/2)' --prec 8":
+        (0, 'DIGITS[8]{x^(1/2);0;2*x^(-1/2);0;2*x^(-1/2)+x^(-3/2);0;'
+            '2*x^(-1/2)+2*x^(-5/6)+x^(-7/6)+x^(-5/2);0}\n'
+            'STEP 0: window=2 ord>=2 dord=0\n'
+            'STEP 1: window=4 ord>=4 dord=0\n'
+            'STEP 2: window=8 ord>=8 dord=0\n'),
     "frob report --ring 'uq base=(ff p=3 e=1) var=T modulus=T^9'":
         (0, 'KIND: perfection\n'
             'RING: uq base=(ff p=3 e=1) var=T modulus=T^9\n'

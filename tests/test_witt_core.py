@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -360,7 +361,6 @@ class TestFunctor:
     def test_identity_and_frobenius_coincidence(self):
         rng = random.Random(18)
         phi_f = wc.make_ring_map(PERF3, PERF3, {"x": "x^3"})
-        # x -> x^2 is no map of QUOT2: x^2 = 0 there has no square root
         for ring in (PERF3, QUOT2):
             phi_id = wc.make_ring_map(ring, ring, {v: v for v in ring.variables})
             for _ in range(8):
@@ -369,6 +369,19 @@ class TestFunctor:
                 assert wc.witt_functor(phi_id, x) == x
                 if ring == PERF3:
                     assert wc.witt_functor(phi_f, x) == wc.frobenius_map(x)
+
+    def test_frobenius_with_a_zero_image(self):
+        # x^2 = 0 in QUOT2, and 0 has every root the lattice allows
+        phi = wc.make_ring_map(QUOT2, QUOT2, {"x": "x^2", "y": "y^2"})
+        rng = random.Random(20)
+        for _ in range(8):
+            x = wc.WittVector(QUOT2, tuple(
+                br.random_element(QUOT2, rng, denom_depth=1) for _ in range(3)))
+            assert wc.witt_functor(phi, x) == wc.frobenius_map(x)
+        zero = br.zero(QUOT2)
+        assert br.pow_fraction(zero, Fraction(3, 2)) == zero
+        with pytest.raises(NotAUnit):
+            br.pow_fraction(zero, Fraction(-1, 2))
 
     def test_is_ring_hom_and_commutes_with_project(self):
         rng = random.Random(19)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittforge import base_rings as br
 from wittforge import witt_core as wc
@@ -12,6 +14,7 @@ from wittforge.errors import (
     NotDivisible,
     NotEisenstein,
     SpecParseError,
+    WittforgeError,
 )
 
 F2 = br.make_field(2, 1)
@@ -228,12 +231,16 @@ class TestDigits:
         assert str(d) == "DIGITS[4]{2;0;0;0}"
 
     def test_round_trip_full_precision(self):
+        # the closed forms against the division walk and Horner's rule
         rng = random.Random(23)
         for base, ring in [(B_SQ3, F3), (B_CB2, F2), (B_SQ4, F4)]:
             for _ in range(5):
                 x = rand_rw(base, ring, rng)
                 n = base.default_precision
-                back = rw.digits_assemble(rw.digit_expand(x, n))
+                d = rw.digit_expand(x, n)
+                assert d == rw._digit_walk(x, n)
+                back = rw.digits_assemble(d)
+                assert back.coords == rw._horner_assemble(d).coords
                 assert rw.rw_equal(back, x, n)
 
     def test_digits_are_unique(self):
@@ -241,12 +248,191 @@ class TestDigits:
         rng = random.Random(29)
         x = rand_rw(B_SQ3, F3, rng)
         d = rw.digit_expand(x, 10)
-        assert rw.digit_expand(rw.digits_assemble(d), 10).digits == d.digits
+        assert d == rw._digit_walk(x, 10)
+        back = rw._horner_assemble(d)
+        assert rw._digit_walk(back, 10).digits == d.digits
+        assert rw.digit_expand(back, 10).digits == d.digits
 
     def test_cannot_ask_for_uncertified_digits(self):
         x = rw.rw_pi(B_SQ3, F3, precision=3)
         with pytest.raises(NotDivisible):
             rw.digit_expand(x, 4)
+
+
+def _shallow_case(depth_p, coords0):
+    """X^2 - 3 over a frac ring whose p-th roots run out at depth_p."""
+    ring = br.make_ring(
+        f"frac base=(ff p=3 e=1) vars=x depth_p={depth_p} depth_2=0 laurent=false")
+    slot0 = tuple(br.evaluate(ring, c) for c in coords0)
+    zero = wc.witt_zero(ring, 4)
+    return rw.RamifiedWitt(B_SQ3E, ring, (wc.WittVector(ring, slot0), zero), 6)
+
+
+class TestWalkRefusals:
+    """The digit walk's refusals, recorded from the walk itself."""
+
+    ROOT_1 = ("p-th root of exponent 1 leaves the lattice "
+              "(denominator 3 does not divide 1)")
+    ROOT_1_3 = ("p-th root of exponent 1/3 leaves the lattice "
+                "(denominator 9 does not divide 3)")
+
+    def test_digit_expand_runs_out_of_roots(self):
+        # slot 0 = W{1;0;x;0}: digits 0, 1 root x once, digits 0..3 twice
+        for depth, n, msg in ((0, 2, self.ROOT_1), (0, 6, self.ROOT_1),
+                              (1, 3, self.ROOT_1_3), (1, 6, self.ROOT_1_3)):
+            x = _shallow_case(depth, ("1", "0", "x", "0"))
+            with pytest.raises(DepthExhausted) as info:
+                rw.digit_expand(x, n)
+            assert str(info.value) == msg
+        assert str(rw.digit_expand(_shallow_case(1, ("1", "0", "x", "0")), 2)) == \
+            "DIGITS[2]{1;0}"
+
+    def test_rw_ord_runs_out_of_roots(self):
+        # slot 0 = W{0;0;x;0} has order 4; the walk roots x at each division
+        for depth, limit, msg in ((0, None, self.ROOT_1), (0, 2, self.ROOT_1),
+                                  (1, None, self.ROOT_1_3), (1, 3, self.ROOT_1_3)):
+            x = _shallow_case(depth, ("0", "0", "x", "0"))
+            with pytest.raises(DepthExhausted) as info:
+                rw.rw_ord(x, limit)
+            assert str(info.value) == msg
+        assert rw.rw_ord(_shallow_case(1, ("0", "0", "x", "0")), 2) is None
+        assert rw.rw_ord(_shallow_case(0, ("1", "0", "x", "0"))) == 0
+
+    def test_more_digits_than_certified(self):
+        with pytest.raises(NotDivisible) as info:
+            rw.digit_expand(_shallow_case(1, ("1", "0", "x", "0")), 7)
+        assert str(info.value) == "requested 7 digits but only 6 are certified"
+
+
+F9 = br.make_field(3, 2)
+ZETA = br.from_coeff(F9, F9.gen())
+# E = X^2 - 3*[zeta] over F_9, its constant term given as a Witt vector
+B_ZETA = rw.make_ramified_base(
+    3, 2, 2, [wc.witt_mul(wc.int_to_witt(-3, F9, 4), wc.teichmuller(ZETA, 4)), 0], 4)
+B_PLUS3 = rw.make_ramified_base(3, 1, 2, [3, 0], 4)  # X^2 + 3: c = -1
+LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true")
+UQ3 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1")
+CLOSED_CASES = [
+    (B_SQ3E, F3), (B_PLUS3, F3), (B_UNRAM, F3), (B_CB2, F2), (B_SQ4, F4),
+    (B_ZETA, F9), (B_PLUS3, LAUR3), (rw.make_ramified_base(3, 1, 2, [-3, 0], 3), LAUR3),
+    (B_SQ3E, UQ3),
+]
+EXAMPLES = 120
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WittforgeError as exc:
+        return type(exc), str(exc)
+
+
+def _rand_coord(ring, rng):
+    if rng.random() < 0.4:
+        return br.zero(ring)
+    return br.random_element(ring, rng, max_terms=2, exp_bound=2,
+                             denom_depth=getattr(ring, "depth_p", 0))
+
+
+def _rand_element(case, seed, prec):
+    base, ring = CLOSED_CASES[case]
+    rng = random.Random(seed)
+    coords = tuple(wc.WittVector(ring, tuple(_rand_coord(ring, rng)
+                                             for _ in range(base.level)))
+                   for _ in range(base.f))
+    return rw.RamifiedWitt(base, ring, coords, prec % (base.f * base.level + 1))
+
+
+class TestClosedForm:
+    """E = X^f - p*[c]: the closed forms against the walk and Horner's rule.
+
+    Each property runs EXAMPLES derandomized examples.  Coordinates are zero
+    with probability 0.4, so orders above 0 are common, and frac coordinates
+    carry p-power denominators up to depth_p, so some walks refuse.
+    """
+
+    def test_shape_detection(self):
+        for base, _ in CLOSED_CASES:
+            assert base.c is not None
+        assert B_SQ3.c == br.one(F3)
+        assert B_PLUS3.c == br.from_int(F3, 2)
+        assert B_ZETA.c == ZETA
+        # X^2 + 2 at p = 2: -e_0 = -2 = (0, 1, 1, ...) is p times a unit that is
+        # not a Teichmueller lift; X^2 - 3X - 3 has a middle coefficient
+        assert rw.make_ramified_base(2, 1, 2, [2, 0], 4).c is None
+        assert rw.make_ramified_base(3, 1, 2, [-3, -3], 4).c is None
+        assert "c=" not in repr(B_ZETA)
+
+    @given(st.integers(0, len(CLOSED_CASES) - 1), st.integers(0, 2 ** 32),
+           st.integers(0, 40), st.integers(0, 40))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_digit_expand_matches_walk(self, case, seed, prec, want):
+        x = _rand_element(case, seed, prec)
+        want = min(want, x.precision)
+        assert _outcome(rw.digit_expand, x, want) == _outcome(rw._digit_walk, x, want)
+
+    @given(st.integers(0, len(CLOSED_CASES) - 1), st.integers(0, 2 ** 32),
+           st.integers(0, 40), st.integers(-1, 17))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_rw_ord_matches_walk(self, case, seed, prec, limit):
+        x = _rand_element(case, seed, prec)
+        bound = max(0, min(limit, x.precision))
+        assert _outcome(rw.rw_ord, x, limit) == _outcome(rw._ord_walk, x, bound)
+
+    @given(st.integers(0, len(CLOSED_CASES) - 1), st.integers(0, 2 ** 32),
+           st.integers(0, 17))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_digits_assemble_matches_horner(self, case, seed, count):
+        base, ring = CLOSED_CASES[case]
+        rng = random.Random(seed)
+        d = rw.DigitExpansion(base, ring, tuple(_rand_coord(ring, rng)
+                                                for _ in range(count)))
+        got, want = rw.digits_assemble(d), rw._horner_assemble(d)
+        assert (got.coords, got.precision) == (want.coords, want.precision)
+
+    def test_closed_forms_skip_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walk taken")
+        for name in ("_digit_walk", "_ord_walk", "_horner_assemble"):
+            monkeypatch.setattr(rw, name, refuse)
+        x = rand_rw(B_ZETA, F9, random.Random(3))
+        d = rw.digit_expand(x)
+        assert rw.rw_equal(rw.digits_assemble(d), x)
+
+    def test_other_shapes_stay_on_the_walk(self, monkeypatch):
+        taken = []
+
+        def spy(name, fn):
+            def call(*args):
+                taken.append(name)
+                return fn(*args)
+            return call
+
+        for name in ("_digit_walk", "_ord_walk", "_horner_assemble"):
+            monkeypatch.setattr(rw, name, spy(name, getattr(rw, name)))
+        rng = random.Random(5)
+        for base, ring in ((rw.make_ramified_base(2, 1, 2, [2, 0], 4), F2),
+                           (rw.make_ramified_base(3, 1, 2, [-3, -3], 4), F3)):
+            x = rand_rw(base, ring, rng)
+            rw.digits_assemble(rw.digit_expand(x))
+            rw.rw_ord(x)
+        assert taken == ["_digit_walk", "_horner_assemble", "_ord_walk"] * 2
+
+    def test_walk_guard_coordinate_at_p2(self):
+        # At p = 2 the walk's unit -(e_0/p)^-1 has a nonzero top coordinate
+        # (e_0/p is formed at fixed length), which leaves T^8 = T in the guard
+        # coordinate here; T has no square root on its representative, so the
+        # walk refuses digits that the coordinates determine: x = 2*[T].
+        ring = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
+        base = rw.make_ramified_base(2, 1, 2, [-2, 0], 4)
+        z, t2 = br.zero(ring), br.evaluate(ring, "T^2")
+        x = rw.RamifiedWitt(base, ring, (wc.WittVector(ring, (z, t2, z, z)),
+                                         wc.witt_zero(ring, 4)), 6)
+        assert str(rw.digit_expand(x, 3)) == "DIGITS[3]{0;0;T}"
+        assert rw.rw_equal(x, rw.rw_mul(rw.rw_from_int(2, base, ring),
+                                        rw.teich_embed(br.variable(ring, "T"), base)))
+        with pytest.raises(DepthExhausted):
+            rw._digit_walk(x, 3)
 
 
 class TestFrobenius:
