@@ -80,6 +80,20 @@ def _digits(n: int, p: int, e: int) -> tuple[int, ...]:
     return tuple(n // p ** i % p for i in range(e))
 
 
+def _power(mul, a, n: int, one):
+    """a^n for n >= 0 by square-and-multiply; ``one`` is returned for n = 0
+    and never multiplied in otherwise, so n >= 1 takes
+    n.bit_length() + popcount(n) - 2 calls of ``mul``."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = a if acc is None else mul(acc, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return one if acc is None else acc
+
+
 # ---------------------------------------------------------------------------
 # coefficients: (Z/p^K)[u]/(M~), with F_q at K = 1
 
@@ -143,15 +157,7 @@ class _CoeffRing:
     def cpow(self, a: FieldCoeff, n: int) -> FieldCoeff:
         if n < 0:
             return self.cpow(self.cinv(a), -n)
-        r = self.one()
-        b = a
-        while n:
-            if n & 1:
-                r = self.cmul(r, b)
-            n >>= 1
-            if n:
-                b = self.cmul(b, b)
-        return r
+        return _power(self.cmul, a, n, self.one())
 
 
 # ---------------------------------------------------------------------------
@@ -853,14 +859,7 @@ def _fq_pth_root(F, a):
 
 
 def _fq_pow(F, a, n):
-    r = [F.one()]
-    b = a
-    while n:
-        if n & 1:
-            r = _fq_mul(F, r, b)
-        b = _fq_mul(F, b, b)
-        n >>= 1
-    return r
+    return _power(lambda x, y: _fq_mul(F, x, y), a, n, [F.one()])
 
 
 def fq_radical(F: FiniteFieldSpec, g: list[FieldCoeff]) -> list[FieldCoeff]:
@@ -1340,14 +1339,7 @@ class IntPolyAlgebra:
         if r.denominator != 1 or r < 0:
             raise SpecParseError(
                 f"{self.what} exponents must be non-negative integers")
-        out, n = {0: 1}, r.numerator
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return out
+        return _power(self.mul, a, r.numerator, {0: 1})
 
 
 def evaluate(ring: Ring, text: str) -> RingElement:

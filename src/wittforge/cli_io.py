@@ -97,15 +97,14 @@ def parse_base(text: str) -> rw.RamifiedBase:
     return rw.make_ramified_base(p, e, f, coeffs, level)
 
 
-def parse_rw(base: rw.RamifiedBase, ring, text: str,
-             base_id: str = "b0") -> rw.RamifiedWitt:
+def parse_rw(base: rw.RamifiedBase, ring, text: str) -> rw.RamifiedWitt:
     m = _RW_RE.match(text)
     if not m:
         raise SpecParseError(f"not a ramified literal: {text!r}")
-    if m.group("id") != base_id:
+    if m.group("id") != "b0":
         raise SpecParseError(
             f"unknown base id {m.group('id')!r}; this command binds "
-            f"{base_id!r} via --base")
+            f"'b0' via --base")
     n = int(m.group("n"))
     if not 1 <= n <= base.default_precision:
         raise SpecParseError(
@@ -117,9 +116,9 @@ def parse_rw(base: rw.RamifiedBase, ring, text: str,
     return rw.RamifiedWitt(base, ring, coords, n)
 
 
-def format_rw(x: rw.RamifiedWitt, base_id: str = "b0") -> str:
+def format_rw(x: rw.RamifiedWitt) -> str:
     inner = " | ".join(str(w) for w in x.coords)
-    return f"RW[base={base_id}, N={x.precision}]{{ {inner} }}"
+    return f"RW[base=b0, N={x.precision}]{{ {inner} }}"
 
 
 def parse_digits(base: rw.RamifiedBase, ring, text: str) -> rw.DigitExpansion:
@@ -200,10 +199,8 @@ class _PolyXAlgebra:
             raise SpecParseError(f"expected integer exponent, got {r}")
         if r < 0:
             raise SpecParseError("negative powers of X are not allowed")
-        acc = [rw.rw_one(self.base, self.ring)]
-        for _ in range(r.numerator):
-            acc = self.mul(acc, a)
-        return acc
+        return br._power(self.mul, a, r.numerator,
+                         [rw.rw_one(self.base, self.ring)])
 
 
 def parse_poly_x(base, ring, text: str):
@@ -1131,6 +1128,3 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         err.write(f"error: {exc}\n")
         return _exit_code(exc)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import base_rings as br
 from .base_rings import (
@@ -129,15 +130,13 @@ class PthRootSolver:
         return None
 
 
-_SOLVERS: dict = {}
+_solver = lru_cache(maxsize=64)(PthRootSolver)
 
 
 def uq_pth_root(ring: UnivariateQuotient, target: RingElement,
                 steps: int = 1) -> RingElement | None:
     """A g with g^(p^steps) = target, or None when no such element exists."""
-    solver = _SOLVERS.get(ring)
-    if solver is None:
-        solver = _SOLVERS[ring] = PthRootSolver(ring)
+    solver = _solver(ring)
     cur = target
     for _ in range(steps):
         cur = solver.root(cur)
@@ -179,20 +178,24 @@ class PerfectionReport:
     verdict: bool
 
 
-def _surjectivity_probe(ring: Ring, elements, budget: int):
-    """Largest k <= budget such that every probe element has a verified
-    p^k-th root; returns (depth or None-for-unbounded, witness or None)."""
+def _surjectivity_probe(elements, budget: int, root):
+    """Largest k <= budget such that every probe element x has a p^k-th
+    root ``root(x, k)`` (None when there is none); returns (depth or
+    None-for-unbounded, witness or None)."""
     for k in range(1, budget + 1):
         for x in elements:
-            if x.is_zero():
-                continue
-            try:
-                root = br.frobenius(x, -k)
-            except (DepthExhausted, LatticeError, NoRoot):
-                return k - 1, (x, k)
-            if br.frobenius(root, k) != x:
+            if not x.is_zero() and root(x, k) is None:
                 return k - 1, (x, k)
     return None, None
+
+
+def _verified_frobenius_root(x: RingElement, k: int) -> RingElement | None:
+    """br.frobenius(x, -k), or None when it fails or does not map back to x."""
+    try:
+        root = br.frobenius(x, -k)
+    except (DepthExhausted, LatticeError, NoRoot):
+        return None
+    return root if br.frobenius(root, k) == x else None
 
 
 def _probe_elements(ring: Ring, samples: int, seed: int) -> list[RingElement]:
@@ -257,10 +260,12 @@ def perfection_report(ring: Ring, budget: int = 4, samples: int = 10,
     # quotients get the exact linear-algebra decision
     probes = _probe_elements(ring, samples, seed)
     if isinstance(ring, UnivariateQuotient):
-        surjective, fail = _uq_surjectivity(ring, probes, budget)
+        surjective, fail = _surjectivity_probe(
+            probes, budget, lambda x, k: uq_pth_root(ring, x, k))
         how = " (exact F_p-linear solve)"
     else:
-        surjective, fail = _surjectivity_probe(ring, probes, budget)
+        surjective, fail = _surjectivity_probe(probes, budget,
+                                               _verified_frobenius_root)
         how = " under the decision procedure"
     if fail is not None:
         x, k = fail
@@ -269,16 +274,6 @@ def perfection_report(ring: Ring, budget: int = 4, samples: int = 10,
 
     return PerfectionReport(ring, budget, injective, surjective,
                             kernel_gens, tuple(witnesses), tuple(notes), verdict)
-
-
-def _uq_surjectivity(ring: UnivariateQuotient, probes, budget: int):
-    for k in range(1, budget + 1):
-        for x in probes:
-            if x.is_zero():
-                continue
-            if uq_pth_root(ring, x, k) is None:
-                return k - 1, (x, k)
-    return None, None
 
 
 def _frac_quotient_kernel(ring: FracLaurentRing) -> list[RingElement]:

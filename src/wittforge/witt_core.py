@@ -30,6 +30,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from . import base_rings as br
 from .base_rings import (
@@ -110,18 +111,6 @@ def _ip_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _ip_pow(a: dict, n: int) -> dict:
-    r = {0: 1}
-    b = a
-    while n:
-        if n & 1:
-            r = _ip_mul(r, b)
-        n >>= 1
-        if n:
-            b = _ip_mul(b, b)
-    return r
-
-
 def _ip_add_scaled(acc: dict, a: dict, s: int) -> None:
     for k, c in a.items():
         v = acc.get(k, 0) + s * c
@@ -159,7 +148,6 @@ def _ghost_target(p: int, i: int, kind: str) -> dict:
 
 def _weighted_count(weights: tuple[int, ...], total: int) -> int:
     """Number of monomials of exact weighted degree `total`."""
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def f(idx: int, rem: int) -> int:
@@ -206,8 +194,10 @@ class StructuralPolynomialTable:
     level: int
     polys: tuple  # tuple of dicts, index i = level-i polynomial
 
-
-_TABLE_MEMO: dict = {}
+    @cached_property
+    def compiled(self) -> list:
+        """Each polynomial compiled to a Python function f(xs, ys)."""
+        return [_compile_poly(poly) for poly in self.polys]
 
 
 def _table_payload(p: int, kind: str, level: int, polys) -> dict:
@@ -232,30 +222,25 @@ def _write_table(path: str, payload: dict) -> None:
         json.dump(doc, fh)
 
 
-def structural_polys(p: int, level: int, kind: str, *,
-                     level_cap: int = DEFAULT_LEVEL_CAP,
-                     term_budget: int = DEFAULT_TERM_BUDGET) -> StructuralPolynomialTable:
-    """Generate the structural table for (p, kind, level), once per process."""
+@lru_cache(maxsize=64)
+def structural_polys(p: int, level: int, kind: str) -> StructuralPolynomialTable:
+    """Generate the structural table for (p, kind, level); the 64 most
+    recently used tables stay cached."""
     if kind not in KINDS:
         raise SpecParseError(f"kind must be one of {KINDS}")
     if not br._is_prime(p):
         raise SpecParseError(f"p={p} is not prime")
     if level < 0:
         raise SpecParseError("level must be >= 0")
-    if level > level_cap:
-        raise LevelTooLarge(f"level {level} above cap {level_cap}")
+    if level > DEFAULT_LEVEL_CAP:
+        raise LevelTooLarge(f"level {level} above cap {DEFAULT_LEVEL_CAP}")
     bound = term_count_bound(p, level, kind)
-    if bound > term_budget:
+    if bound > DEFAULT_TERM_BUDGET:
         raise LevelTooLarge(
             f"term-count bound {bound} for (p={p}, {kind}, level {level}) "
-            f"exceeds budget {term_budget}")
-    key = (p, kind, level)
-    table = _TABLE_MEMO.get(key)
-    if table is None:
-        polys = _generate_polys(p, level, kind)
-        table = StructuralPolynomialTable(p, kind, level, tuple(polys))
-        _TABLE_MEMO[key] = table
-    return table
+            f"exceeds budget {DEFAULT_TERM_BUDGET}")
+    return StructuralPolynomialTable(p, kind, level,
+                                     tuple(_generate_polys(p, level, kind)))
 
 
 def _generate_polys(p: int, level: int, kind: str) -> list[dict]:
@@ -263,7 +248,7 @@ def _generate_polys(p: int, level: int, kind: str) -> list[dict]:
     pw: list[dict] = []  # pw[j] = polys[j]^(p^(i-j)), maintained across levels
     for i in range(level + 1):
         for j in range(i):
-            pw[j] = _ip_pow(pw[j], p)
+            pw[j] = br._power(_ip_mul, pw[j], p, {0: 1})
         num = dict(_ghost_target(p, i, kind))
         for j in range(i):
             _ip_add_scaled(num, pw[j], -(p ** j))
@@ -286,7 +271,7 @@ def verify_table(table: StructuralPolynomialTable) -> None:
     pw = []
     for i in range(table.level + 1):
         for j in range(i):
-            pw[j] = _ip_pow(pw[j], p)
+            pw[j] = br._power(_ip_mul, pw[j], p, {0: 1})
         pw.append(table.polys[i])
         lhs: dict = {}
         for j in range(i + 1):
@@ -346,19 +331,11 @@ def _poly_str(poly: dict) -> str:
     return "".join(parts)
 
 
-_COMPILED: dict = {}
-
-
 def compile_table(table: StructuralPolynomialTable):
-    """Compile each polynomial to a Python function f(xs, ys) -> int."""
-    key = (table.p, table.kind, table.level)
-    if key in _COMPILED:
-        return _COMPILED[key]
-    fns = []
-    for poly in table.polys:
-        fns.append(_compile_poly(poly))
-    _COMPILED[key] = fns
-    return fns
+    """Each polynomial as a Python function f(xs, ys), compiled once per
+    table.  At integers it returns an int; at ring elements, an element, its
+    integer coefficients reduced mod p."""
+    return table.compiled
 
 
 def _compile_poly(poly: dict):
@@ -595,40 +572,14 @@ def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
 
 
 def _witt_op_table(op: str, x: WittVector, y: WittVector | None) -> WittVector:
-    ring = x.ring
-    n = x.length
-    p = br.ring_char(ring)
     kind = {"add": "sum", "mul": "product", "neg": "negation"}[op]
-    table = structural_polys(p, n - 1, kind)
-    ycoords = y.coords if y is not None else None
-    out = []
-    cache: dict = {}
-    for i in range(n):
-        out.append(_eval_poly_mod_p(table.polys[i], ring, x.coords, ycoords, cache))
-    return WittVector(ring, tuple(out))
+    table = structural_polys(br.ring_char(x.ring), x.length - 1, kind)
+    ys = y.coords if y is not None else None
+    return WittVector(x.ring, tuple(f(x.coords, ys) for f in compile_table(table)))
 
 
-def _eval_poly_mod_p(poly: dict, ring: Ring, xs, ys, cache: dict) -> RingElement:
-    p = br.ring_char(ring)
-    acc = br.zero(ring)
-    for key, c in poly.items():
-        cm = c % p
-        if cm == 0:
-            continue
-        term = br.from_int(ring, cm)
-        for v, e in _mono_decode(key):
-            pk = cache.get((v, e))
-            if pk is None:
-                base = xs[v // 2] if v % 2 == 0 else ys[v // 2]
-                pk = br.pow_int(base, e)
-                cache[(v, e)] = pk
-            term = br.mul(term, pk)
-        acc = br.add(acc, term)
-    return acc
-
-
-def witt_add(x, y, route="auto"):
-    return witt_arith("add", x, y, route)
+def witt_add(x, y):
+    return witt_arith("add", x, y)
 
 
 def _mul_single_coord(x: WittVector, y: WittVector) -> WittVector | None:
@@ -656,16 +607,16 @@ def _mul_single_coord(x: WittVector, y: WittVector) -> WittVector | None:
     return None
 
 
-def witt_mul(x, y, route="auto"):
-    return witt_arith("mul", x, y, route)
+def witt_mul(x, y):
+    return witt_arith("mul", x, y)
 
 
-def witt_neg(x, route="auto"):
-    return witt_arith("neg", x, route=route)
+def witt_neg(x):
+    return witt_arith("neg", x)
 
 
-def witt_sub(x, y, route="auto"):
-    return witt_arith("add", x, witt_arith("neg", y, route=route), route)
+def witt_sub(x, y):
+    return witt_arith("add", x, witt_arith("neg", y))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import base_rings as br
 from . import witt_core as wc
@@ -151,22 +152,16 @@ class DigitExpansion:
         return f"DIGITS[{len(self.digits)}]{{{inner}}}"
 
 
-# per-(base, ring) data: Eisenstein coefficients mapped into W_n(A) and the
-# negated inverse unit -(e_0/p)^(-1)
-_CTX: dict = {}
-
-
 def _check_ring(base: RamifiedBase, ring: Ring) -> None:
     F = br.base_field(ring)
     if (F.p, F.e, F.modulus) != (base.field.p, base.field.e, base.field.modulus):
         raise MismatchError("coefficient ring does not extend the base's F_q")
 
 
+@lru_cache(maxsize=64)
 def _ctx(base: RamifiedBase, ring: Ring):
-    key = (base, ring)
-    got = _CTX.get(key)
-    if got is not None:
-        return got
+    """Per-(base, ring) data: the Eisenstein coefficients mapped into W_n(A)
+    and the negated inverse unit -(e_0/p)^(-1)."""
     _check_ring(base, ring)
 
     def map_witt(w):
@@ -177,9 +172,7 @@ def _ctx(base: RamifiedBase, ring: Ring):
     eis = tuple(map_witt(v) for v in base.eis)
     u = wc.divide_by_p_fixed(base.eis[0])
     neg_inv_u = wc.witt_neg(wc.witt_inv_unit(u))
-    ctx = (eis, map_witt(neg_inv_u))
-    _CTX[key] = ctx
-    return ctx
+    return eis, map_witt(neg_inv_u)
 
 
 def rw_zero(base: RamifiedBase, ring: Ring, precision: int | None = None) -> RamifiedWitt:
@@ -546,15 +539,8 @@ class EmbedAlgebra:
             return br.pow_fraction(a, r)
         if r.denominator != 1 or r < 0:
             raise SpecParseError("only variables take fractional or negative powers")
-        out = rw_one(self.base, self.ring, self.precision)
-        n = r.numerator
-        while n:
-            if n & 1:
-                out = rw_mul(out, a)
-            n >>= 1
-            if n:
-                a = rw_mul(a, a)
-        return out
+        return br._power(rw_mul, a, r.numerator,
+                         rw_one(self.base, self.ring, self.precision))
 
 
 def embed_expr(base: RamifiedBase, ring: Ring, text: str,

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittforge import base_rings as br
 from wittforge.errors import (
@@ -110,6 +112,41 @@ class TestFiniteField:
         # the fourth roots of u^4 are u * c with c^4 = 1 in F_1009; c = 1 is
         # the smallest
         assert f.nth_root(f.cpow(f.gen(), 4), 4) == f.gen()
+
+
+M_3_10 = 3 ** 10
+F9_POW = br.make_field(3, 2)
+UQ_POW = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T+1")
+# name -> (mul, draw an element from an rng, one)
+POWER_DOMAINS = {
+    "Z/3^10": (lambda a, b: a * b % M_3_10, lambda rng: rng.randrange(M_3_10), 1),
+    "F_9": (F9_POW.cmul, lambda rng: br.random_coeff(F9_POW, rng), F9_POW.one()),
+    "uq": (br.mul, lambda rng: br.random_element(UQ_POW, rng), br.one(UQ_POW)),
+}
+
+
+class TestPower:
+    @pytest.mark.parametrize("domain", sorted(POWER_DOMAINS))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(n=st.integers(0, 100), seed=st.integers(0, 2 ** 32))
+    def test_is_repeated_multiplication(self, domain, n, seed):
+        mul, draw, one = POWER_DOMAINS[domain]
+        a = draw(random.Random(seed))
+        calls = []
+
+        def counted(x, y):
+            calls.append(None)
+            return mul(x, y)
+
+        got = br._power(counted, a, n, one)
+        if n == 0:
+            assert got is one and not calls
+            return
+        want = a
+        for _ in range(n - 1):
+            want = mul(want, a)
+        assert got == want
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2
 
 
 class TestDescriptorRoundtrip:

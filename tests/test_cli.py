@@ -1,8 +1,12 @@
 """CLI surface: literal codecs, command output, exit codes, determinism."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +414,17 @@ class TestDeterminism:
         second = [run_cli(*cmd) for cmd in self.COMMANDS]
         assert [r[1] for r in first] == [r[1] for r in second]
         assert all(r[0] == 0 for r in first)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_wittforge_matches_main(self):
+        argv = ["ring", "check", "--ring", "ff p=3 e=1"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "wittforge", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        code, out, _ = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 class TestExitCodeMapping:

@@ -122,6 +122,15 @@ class TestPthRootSolver:
             r = fl.uq_pth_root(U, x)
             assert r is not None and br.pow_int(r, 3) == x
 
+    def test_solver_memo_is_bounded(self):
+        bound = fl._solver.cache_info().maxsize
+        for idx in range(bound + 1):  # distinct monic quartic moduli over F_3
+            a, b, c, d = br._digits(idx, 3, 4)
+            U = br.make_ring("uq base=(ff p=3 e=1) var=T "
+                             f"modulus=T^4+{a}*T^3+{b}*T^2+{c}*T+{d}")
+            assert fl.uq_pth_root(U, br.one(U)) == br.one(U)
+        assert fl._solver.cache_info().currsize == bound
+
 
 class TestSemiperfectTower:
     @pytest.mark.parametrize("p", [2, 3, 5])

@@ -81,6 +81,13 @@ class TestStructuralTables:
             wc.structural_polys(257, 2, "negation")
         assert len(wc.structural_polys(251, 2, "negation").polys) == 3
 
+    def test_memo_is_bounded(self):
+        bound = wc.structural_polys.cache_info().maxsize
+        primes = [p for p in range(2, 1000) if br._is_prime(p)][:bound + 1]
+        for p in primes:
+            wc.structural_polys(p, 0, "negation")
+        assert wc.structural_polys.cache_info().currsize == bound
+
     def test_term_count_bound_refuses_packing_overflow(self):
         # about p^level steps of counting; refused before the first one
         with pytest.raises(LevelTooLarge, match="16-bit"):

@@ -170,6 +170,15 @@ class TestArithmetic:
         with pytest.raises(NotAUnit):
             rw.rw_inv(rw.rw_pi(B_SQ3, F3))
 
+    def test_context_memo_is_bounded(self):
+        bound = rw._ctx.cache_info().maxsize
+        for idx in range(bound + 1):  # one base, distinct uq rings over F_3
+            a, b, c, d = br._digits(idx, 3, 4)
+            ring = br.make_ring("uq base=(ff p=3 e=1) var=T "
+                                f"modulus=T^4+{a}*T^3+{b}*T^2+{c}*T+{d}")
+            rw._ctx(B_SQ3E, ring)
+        assert rw._ctx.cache_info().currsize == bound
+
 
 class TestResidueAndDivision:
     def test_reduce_is_a_homomorphism(self):
