@@ -16,7 +16,9 @@ one product on sparse term dicts {exponent key: coefficient}:
   integer numerators of the exponents over B; rational exponents exist only
   where they enter a ring (``_frac_term``) and where they are printed.
 * ``UnivariateQuotient`` -- F_q[T]/(g) for a monic g; a product accumulates
-  sparsely and is reduced by g once, from the top degree down.
+  sparsely and is reduced by g once, from the top degree down.  F_q[T]
+  itself is the one-variable ``FracLaurentRing`` ``_poly_ring(F, var)``;
+  ``_as_poly`` and ``_uq_elt`` carry elements out of and into F_q[T]/(g).
 
 The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p`` and each
 kind's ``_kmul`` and ``_kpow``) take the coefficient ring as an argument,
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import product
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -288,26 +289,19 @@ def _multiplicative_generator(F: FiniteFieldSpec) -> FieldCoeff:
 
 
 def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    """Brute-force irreducibility over F_p by trial division; desk scale only."""
-    deg = len(coeffs) - 1
-    if deg < 1:
+    """Ben-Or's test for a monic g over F_p, given low-to-high: g has no
+    factor of degree i <= deg g / 2, i.e. gcd(T^(p^i) - T, g) = 1."""
+    if len(coeffs) < 2:
         return False
-    for d in range(1, deg // 2 + 1):
-        for low in product(range(p), repeat=d):
-            if _fp_poly_divides(p, [*low, 1], list(coeffs)):  # monic divisors
-                return False
+    Fp = FiniteFieldSpec(p, 1, (0, 1))
+    g = _poly_elt(Fp, "T", [(c,) for c in coeffs])
+    t = variable(UnivariateQuotient(Fp, "T", tuple((c,) for c in coeffs)), "T")
+    x = t
+    for _ in range((len(coeffs) - 1) // 2):
+        x = pow_int(x, p)
+        if _fq_gcd(_as_poly(sub(x, t)), g) != one(g.ring):
+            return False
     return True
-
-
-def _fp_poly_divides(p: int, div: list[int], num: list[int]) -> bool:
-    num = num[:]
-    dd = len(div) - 1
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] % p
-        if c:
-            for j in range(dd + 1):
-                num[k - dd + j] = (num[k - dd + j] - c * div[j]) % p
-    return all(c % p == 0 for c in num)
 
 
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -588,10 +582,16 @@ def _exponents(ring: FracLaurentRing, key) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, b) for n in key)
 
 
-def _uq_elt(ring: UnivariateQuotient, poly) -> RingElement:
-    """The class in F_q[T]/(g) of a polynomial given low-to-high."""
-    d = {k: c for k, c in enumerate(poly) if any(c)}
-    return _mk(ring, ring._reduce(ring.base, d))
+def _uq_elt(ring: UnivariateQuotient, f: RingElement) -> RingElement:
+    """The class in F_q[T]/(g) of f in F_q[T]: the one way into a uq ring."""
+    return _mk(ring, ring._reduce(ring.base, {k: c for (k,), c in f.terms}))
+
+
+def _as_poly(x: RingElement) -> RingElement:
+    """The representative of x in F_q[T]/(g) as an element of F_q[T]."""
+    ring = x.ring
+    return RingElement(_poly_ring(ring.base, ring.var),
+                       tuple(((k,), c) for k, c in x.terms))
 
 
 def zero(ring: Ring) -> RingElement:
@@ -625,7 +625,7 @@ def variable(ring: Ring, name: str) -> RingElement:
     if isinstance(ring, FracLaurentRing) and name in ring.variables:
         return _frac_term(ring, [int(v == name) for v in ring.variables], F.one())
     if isinstance(ring, UnivariateQuotient) and name == ring.var:
-        return _uq_elt(ring, [F.zero(), F.one()])
+        return _uq_elt(ring, variable(_poly_ring(F, name), name))
     if name == F.gen_name and F.e > 1:
         return from_coeff(ring, F.gen())
     raise SpecParseError(f"unknown symbol {name!r} in this ring")
@@ -684,7 +684,7 @@ def invert(x: RingElement) -> RingElement:
             raise NotAUnit("non-constant monomial in a non-Laurent ring")
         return _term(ring, tuple(-n for n in key), F.cinv(c))
     # UnivariateQuotient: extended gcd of the representative with the modulus
-    r = _fq_poly_invmod(F, _uq_poly(x), list(ring.modulus))
+    r = _fq_poly_invmod(_as_poly(x), _poly_elt(F, ring.var, ring.modulus))
     if r is None:
         raise NotAUnit("representative shares a factor with the modulus")
     return _uq_elt(ring, r)
@@ -764,150 +764,109 @@ def _frob_once(x: RingElement, step: int) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_q (coefficient lists, low-to-high, normalized)
+# polynomial helpers over F_q: elements of F_q[T] = _poly_ring(F, var)
 
 
-def _uq_poly(x: RingElement) -> list[FieldCoeff]:
-    F = base_field(x.ring)
-    deg = max((k for k, _ in x.terms), default=-1)
-    out = [F.zero()] * (deg + 1)
-    for k, c in x.terms:
-        out[k] = c
-    return out
+def _fq_divmod(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement]:
+    """(q, r) with a = q*b + r and deg r < deg b, by long division."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring, F = b.ring, b.ring.base
+    ((db,), lead), *tail = b.terms
+    inv_lead = F.cinv(lead)
+    r = {k: c for (k,), c in a.terms}
+    q = {}
+    for k in range(max(r, default=-1), db - 1, -1):
+        c = r.pop(k, None)
+        if c is None or not any(c):
+            continue
+        c = q[(k - db,)] = F.cmul(c, inv_lead)
+        for (j,), bj in tail:
+            r[k - db + j] = F.csub(r.get(k - db + j, F.zero()), F.cmul(c, bj))
+    return _mk(ring, q), _mk(ring, {(k,): c for k, c in r.items() if any(c)})
 
 
-def _fq_norm(F: FiniteFieldSpec, a: list[FieldCoeff]) -> list[FieldCoeff]:
-    while a and a[-1] == F.zero():
-        a.pop()
-    return a
-
-
-def _fq_deg(a: list[FieldCoeff]) -> int:
-    return len(a) - 1
-
-
-def _fq_add(F, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero()
-        y = b[i] if i < len(b) else F.zero()
-        out.append(F.cadd(x, y))
-    return _fq_norm(F, out)
-
-
-def _fq_mul(F, a, b):
-    if not a or not b:
-        return []
-    out = [F.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != F.zero():
-            for j, y in enumerate(b):
-                if y != F.zero():
-                    out[i + j] = F.cadd(out[i + j], F.cmul(x, y))
-    return _fq_norm(F, out)
-
-
-def _fq_scale(F, a, c):
-    return _fq_norm(F, [F.cmul(x, c) for x in a])
-
-
-def _fq_divmod(F, a, b):
-    a = a[:]
-    if not b:
-        raise ZeroDivisionError
-    inv_lead = F.cinv(b[-1])
-    q = [F.zero()] * max(0, len(a) - len(b) + 1)
-    while _fq_deg(a) >= _fq_deg(b) and a:
-        k = _fq_deg(a) - _fq_deg(b)
-        c = F.cmul(a[-1], inv_lead)
-        q[k] = F.cadd(q[k], c)
-        for j in range(len(b)):
-            a[k + j] = F.csub(a[k + j], F.cmul(c, b[j]))
-        a = _fq_norm(F, a)
-    return _fq_norm(F, q), a
-
-
-def _fq_monic(F, a):
-    if not a:
+def _fq_monic(a: RingElement) -> RingElement:
+    if a.is_zero():
         return a
-    return _fq_scale(F, a, F.cinv(a[-1]))
+    F = a.ring.base
+    return mul(a, from_coeff(a.ring, F.cinv(a.terms[0][1])))
 
 
-def _fq_gcd(F, a, b):
-    a, b = a[:], b[:]
-    while b:
-        _, r = _fq_divmod(F, a, b)
-        a, b = b, r
-    return _fq_monic(F, a)
+def _fq_gcd(a: RingElement, b: RingElement) -> RingElement:
+    """The monic gcd (zero for a = b = 0)."""
+    while not b.is_zero():
+        a, b = b, _fq_divmod(a, b)[1]
+    return _fq_monic(a)
 
 
-def _fq_deriv(F, a):
-    return _fq_norm(F, [F.cscale(a[i], i) for i in range(1, len(a))])
+def _fq_deriv(a: RingElement) -> RingElement:
+    F = a.ring.base
+    return _mk(a.ring, _nonzero({(k - 1,): F.cscale(c, k) for (k,), c in a.terms if k}))
 
 
-def _fq_pth_root(F, a):
-    """Root of a polynomial that is a p-th power (all exponents divisible by p)."""
-    p = F.p
-    out = []
-    for i in range(0, len(a), p):
-        out.append(F.cfrob(a[i], -1))
-    for i, c in enumerate(a):
-        if i % p != 0 and c != F.zero():
-            raise NoRoot("polynomial is not a p-th power")
-    return _fq_norm(F, out)
+def _fq_poly_invmod(a: RingElement, m: RingElement) -> RingElement | None:
+    """Inverse of a modulo m via extended Euclid, or None."""
+    r0, r1 = m, a
+    s0, s1 = zero(a.ring), one(a.ring)
+    while not r1.is_zero():
+        q, r = _fq_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1))
+    if r0.terms[0][0] != (0,):
+        return None
+    return mul(s0, invert(r0))  # r0 = a*s0 mod m is a nonzero constant
 
 
-def _fq_pow(F, a, n):
-    return _power(lambda x, y: _fq_mul(F, x, y), a, n, [F.one()])
-
-
-def fq_radical(F: FiniteFieldSpec, g: list[FieldCoeff]) -> list[FieldCoeff]:
-    """Squarefree radical of a monic g, char-p aware (handles g' = 0)."""
-    if _fq_deg(g) <= 0:
-        return [F.one()]
-    gp = _fq_deriv(F, g)
-    if not gp:
-        return fq_radical(F, _fq_pth_root(F, g))
-    d = _fq_gcd(F, g, gp)
-    if _fq_deg(d) == 0:
-        return _fq_monic(F, g)
-    w, r = _fq_divmod(F, g, d)
-    assert not r
+def fq_radical(g: RingElement) -> RingElement:
+    """Squarefree radical of a monic g in F_q[T], char-p aware (handles g' = 0)."""
+    unit = one(g.ring)
+    if g.terms[0][0] == (0,):
+        return unit
+    gp = _fq_deriv(g)
+    if gp.is_zero():
+        # every exponent of g is divisible by p: g is a p-th power
+        return fq_radical(frobenius(g, -1))
+    d = _fq_gcd(g, gp)
+    if d == unit:
+        return _fq_monic(g)
+    w, r = _fq_divmod(g, d)
+    assert r.is_zero()
     y = d
     while True:
-        cg = _fq_gcd(F, y, w)
-        if _fq_deg(cg) == 0:
+        cg = _fq_gcd(y, w)
+        if cg == unit:
             break
-        y, r = _fq_divmod(F, y, cg)
-        assert not r
+        y, r = _fq_divmod(y, cg)
+        assert r.is_zero()
     # y = product of factors whose multiplicity is divisible by p
-    if _fq_deg(y) == 0:
-        return _fq_monic(F, w)
-    return _fq_monic(F, _fq_mul(F, w, fq_radical(F, y)))
+    if y == unit:
+        return _fq_monic(w)
+    return _fq_monic(mul(w, fq_radical(y)))
 
 
-def fq_multiplicity_layers(F: FiniteFieldSpec, g: list[FieldCoeff]) -> list[tuple[int, list[FieldCoeff]]]:
-    """[(k, A_k)] with g = prod A_k^k, A_k squarefree and pairwise coprime."""
-    g = _fq_monic(F, g)
-    rad = fq_radical(F, g)
+def fq_multiplicity_layers(g: RingElement) -> list[tuple[int, RingElement]]:
+    """[(k, A_k)] with g = prod A_k^k in F_q[T], A_k squarefree and pairwise
+    coprime; every A_k is monic and not constant."""
+    g = _fq_monic(g)
+    rad = fq_radical(g)
+    unit = one(g.ring)
     layers = []
-    prev = [F.one()]
+    prev = acc = unit
     k = 0
-    acc = [F.one()]
-    while _fq_deg(acc) < _fq_deg(g):
+    while acc != g:
         k += 1
-        acc = _fq_gcd(F, g, _fq_pow(F, rad, k))
-        step, r = _fq_divmod(F, acc, prev)
-        assert not r
+        acc = _fq_gcd(g, pow_int(rad, k))
+        step, r = _fq_divmod(acc, prev)
+        assert r.is_zero()
         layers.append((k, step))  # step = prod of factors with multiplicity >= k
         prev = acc
     out = []
     for i, (k, step) in enumerate(layers):
-        nxt = layers[i + 1][1] if i + 1 < len(layers) else [F.one()]
-        exact, r = _fq_divmod(F, step, nxt)
-        assert not r
-        if _fq_deg(exact) > 0:
+        nxt = layers[i + 1][1] if i + 1 < len(layers) else unit
+        exact, r = _fq_divmod(step, nxt)
+        assert r.is_zero()
+        if exact != unit:
             out.append((k, exact))
     return out
 
@@ -929,10 +888,9 @@ def is_reduced_univariate(ring: UnivariateQuotient) -> ReducednessReport:
     The witness is the class of the radical of g, which is nonzero of degree
     < deg g and satisfies witness^(deg g) = 0.
     """
-    F = ring.base
-    g = list(ring.modulus)
-    rad = fq_radical(F, g)
-    if _fq_deg(rad) == _fq_deg(g):
+    g = _poly_elt(ring.base, ring.var, ring.modulus)
+    rad = fq_radical(g)
+    if rad == g:
         return ReducednessReport(True, None, None)
     w = _uq_elt(ring, rad)
     # smallest k with witness^k = 0, bounded by deg g
@@ -1160,7 +1118,8 @@ def _parse_base_field(ts: _Tokens, kind: str) -> FiniteFieldSpec:
 
 
 def _poly_ring(F: FiniteFieldSpec, var: str) -> FracLaurentRing:
-    """F[var], where ff and uq moduli are read and printed unreduced."""
+    """F[var], the kernel's one-variable polynomial ring: ff and uq moduli
+    are read and printed here, and the F_q[T] helpers work on its elements."""
     return FracLaurentRing(F, (var,), 0, 0, False)
 
 
@@ -1425,20 +1384,6 @@ def canonical_descriptor(ring: Ring) -> str:
         return s
     return (f"uq base=({canonical_descriptor(ring.base)}) var={ring.var} "
             f"modulus={format_element(_poly_elt(ring.base, ring.var, ring.modulus))}")
-
-
-def _fq_poly_invmod(F, a, mod):
-    """Inverse of a modulo mod via extended Euclid, or None."""
-    r0, r1 = mod[:], a[:]
-    s0, s1 = [], [F.one()]
-    while r1:
-        q, r = _fq_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fq_add(F, s0, _fq_scale(F, _fq_mul(F, q, s1), F.from_int(-1)))
-    if _fq_deg(r0) != 0:
-        return None
-    c = F.cinv(r0[0])
-    return _fq_scale(F, s0, c)
 
 
 # random elements for property tests ----------------------------------------

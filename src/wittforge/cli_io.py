@@ -186,7 +186,9 @@ class _PolyXAlgebra:
         z = rw.rw_zero(self.base, self.ring)
         out = [z] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
-            if rw.rw_is_zero(u):
+            # skip exact zeros only: a coefficient that is zero to its
+            # precision still carries guard coordinates into the products
+            if all(wc.witt_ord(r) is None for r in u.coords):
                 continue
             for j, v in enumerate(b):
                 out[i + j] = rw.rw_add(out[i + j], rw.rw_mul(u, v))
@@ -232,8 +234,8 @@ class _SuiteConfig:
 
 
 def _ghost_route(op: str, xs, ys, p: int):
-    gx = wc.ghost(xs, p).components
-    gy = wc.ghost(ys, p).components
+    gx = wc.ghost(xs, p)
+    gy = wc.ghost(ys, p)
     gz = tuple(a + b if op == "add" else a * b for a, b in zip(gx, gy))
     return wc.from_ghost(gz, p)
 
@@ -615,7 +617,8 @@ def _check_monomial_certificates(cfg):
             rep = br.is_reduced_univariate(uq)
             found = None
             for vec in iproduct(range(qq), repeat=deg):
-                h = br._uq_elt(uq, [br._digits(cv, fp, ee) for cv in vec])
+                h = br._uq_elt(uq, br._poly_elt(uq.base, "T", [
+                    br._digits(cv, fp, ee) for cv in vec]))
                 if h.is_zero():
                     continue
                 if br.pow_int(h, deg).is_zero():

@@ -50,8 +50,8 @@ def _vec(ring: UnivariateQuotient, x: RingElement) -> list[int]:
 
 def _elt_from_vec(ring: UnivariateQuotient, vec) -> RingElement:
     p, e = ring.base.p, ring.base.e
-    return br._uq_elt(ring, [tuple(v % p for v in vec[i * e:(i + 1) * e])
-                             for i in range(ring.degree)])
+    return br._mk(ring, br._nonzero({i: tuple(v % p for v in vec[i * e:(i + 1) * e])
+                                     for i in range(ring.degree)}))
 
 
 def _modulus_is_power_of_var(ring: UnivariateQuotient) -> bool:
@@ -151,13 +151,13 @@ def frobenius_kernel_generator(ring: UnivariateQuotient) -> RingElement | None:
     With modulus g = prod A_k^k the kernel is the principal ideal generated
     by prod A_k^ceil(k/p): exact, no search needed.
     """
-    F = ring.base
-    g = list(ring.modulus)
-    gen = [F.one()]
-    for k, layer in br.fq_multiplicity_layers(F, g):
-        need = -(-k // F.p)  # ceil(k/p)
-        gen = br._fq_mul(F, gen, br._fq_pow(F, layer, need))
-    if br._fq_deg(gen) >= br._fq_deg(g):
+    g = br._poly_elt(ring.base, ring.var, ring.modulus)
+    gen = br.one(g.ring)
+    for k, layer in br.fq_multiplicity_layers(g):
+        need = -(-k // ring.base.p)  # ceil(k/p)
+        gen = br.mul(gen, br.pow_int(layer, need))
+    # gen divides g, so it is g exactly when every multiplicity is 1
+    if gen == g:
         return None
     return br._uq_elt(ring, gen)
 
@@ -299,22 +299,18 @@ def _kernel_generated_by(ring: UnivariateQuotient, gen: RingElement,
                          samples: int, seed: int) -> bool:
     """Every kernel element discovered by search is a multiple of gen."""
     F = ring.base
-    gpoly = br._uq_poly(gen)
+    gpoly = br._as_poly(gen)
     rng = random.Random(seed + 1)
     found = []
     for i in range(ring.degree):
-        h = br._uq_elt(ring, [F.zero()] * i + [F.one()])
-        if not h.is_zero() and br.pow_int(h, F.p).is_zero():
+        h = br._term(ring, i, F.one())
+        if br.pow_int(h, F.p).is_zero():
             found.append(h)
     for _ in range(samples):
         h = br.random_element(ring, rng, max_terms=3, exp_bound=ring.degree - 1)
         if not h.is_zero() and br.pow_int(h, F.p).is_zero():
             found.append(h)
-    for h in found:
-        _, r = br._fq_divmod(F, br._uq_poly(h), gpoly)
-        if r:
-            return False
-    return True
+    return all(br._fq_divmod(br._as_poly(h), gpoly)[1].is_zero() for h in found)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +356,11 @@ def _reduced_stage_ring(p: int, depth: int) -> UnivariateQuotient:
     return br.make_ring(f"uq base=(ff p={p} e=1) var=u modulus=u^{max(1, p ** depth)}")
 
 
-def _stage_lift(src: UnivariateQuotient, dst: UnivariateQuotient,
-                x: RingElement, dilate: int = 1) -> RingElement:
-    poly = br._uq_poly(x)
-    out = [dst.base.zero()] * (dilate * max(1, len(poly)))
-    for k, c in enumerate(poly):
-        out[k * dilate] = c
-    return br._uq_elt(dst, out)
+def _stage_lift(dst: UnivariateQuotient, x: RingElement,
+                dilate: int = 1) -> RingElement:
+    """x(u^dilate) in dst, for x in a lower tower stage; dilate <= p keeps
+    every exponent below the degree of dst, so nothing is reduced."""
+    return br._mk(dst, {k * dilate: c for k, c in x.terms})
 
 
 def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
@@ -393,8 +387,8 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     for _ in range(samples):
         h = br.random_element(ring, rng, max_terms=3, exp_bound=ring.degree - 1)
         in_kernel = br.pow_int(h, p).is_zero()
-        _, r = br._fq_divmod(ring.base, br._uq_poly(h), br._uq_poly(pi))
-        agree = agree and (in_kernel == (not r))
+        _, r = br._fq_divmod(br._as_poly(h), br._as_poly(pi))
+        agree = agree and in_kernel == r.is_zero()
     items.append(("kernel-principal", ok and agree,
                   f"generator {br.format_element(gen)} vs pi, sample h^p=0 <=> pi|h"))
 
@@ -403,9 +397,9 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     phi = {}
     distinct = set()
     inj = True
-    for i in range(stage.degree if depth > 1 else 1):
-        b = br._uq_elt(stage, [stage.base.zero()] * i + [stage.base.one()])
-        img = br.pow_int(_stage_lift(stage, ring, b), p)
+    for i in range(stage.degree):
+        b = br._term(stage, i, stage.base.one())
+        img = br.pow_int(_stage_lift(ring, b), p)
         phi[i] = img
         inj = inj and not img.is_zero()
         distinct.add(tuple(img.terms))
@@ -415,11 +409,11 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     for _ in range(samples):
         d1 = br.random_element(stage, rng, max_terms=3)
         d2 = br.random_element(stage, rng, max_terms=3)
-        f = lambda d: br.pow_int(_stage_lift(stage, ring, d), p)
+        f = lambda d: br.pow_int(_stage_lift(ring, d), p)
         hom = hom and f(d1 + d2) == f(d1) + f(d2) and f(d1 * d2) == f(d1) * f(d2)
         # phi(x mod pi) = x^p for x in the big model: onto the image
         x = br.random_element(ring, rng, max_terms=3, exp_bound=ring.degree - 1)
-        xmod = _truncate_mod_pi(stage, ring, x, depth)
+        xmod = _truncate_mod_pi(stage, x)
         onto = onto and f(xmod) == br.pow_int(x, p)
     items.append(("residue-iso", inj and hom and onto,
                   "basis images distinct, homomorphism, phi(x mod pi) = x^p"))
@@ -431,7 +425,7 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     for _ in range(samples):
         d1 = br.random_element(prev, rng, max_terms=3)
         d2 = br.random_element(prev, rng, max_terms=3)
-        psi = lambda d: _stage_lift(prev, ring, d, dilate=p)
+        psi = lambda d: _stage_lift(ring, d, dilate=p)
         hom_ok = hom_ok and psi(d1 * d2) == psi(d1) * psi(d2) \
             and psi(d1 + d2) == psi(d1) + psi(d2)
         img = psi(d1)
@@ -444,11 +438,9 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     return TowerReport(p, depth, tuple(items))
 
 
-def _truncate_mod_pi(stage: UnivariateQuotient, ring: UnivariateQuotient,
-                     x: RingElement, depth: int) -> RingElement:
-    cut = ring.base.p ** (depth - 1)
-    poly = br._uq_poly(x)[:cut]
-    return br._uq_elt(stage, poly if depth > 1 else poly[:1])
+def _truncate_mod_pi(stage: UnivariateQuotient, x: RingElement) -> RingElement:
+    """x mod pi read in the stage ring F_p[u]/(u^D), where pi = u^D."""
+    return br._mk(stage, {k: c for k, c in x.terms if k < stage.degree})
 
 
 # ---------------------------------------------------------------------------

@@ -386,13 +386,7 @@ def _compile_poly(poly: dict):
 # ghost oracle over Z
 
 
-@dataclass(frozen=True)
-class GhostVector:
-    p: int
-    components: tuple[int, ...]
-
-
-def ghost(coords, p: int) -> GhostVector:
+def ghost(coords, p: int) -> tuple[int, ...]:
     """Ghost components w_i = sum_j p^j a_j^(p^(i-j)) of integer coordinates."""
     coords = tuple(int(a) for a in coords)
     n = len(coords)
@@ -403,17 +397,12 @@ def ghost(coords, p: int) -> GhostVector:
             pw[j] = pw[j] ** p
         pw.append(coords[i])
         comps.append(sum((p ** j) * pw[j] for j in range(i + 1)))
-    return GhostVector(p, tuple(comps))
+    return tuple(comps)
 
 
-def from_ghost(g: GhostVector | tuple, p: int | None = None) -> tuple[int, ...]:
+def from_ghost(comps, p: int) -> tuple[int, ...]:
     """Invert the ghost map over Z; NotInGhostImage if the triangle is inexact."""
-    if isinstance(g, GhostVector):
-        comps, p = g.components, g.p
-    else:
-        if p is None:
-            raise SpecParseError("from_ghost needs p when given a bare tuple")
-        comps = tuple(int(v) for v in g)
+    comps = tuple(int(v) for v in comps)
     coords: list[int] = []
     pw: list[int] = []
     for i in range(len(comps)):
@@ -687,21 +676,8 @@ def divide_by_p_fixed(x: WittVector) -> WittVector:
 
 def int_to_witt(m: int, ring: Ring, n: int) -> WittVector:
     """The image of the integer m in W_n(A), via its exact Z-Witt coordinates."""
-    coords = from_ghost(GhostVector(br.ring_char(ring), (m,) * n))
+    coords = from_ghost((m,) * n, br.ring_char(ring))
     return WittVector(ring, tuple(br.from_int(ring, c) for c in coords))
-
-
-def witt_scalar(a: RingElement, x: WittVector) -> WittVector:
-    """[a] * x by the closed form ([a]x)_i = a^(p^i) x_i."""
-    if a.ring != x.ring:
-        raise MismatchError("scalar from a different ring")
-    out = []
-    pw = a
-    for i, c in enumerate(x.coords):
-        if i > 0:
-            pw = br.frobenius(pw, 1)
-        out.append(br.mul(pw, c))
-    return WittVector(x.ring, tuple(out))
 
 
 def witt_inv_unit(x: WittVector) -> WittVector:

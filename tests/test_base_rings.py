@@ -286,14 +286,15 @@ class TestKernel:
     @pytest.mark.parametrize("desc", UQ)
     def test_uq_mul_is_polynomial_product_mod_g(self, desc):
         # 40 random pairs per ring (seed 17), up to 6 terms each
+        # the product in F_q[T] and the long division do not use _reduce
         ring = br.make_ring(desc)
-        F, g = ring.base, list(ring.modulus)
+        g = br._poly_elt(ring.base, ring.var, ring.modulus)
         rng = random.Random(17)
         for _ in range(40):
             x = br.random_element(ring, rng, max_terms=6)
             y = br.random_element(ring, rng, max_terms=6)
-            _, r = br._fq_divmod(F, br._fq_mul(F, br._uq_poly(x), br._uq_poly(y)), g)
-            assert br._uq_poly(x * y) == r
+            _, r = br._fq_divmod(br._as_poly(x) * br._as_poly(y), g)
+            assert br._as_poly(x * y) == r
 
     LAWS = [
         ("ff p=3 e=2", {}),
@@ -374,32 +375,25 @@ class TestFrobenius:
             assert br.frobenius(a * b, 1) == br.frobenius(a, 1) * br.frobenius(b, 1)
 
 
+def fq_t(p, text):
+    """An element of F_p[T]."""
+    return br.evaluate(br._poly_ring(F(p), "T"), text)
+
+
 class TestRadicalMachinery:
     def test_radical_strips_multiplicity(self):
-        f3 = F(3)
         # g = T^2 (T+1)^3 ; radical = T(T+1)
-        t2 = [(0,), (0,), (1,)]
-        tp1 = [(1,), (1,)]
-        g = br._fq_mul(f3, t2, br._fq_pow(f3, tp1, 3))
-        rad = br.fq_radical(f3, g)
-        assert rad == br._fq_monic(f3, br._fq_mul(f3, [(0,), (1,)], tp1))
+        rad = br.fq_radical(fq_t(3, "T^2*(T+1)^3"))
+        assert rad == fq_t(3, "T*(T+1)")
 
     def test_radical_of_pth_power(self):
-        f2 = F(2)
         # g = T^8 over F_2: derivative vanishes identically
-        g = [(0,)] * 8 + [(1,)]
-        assert br.fq_radical(f2, g) == [(0,), (1,)]
+        assert br.fq_radical(fq_t(2, "T^8")) == fq_t(2, "T")
 
     def test_multiplicity_layers(self):
-        f3 = F(3)
-        t = [(0,), (1,)]
-        tp1 = [(1,), (1,)]
-        tp2 = [(2,), (1,)]
-        g = br._fq_mul(f3, br._fq_mul(f3, t, br._fq_pow(f3, tp1, 3)),
-                       br._fq_pow(f3, tp2, 3))
-        layers = dict(br.fq_multiplicity_layers(f3, g))
-        assert layers[1] == t
-        assert layers[3] == br._fq_monic(f3, br._fq_mul(f3, tp1, tp2))
+        layers = dict(br.fq_multiplicity_layers(fq_t(3, "T*(T+1)^3*(T+2)^3")))
+        assert layers[1] == fq_t(3, "T")
+        assert layers[3] == fq_t(3, "(T+1)*(T+2)")
         assert set(layers) == {1, 3}
 
     def test_reduced_report_squarefree(self):
@@ -422,6 +416,52 @@ class TestRadicalMachinery:
         assert not rep.reduced
         assert rep.witness == br.evaluate(ring, "T+1")
         assert rep.nilpotency == 2
+
+
+def mobius(n):
+    """The Moebius function by trial division."""
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+class TestPolynomialsOverFq:
+    """F_q[T] helpers against oracles that share no code with them."""
+
+    @pytest.mark.parametrize("p,n", [(2, n) for n in range(1, 9)]
+                             + [(3, n) for n in range(1, 6)]
+                             + [(5, n) for n in range(1, 4)])
+    def test_irreducible_count_is_gauss_formula(self, p, n):
+        # (1/n) * sum over d | n of mu(d) p^(n/d) monic irreducibles of degree n
+        want = sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        got = 0
+        for idx in range(p ** n):
+            low = tuple(idx // p ** i % p for i in range(n))
+            got += br._poly_is_irreducible(p, low + (1,))
+        assert got == want
+
+    # 60 derandomized examples per field
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(a=st.lists(st.integers(0, 8), max_size=9),
+           b=st.lists(st.integers(0, 8), max_size=5), lead=st.integers(0, 7))
+    def test_divmod_is_division_with_remainder(self, p, e, a, b, lead):
+        f = F(p, e)
+        q = f.p ** f.e
+
+        def poly(coeffs):
+            return br._poly_elt(f, "T", [br._digits(c % q, p, e) for c in coeffs])
+
+        num, den = poly(a), poly(b + [lead % (q - 1) + 1])
+        quo, rem = br._fq_divmod(num, den)
+        assert quo * den + rem == num
+        assert rem.is_zero() or rem.terms[0][0] < den.terms[0][0]
 
 
 class TestIntersectionWitness:

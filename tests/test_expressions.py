@@ -40,6 +40,10 @@ RINGS = {
     'T9': 'uq base=(ff p=3 e=2) var=T modulus=T^2+2*T+2',
     'T2': 'uq base=(ff p=3 e=1) var=T modulus=T^2',
     'U8': 'uq base=(ff p=2 e=1) var=u modulus=u^8',
+    'T5': 'uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1',
+    'T43': 'uq base=(ff p=2 e=2) var=T modulus=T^3+u*T+1',
+    'T33': 'uq base=(ff p=3 e=1) var=T modulus=T^3-T',
+    'T27': 'uq base=(ff p=3 e=3) var=T modulus=T^27+T^2+2',
     'F2': 'ff p=2 e=1',
     'X2': 'frac base=(ff p=2 e=1) vars=x depth_p=2 depth_2=1 laurent=true',
 }
@@ -115,6 +119,26 @@ MAKE_RING = [
     ('uq base=(ff p=3 e=1) var=T modulus=T^(1/2)', '!LatticeError'),
     ('uq base=(ff p=3 e=1) var=T modulus=T^600', 'uq base=(ff p=3 e=1) var=T modulus=T^600'),
     ('uq base=(ff p=3 e=1) var=T modulus=T^2+1 = 2', '!SpecParseError'),
+    # the default modulus: the smallest monic irreducible of degree e
+    ('ff p=2 e=3', 'ff p=2 e=3 modulus=u^3+u+1'),
+    ('ff p=2 e=4', 'ff p=2 e=4 modulus=u^4+u+1'),
+    ('ff p=2 e=5', 'ff p=2 e=5 modulus=u^5+u^2+1'),
+    ('ff p=2 e=6', 'ff p=2 e=6 modulus=u^6+u+1'),
+    ('ff p=2 e=7', 'ff p=2 e=7 modulus=u^7+u+1'),
+    ('ff p=2 e=8', 'ff p=2 e=8 modulus=u^8+u^4+u^3+u+1'),
+    ('ff p=2 e=10', 'ff p=2 e=10 modulus=u^10+u^3+1'),
+    ('ff p=2 e=16', 'ff p=2 e=16 modulus=u^16+u^5+u^3+u+1'),
+    ('ff p=2 e=20', 'ff p=2 e=20 modulus=u^20+u^3+1'),
+    ('ff p=3 e=3', 'ff p=3 e=3 modulus=u^3+2*u+1'),
+    ('ff p=3 e=4', 'ff p=3 e=4 modulus=u^4+u+2'),
+    ('ff p=3 e=5', 'ff p=3 e=5 modulus=u^5+2*u+1'),
+    ('ff p=3 e=6', 'ff p=3 e=6 modulus=u^6+u+2'),
+    ('ff p=3 e=8', 'ff p=3 e=8 modulus=u^8+u^2+2'),
+    ('ff p=3 e=12', 'ff p=3 e=12 modulus=u^12+u^2+2'),
+    ('ff p=5 e=3', 'ff p=5 e=3 modulus=u^3+u+1'),
+    ('ff p=5 e=4', 'ff p=5 e=4 modulus=u^4+2'),
+    ('ff p=7 e=2', 'ff p=7 e=2 modulus=u^2+1'),
+    ('ff p=7 e=3', 'ff p=7 e=3 modulus=u^3+2'),
 ]
 
 # (ring, expression) -> canonical element
@@ -206,6 +230,34 @@ EVALUATE = [
     ('T3', 'T^(-1/2)', '!LatticeError'),
     ('X3', 'x^()', '!SpecParseError'),
     ('X3', '()', '!SpecParseError'),
+    # uq inverses; NotAUnit where the representative shares a factor with g
+    ('T3', '(T+1)^(-1)', 'T+2'),
+    ('T3', '(2*T+1)^(-2)', '2*T'),
+    ('T9', 'T^(-1)', 'T+2'),
+    ('T9', '(u*T+1)^(-1)', '(2*u+1)*T+2*u'),
+    ('T2', '(T+1)^(-1)', '2*T+1'),
+    ('T2', '(2*T)^(-1)', '!NotAUnit'),
+    ('T5', '(T^4+T+2)^(-1)', '2*T^3+2*T^2+2'),
+    ('T5', 'T^(-3)', 'T^4+T^3+2*T^2+2*T'),
+    ('T43', '(T^2+u)^(-1)', 'T'),
+    ('T43', '(u*T^2+T+1)^(-1)', 'T^2+T+u'),
+    ('T43', '(T+1)^(-1)', '(u+1)*T^2+(u+1)*T+u'),
+    ('T33', 'T^(-1)', '!NotAUnit'),
+    ('T33', '(T+1)^(-1)', '!NotAUnit'),
+    ('T33', '(T^2+1)^(-1)', 'T^2+1'),
+    ('T33', '(T+2)^(-2)', '!NotAUnit'),
+    ('U8', '(u+1)^(-1)', 'u^7+u^6+u^5+u^4+u^3+u^2+u+1'),
+    ('U8', '(u^3+u+1)^(-1)', 'u^7+u^4+u^2+u+1'),
+    ('U8', 'u^(-1)', '!NotAUnit'),
+    ('U8', '(u^2)^(-1)', '!NotAUnit'),
+    ('T27', '(T^26+T+1)^(-1)',
+     '2*T^26+T^25+2*T^24+T^23+2*T^22+T^21+2*T^20+T^19+2*T^18+T^17+2*T^16+'
+     'T^15+2*T^14+T^13+2*T^12+T^11+2*T^10+T^9+2*T^8+T^7+2*T^6+T^5+2*T^4+T^3+'
+     '2*T^2+1'),
+    ('T27', 'T^(-1)', 'T^26+T'),
+    ('T27', '(T^2+2)^(-1)',
+     '2*T^26+2*T^24+2*T^22+2*T^20+2*T^18+2*T^16+2*T^14+2*T^12+2*T^10+2*T^8+'
+     '2*T^6+2*T^4+2*T^2+2*T+2'),
 ]
 
 # polynomial -> repr of (f, [e_0..e_{f-1}])
@@ -540,6 +592,17 @@ def test_poly_x_spellings(short, explicit):
     b, r = base("b4"), ring("X10")
     assert poly_text(cli.parse_poly_x(b, r, short)) == \
         poly_text(cli.parse_poly_x(b, r, explicit))
+
+
+def test_poly_x_coefficients_do_not_depend_on_association():
+    # 54 and -108 are 2*27 mod 81: zero to precision 6 in pi, not exactly zero
+    b, r = base("b6"), ring("F3")
+    texts = ["(X^2-3)^4", "(X^2-3)*(X^2-3)*(X^2-3)*(X^2-3)", "((X^2-3)*(X^2-3))^2",
+             "(X^2-3)*((X^2-3)*((X^2-3)*(X^2-3)))", "X^8-12*X^6+54*X^4-108*X^2+81"]
+    coeffs = [[cli.format_rw(c) for c in cli.parse_poly_x(b, r, t)] for t in texts]
+    assert all(c == coeffs[0] for c in coeffs)
+    exact = "RW[base=b0, N=6]{ W{0;0;0;2} | W{0;0;0;0} }"
+    assert coeffs[0][2] == coeffs[0][4] == exact
 
 
 @pytest.mark.parametrize("text", ["x^(1/0)", "x^0/0"])

@@ -233,3 +233,439 @@ class TestFontaine:
         x = fl.fontaine_make(self.RING, [1])
         with pytest.raises(DepthExhausted):
             fl.fontaine_shift(x, "fwd")
+
+
+# ---------------------------------------------------------------------------
+# golden report text: the rendered reports must stay byte-identical
+
+MODEL = ("MODEL: mod-p shadow of Z[T]/(T^(p^M) - p); finite stage of a colimit,"
+         " not the colimit itself")
+
+# frob report text for each ring (budget 4, samples 10, seed 0)
+REPORTS = {
+    'uq base=(ff p=2 e=1) var=T modulus=T^2+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^2+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T+1',
+        'WITNESS: injectivity T+1 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T^3+2*T+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^3+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T^5+2*T^2+T+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^5+T+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T^3-T': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^3+T',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2+T',
+        'WITNESS: injectivity T^2+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T^4': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^4',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2',
+        'WITNESS: injectivity T^2 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T^3': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^3',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2',
+        'WITNESS: injectivity T^2 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T^2*(T+1)^3': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^5+T^4+T^3+T^2',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^3+T',
+        'WITNESS: injectivity T^3+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=(T^2+T+1)^2': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^4+T^2+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2+T+1',
+        'WITNESS: injectivity T^2+T+1 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=1) var=T modulus=T*(T+1)^2*(T^2+1)^2': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=1) var=T modulus=T^7+T^5+T^3+T',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^4+T^3+T^2+T',
+        'WITNESS: injectivity T^4+T^3+T^2+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^2+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^2+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^3-T': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^3+2*T',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^9': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^9',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^3',
+        'WITNESS: injectivity T^3 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^4': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^4',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2',
+        'WITNESS: injectivity T^2 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T^2*(T+1)^3': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^5+T^2',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2+T',
+        'WITNESS: injectivity T^2+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=(T^2+T+1)^3': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^6+T^3+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2+T+1',
+        'WITNESS: injectivity T^2+T+1 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=1) var=T modulus=T*(T+1)^3*(T^2+1)^2': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=1) var=T modulus=T^8+2*T^6+T^5+T^4+2*T^3+T',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^4+T^3+T^2+T',
+        'WITNESS: injectivity T^4+T^3+T^2+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^2+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^2+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^3+2*T+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^3+2*T+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^5+2*T^2+T+1': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^5+2*T^2+T+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^4+T^3+T^2+3*T+4',
+        'WITNESS: injectivity T^4+T^3+T^2+3*T+4 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^3-T': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^3+4*T',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: unbounded-within-budget',
+        'SURJECTIVE_UP_TO: unbounded-within-budget',
+        'KERNEL_GENERATORS: none',
+        'NOTE: squarefree modulus: Frobenius kernel is trivial',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^25': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^25',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^5',
+        'WITNESS: injectivity T^5 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^6': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^6',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2',
+        'WITNESS: injectivity T^2 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T^2*(T+1)^3': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^5+3*T^4+3*T^3+T^2',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2+T',
+        'WITNESS: injectivity T^2+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=(T^2+T+1)^5': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^10+T^5+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^2+T+1',
+        'WITNESS: injectivity T^2+T+1 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=5 e=1) var=T modulus=T*(T+1)^5*(T^2+1)^2': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=5 e=1) var=T modulus=T^10+2*T^8+T^6+T^5+2*T^3+T',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^4+T^3+T^2+T',
+        'WITNESS: injectivity T^4+T^3+T^2+T (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=2 e=2) var=T modulus=(T+u)^2*(T^2+T+u)': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=2 e=2 modulus=u^2+u+1) var=T modulus=T^4+T^3+T^2+(u+1)*T+1',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^3+(u+1)*T^2+u+1',
+        'WITNESS: injectivity T^3+(u+1)*T^2+u+1 (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+    'uq base=(ff p=3 e=2) var=T modulus=(T+u)^3*(T^2+1)': (
+        'KIND: perfection',
+        'RING: uq base=(ff p=3 e=2 modulus=u^2+1) var=T modulus=T^5+T^3+2*u*T^2+2*u',
+        'BUDGET: 4',
+        'INJECTIVE_UP_TO: 0',
+        'SURJECTIVE_UP_TO: 0',
+        'KERNEL_GENERATORS: T^3+u*T^2+T+u',
+        'WITNESS: injectivity T^3+u*T^2+T+u (kernel generator, p-th power vanishes)',
+        'WITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))',
+        'VERDICT: PASS',
+    ),
+}
+
+# frob tower text for each (p, depth) (samples 8, seed 0)
+TOWERS = {
+    (2, 1): (
+        'KIND: semiperfect-tower',
+        'P: 2',
+        'DEPTH: 1',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (2, 2): (
+        'KIND: semiperfect-tower',
+        'P: 2',
+        'DEPTH: 2',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u^2 vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (2, 3): (
+        'KIND: semiperfect-tower',
+        'P: 2',
+        'DEPTH: 3',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u^4 vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (3, 1): (
+        'KIND: semiperfect-tower',
+        'P: 3',
+        'DEPTH: 1',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (3, 2): (
+        'KIND: semiperfect-tower',
+        'P: 3',
+        'DEPTH: 2',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u^3 vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (3, 3): (
+        'KIND: semiperfect-tower',
+        'P: 3',
+        'DEPTH: 3',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u^9 vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (5, 1): (
+        'KIND: semiperfect-tower',
+        'P: 5',
+        'DEPTH: 1',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (5, 2): (
+        'KIND: semiperfect-tower',
+        'P: 5',
+        'DEPTH: 2',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u^5 vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+    (5, 3): (
+        'KIND: semiperfect-tower',
+        'P: 5',
+        'DEPTH: 3',
+        MODEL,
+        'ITEM pi-power-vanishes: PASS (pi^p = 0 = image of p)',
+        'ITEM kernel-principal: PASS (generator u^25 vs pi, sample h^p=0 <=> pi|h)',
+        'ITEM residue-iso: PASS (basis images distinct, homomorphism, phi(x mod pi) = x^p)',
+        'ITEM cross-level-roots: PASS (u -> u^p is a homomorphism; images acquire verified roots)',
+        'VERDICT: PASS',
+    ),
+}
+
+
+@pytest.mark.parametrize("desc", REPORTS)
+def test_perfection_report_golden(desc):
+    rep = fl.perfection_report(br.make_ring(desc))
+    assert tuple(fl.render_perfection_report(rep).split("\n")) == REPORTS[desc]
+
+
+@pytest.mark.parametrize("p,depth", TOWERS)
+def test_tower_report_golden(p, depth):
+    rep = fl.semiperfect_tower_check(p, depth)
+    assert tuple(fl.render_tower_report(rep).split("\n")) == TOWERS[(p, depth)]

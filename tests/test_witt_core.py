@@ -27,6 +27,8 @@ LAUR9 = br.make_ring("frac base=(ff p=3 e=2) vars=x depth_p=1 depth_2=0 laurent=
 QUOT2 = br.make_ring(
     "frac base=(ff p=2 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false mod=x^2,x*y^(3/2)")
 UQ5 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1")
+UQ2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
+LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true")
 
 
 def rand_witt(ring, rng, n, **kw):
@@ -132,7 +134,7 @@ class TestCompiledEvaluators:
 
 class TestGhostOracle:
     def test_frozen_examples(self):
-        assert wc.ghost((1, 1), 2).components == (1, 3)
+        assert wc.ghost((1, 1), 2) == (1, 3)
         assert wc.from_ghost((1, 3), 2) == (1, 1)
         with pytest.raises(NotInGhostImage):
             wc.from_ghost((0, 1), 2)
@@ -141,13 +143,13 @@ class TestGhostOracle:
         for p in (2, 3, 5):
             a = 7
             g = wc.ghost((a, 0, 0), p)
-            assert g.components == (a, a ** p, a ** (p * p))
+            assert g == (a, a ** p, a ** (p * p))
 
     @given(st.integers(2, 5).filter(lambda p: p in (2, 3, 5)),
            st.lists(st.integers(-40, 40), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, p, coords):
-        assert wc.from_ghost(wc.ghost(coords, p)) == tuple(coords)
+        assert wc.from_ghost(wc.ghost(coords, p), p) == tuple(coords)
 
     def test_ghost_linearizes(self):
         rng = random.Random(23)
@@ -159,10 +161,10 @@ class TestGhostOracle:
                 ys = tuple(rng.randint(-9, 9) for _ in range(3))
                 s = tuple(f(xs, ys) for f in table_s)
                 m = tuple(f(xs, ys) for f in table_m)
-                gx = wc.ghost(xs, p).components
-                gy = wc.ghost(ys, p).components
-                assert wc.ghost(s, p).components == tuple(a + b for a, b in zip(gx, gy))
-                assert wc.ghost(m, p).components == tuple(a * b for a, b in zip(gx, gy))
+                gx = wc.ghost(xs, p)
+                gy = wc.ghost(ys, p)
+                assert wc.ghost(s, p) == tuple(a + b for a, b in zip(gx, gy))
+                assert wc.ghost(m, p) == tuple(a * b for a, b in zip(gx, gy))
 
 
 class TestWittArithmetic:
@@ -332,12 +334,22 @@ class TestOperators:
                 acc = wc.witt_add(acc, one)
             assert wc.int_to_witt(p ** 3, ring, 3) == wc.witt_zero(ring, 3)
 
-    def test_witt_scalar_matches_teich_product(self):
+    @pytest.mark.parametrize("ring", [F4, F3, LAUR3, UQ2, UQ5],
+                             ids=["F4", "F3", "laurent3", "uq2", "uq3"])
+    def test_single_coordinate_product_matches_lift_route(self, ring):
+        # x * V^k([b]) by the fast path of witt_arith, both operand orders,
+        # against the general lift route; 3 draws per (n, k), seed 15
         rng = random.Random(15)
-        for _ in range(10):
-            a = br.random_element(F4, rng)
-            x = rand_witt(F4, rng, 4)
-            assert wc.witt_scalar(a, x) == wc.witt_mul(wc.teichmuller(a, 4), x)
+        for n in range(1, 5):
+            for k in range(n):
+                for _ in range(3):
+                    x = rand_witt(ring, rng, n, max_terms=2)
+                    b = br.random_element(ring, rng, max_terms=2, allow_zero=False)
+                    y = wc.WittVector(ring, tuple(b if i == k else br.zero(ring)
+                                                  for i in range(n)))
+                    for u, v in ((x, y), (y, x)):
+                        assert wc._mul_single_coord(u, v) == \
+                            wc.witt_arith("mul", u, v, route="lift")
 
     def test_inv_unit(self):
         rng = random.Random(16)
