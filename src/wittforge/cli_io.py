@@ -105,15 +105,11 @@ def parse_rw(base: rw.RamifiedBase, ring, text: str) -> rw.RamifiedWitt:
         raise SpecParseError(
             f"unknown base id {m.group('id')!r}; this command binds "
             f"'b0' via --base")
-    n = int(m.group("n"))
-    if not 1 <= n <= base.default_precision:
-        raise SpecParseError(
-            f"N={n} outside 1..{base.default_precision} for this base")
     parts = m.group("body").split("|")
     if len(parts) != base.f:
         raise SpecParseError(f"expected {base.f} slots, got {len(parts)}")
     coords = tuple(parse_witt(ring, part, base.level) for part in parts)
-    return rw.RamifiedWitt(base, ring, coords, n)
+    return rw.RamifiedWitt(base, ring, coords, int(m.group("n")))
 
 
 def format_rw(x: rw.RamifiedWitt) -> str:
@@ -889,7 +885,9 @@ def _cmd_rw(ns, out, err) -> int:
     elif op == "assemble":
         res = rw.digits_assemble(parse_digits(base, ring, ns.digits))
     elif op == "embed":
-        res = rw.embed_expr(base, ring, ns.expr, ns.prec)
+        res = rw.embed_expr(base, ring, ns.expr)
+        if ns.prec is not None:
+            res = rw.rw_truncate(res, ns.prec)
     else:  # twist
         res = rw.twisted_product(base, ring, ns.expr, ns.n)
     out.write(format_rw(res) + "\n")

@@ -60,6 +60,8 @@ def make_hensel_problem(coefficients, initial: RamifiedWitt,
             f"target precision must lie in 1..{base.default_precision}")
     if initial.precision < target_precision:
         raise SpecParseError("seed precision is below the requested target")
+    if any(c.precision < target_precision for c in coeffs):
+        raise SpecParseError("coefficient precision is below the requested target")
     prob = HenselProblem(coeffs, initial, target_precision)
     fr = poly_eval(coeffs, initial)
     if not rw.reduce_mod_pi(fr).is_zero():
@@ -84,7 +86,7 @@ def poly_derivative(coeffs):
     base, ring = coeffs[0].base, coeffs[0].ring
     out = []
     for i, c in enumerate(coeffs[1:], start=1):
-        out.append(rw.rw_mul(rw.rw_from_int(i, base, ring, c.precision), c))
+        out.append(rw.rw_mul(rw.rw_from_int(i, base, ring), c))
     return tuple(out)
 
 
@@ -112,10 +114,9 @@ def hensel_lift_verbose(prob: HenselProblem):
             raise DerivativeNotUnit(
                 "derivative order left 0 during iteration; root not simple")
         if o is None and window >= N:
-            if not all(d.is_zero() for d in rw.digit_expand(
-                    rw.RamifiedWitt(fr.base, fr.ring, fr.coords, N), N).digits):
+            if not all(d.is_zero() for d in rw.digit_expand(fr, N).digits):
                 raise NoConvergence("residual certificate failed at full precision")
-            return (rw.RamifiedWitt(r.base, r.ring, r.coords, N), tuple(steps))
+            return (rw.rw_truncate(r, N), tuple(steps))
         if o is not None:
             if o == 0:
                 raise NoConvergence("f(r) is a unit; the seed left its basin")
@@ -133,6 +134,6 @@ def hensel_lift_verbose(prob: HenselProblem):
 def quadratic_problem(base, ring, constant: RamifiedWitt, seed: RamifiedWitt,
                       precision: int) -> HenselProblem:
     """The recurring shape X^2 - c: coefficients (-c, 0, 1)."""
-    one = rw.rw_one(base, ring, seed.precision)
-    zero = rw.rw_zero(base, ring, seed.precision)
+    one = rw.rw_one(base, ring)
+    zero = rw.rw_zero(base, ring)
     return make_hensel_problem((rw.rw_neg(constant), zero, one), seed, precision)

@@ -7,12 +7,13 @@ E(X) = X^f + e_{f-1} X^{f-1} + ... + e_0 over W_n(F_q), so multiplication is
 polynomial convolution followed by reduction of pi^f = -sum e_i pi^i.
 
 Precision bookkeeping is zealous: every element carries the number N of
-certified Teichmueller pi-digits, operations state their output N explicitly,
-and division by pi costs exactly one digit.  The internal Witt length is
-n = ceil(N_max/f) + 1: the +1 guard coordinate absorbs the Witt-coordinate
-lost by each divide_by_p, so an untrusted top coordinate only ever influences
-pi-digits at order >= (n-1)*f >= N.  Equality is equality of canonical digit
-expansions at the shared precision, never raw coordinate comparison.
+certified Teichmueller pi-digits, which one gate keeps within 0..(n-1)*f.
+Constructors give full precision, operations the min of their inputs, division
+by pi one digit less, and rw_truncate is the only other way down.  The
+internal Witt length is n = ceil(N_max/f) + 1: the +1 guard coordinate absorbs
+the Witt-coordinate lost by each divide_by_p, so an untrusted top coordinate
+only ever influences pi-digits at order >= (n-1)*f >= N.  Equality compares
+canonical digit expansions at the shared precision, never raw coordinates.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class RamifiedBase:
     level: int  # internal Witt length n of every coordinate
     field: FiniteFieldSpec  # F_q, q = p^e
     eis: tuple  # e_0..e_{f-1}, WittVectors over field, length = level
+    # e_0/p over field; its top coordinate is exact only for an integer e_0
+    unit: wc.WittVector = dataclasses.field(repr=False)
     # c in F_q^* when E = X^f - p*[c], else None; derived from eis
     c: RingElement | None = dataclasses.field(default=None, compare=False,
                                               repr=False)
@@ -89,7 +92,10 @@ def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBa
     if eis[0].coords[1].is_zero():
         raise NotEisenstein(
             "constant term lies in the square of the maximal ideal")
-    return RamifiedBase(p, e, f, level, field, tuple(eis), _teichmuller_unit(eis))
+    unit = (wc.int_to_witt(coeffs[0] // p, field, level)
+            if isinstance(coeffs[0], int) else wc.divide_by_p_fixed(eis[0]))
+    return RamifiedBase(p, e, f, level, field, tuple(eis), unit,
+                        _teichmuller_unit(eis))
 
 
 def _teichmuller_unit(eis) -> RingElement | None:
@@ -119,6 +125,9 @@ class RamifiedWitt:
     coords: tuple  # f WittVectors over ring, common length base.level
     precision: int
 
+    def __post_init__(self):
+        _gate(self.base, self.ring, self.precision)
+
     def __eq__(self, other):
         if not isinstance(other, RamifiedWitt):
             return NotImplemented
@@ -147,22 +156,36 @@ class DigitExpansion:
     ring: Ring
     digits: tuple  # RingElements of ring
 
+    def __post_init__(self):
+        _gate(self.base, self.ring, len(self.digits))
+
     def __str__(self) -> str:
         inner = ";".join(br.format_element(d) for d in self.digits)
         return f"DIGITS[{len(self.digits)}]{{{inner}}}"
 
 
-def _check_ring(base: RamifiedBase, ring: Ring) -> None:
+def _gate(base: RamifiedBase, ring: Ring, n: int) -> None:
+    """The one precision rule: 0 <= N <= (level-1)*f, over the base's F_q."""
     F = br.base_field(ring)
     if (F.p, F.e, F.modulus) != (base.field.p, base.field.e, base.field.modulus):
         raise MismatchError("coefficient ring does not extend the base's F_q")
+    if not 0 <= n <= base.default_precision:
+        raise SpecParseError(
+            f"N={n} outside 0..{base.default_precision} for this base")
+
+
+def rw_truncate(x: RamifiedWitt, n: int) -> RamifiedWitt:
+    """x at precision n <= x.precision, the one way to lower a precision."""
+    if not 0 <= n <= x.precision:
+        raise NotDivisible(
+            f"requested {n} digits but only {x.precision} are certified")
+    return RamifiedWitt(x.base, x.ring, x.coords, n)
 
 
 @lru_cache(maxsize=64)
 def _ctx(base: RamifiedBase, ring: Ring):
     """Per-(base, ring) data: the Eisenstein coefficients mapped into W_n(A)
     and the negated inverse unit -(e_0/p)^(-1)."""
-    _check_ring(base, ring)
 
     def map_witt(w):
         return wc.WittVector(ring, tuple(
@@ -170,48 +193,37 @@ def _ctx(base: RamifiedBase, ring: Ring):
             for c in w.coords))
 
     eis = tuple(map_witt(v) for v in base.eis)
-    u = wc.divide_by_p_fixed(base.eis[0])
-    neg_inv_u = wc.witt_neg(wc.witt_inv_unit(u))
+    neg_inv_u = wc.witt_neg(wc.witt_inv_unit(base.unit))
     return eis, map_witt(neg_inv_u)
 
 
-def rw_zero(base: RamifiedBase, ring: Ring, precision: int | None = None) -> RamifiedWitt:
-    _check_ring(base, ring)
-    n = base.level
-    z = wc.witt_zero(ring, n)
-    return RamifiedWitt(base, ring, (z,) * base.f,
-                        base.default_precision if precision is None else precision)
+def _from_witt(base: RamifiedBase, ring: Ring, w: wc.WittVector) -> RamifiedWitt:
+    """w in the zeroth slot, at full precision."""
+    z = wc.witt_zero(ring, base.level)
+    return RamifiedWitt(base, ring, (w,) + (z,) * (base.f - 1),
+                        base.default_precision)
 
 
-def rw_one(base: RamifiedBase, ring: Ring, precision: int | None = None) -> RamifiedWitt:
-    z = rw_zero(base, ring, precision)
-    coords = (wc.witt_one(ring, base.level),) + z.coords[1:]
-    return RamifiedWitt(base, ring, coords, z.precision)
+def rw_zero(base: RamifiedBase, ring: Ring) -> RamifiedWitt:
+    return _from_witt(base, ring, wc.witt_zero(ring, base.level))
 
 
-def rw_from_int(m: int, base: RamifiedBase, ring: Ring,
-                precision: int | None = None) -> RamifiedWitt:
-    z = rw_zero(base, ring, precision)
-    coords = (wc.int_to_witt(m, ring, base.level),) + z.coords[1:]
-    return RamifiedWitt(base, ring, coords, z.precision)
+def rw_one(base: RamifiedBase, ring: Ring) -> RamifiedWitt:
+    return _from_witt(base, ring, wc.witt_one(ring, base.level))
 
 
-def rw_pi(base: RamifiedBase, ring: Ring, precision: int | None = None) -> RamifiedWitt:
-    """The uniformizer: basis vector pi (for f = 1, the element -e_0 = p*unit)."""
-    z = rw_zero(base, ring, precision)
-    if base.f == 1:
-        eis, _ = _ctx(base, ring)
-        return RamifiedWitt(base, ring, (wc.witt_neg(eis[0]),), z.precision)
-    coords = (z.coords[0], wc.witt_one(ring, base.level)) + z.coords[2:]
-    return RamifiedWitt(base, ring, coords, z.precision)
+def rw_from_int(m: int, base: RamifiedBase, ring: Ring) -> RamifiedWitt:
+    return _from_witt(base, ring, wc.int_to_witt(m, ring, base.level))
 
 
-def teich_embed(a: RingElement, base: RamifiedBase,
-                precision: int | None = None) -> RamifiedWitt:
+def rw_pi(base: RamifiedBase, ring: Ring) -> RamifiedWitt:
+    """The uniformizer pi*1: basis vector pi (for f = 1, -e_0 = p*unit)."""
+    return rw_mul_pi(rw_one(base, ring))
+
+
+def teich_embed(a: RingElement, base: RamifiedBase) -> RamifiedWitt:
     """Teichmueller section of reduce_mod_pi: a -> [a] in the zeroth slot."""
-    z = rw_zero(base, a.ring, precision)
-    coords = (wc.teichmuller(a, base.level),) + z.coords[1:]
-    return RamifiedWitt(base, a.ring, coords, z.precision)
+    return _from_witt(base, a.ring, wc.teichmuller(a, base.level))
 
 
 def _match(x: RamifiedWitt, y: RamifiedWitt) -> None:
@@ -306,9 +318,8 @@ def _rw_inv(x: RamifiedWitt) -> RamifiedWitt:
         seed = br.invert(a0)
     except NotAUnit as exc:
         raise NotAUnit(f"not a unit mod pi: {exc}") from exc
-    y = teich_embed(seed, x.base, x.precision)
-    one = rw_one(x.base, x.ring, x.precision)
-    two = rw_add(one, one)
+    y = teich_embed(seed, x.base)
+    two = rw_from_int(2, x.base, x.ring)
     steps = 1
     target = max(x.precision, 1)
     correct = 1  # Teichmueller seed is correct mod pi
@@ -318,7 +329,7 @@ def _rw_inv(x: RamifiedWitt) -> RamifiedWitt:
         steps += 1
         if steps > 40:
             raise NoConvergence("inversion failed to stabilize")
-    return RamifiedWitt(x.base, x.ring, y.coords, x.precision)
+    return rw_truncate(y, x.precision)
 
 
 def frobenius_pi(x: RamifiedWitt, k: int = 1) -> RamifiedWitt:
@@ -360,7 +371,7 @@ def rw_ord(x: RamifiedWitt, limit: int | None = None) -> int | None:
     walk the digit expansion up to the first nonzero digit.
     """
     bound = max(0, x.precision if limit is None else min(limit, x.precision))
-    if x.base.c is not None and bound <= x.base.f * x.base.level:
+    if x.base.c is not None:
         f = x.base.f
         k = next((k for k in range(bound)
                   if not x.coords[k % f].coords[k // f].is_zero()), None)
@@ -398,11 +409,10 @@ def rw_equal(x: RamifiedWitt, y: RamifiedWitt, precision: int | None = None) -> 
 # digit walk divides slot j D_j = ceil((steps - j)/f) times, taking a p-th
 # root of each coordinate i >= 1 still in the slot, so it roots r_{j,i}
 # min(i, D_j) times; the closed forms run only when all those roots exist,
-# and otherwise leave the refusal to the walk.  Digits past f*level would be
-# read from the walk's guard coordinates, so those requests walk too.  (The
-# walk also roots what its fixed-length unit -(e_0/p)^-1 leaves in the guard
-# coordinate, nonzero at p = 2; over a uq ring such a root can be missing on
-# the representative, and then the walk refuses digits the closed form reads.)
+# and otherwise leave the refusal to the walk.  (At p = 2 the walk roots the
+# junk that a fixed-length unit -(e_0/p)^-1, from an e_0 given as a Witt
+# vector, leaves in the guard coordinate; over a uq ring such a root can be
+# missing, and then the walk refuses digits the closed form reads.)
 
 
 def _walk_roots(x: RamifiedWitt, steps: int):
@@ -434,14 +444,10 @@ def digit_expand(x: RamifiedWitt, digits: int | None = None) -> DigitExpansion:
     For E = X^f - p*[c] digit fi + j is c^-i F^-i(r_{j,i}); other bases, and
     elements whose digit walk would refuse, go through the walk.
     """
-    want = x.precision if digits is None else digits
-    if want > x.precision:
-        raise NotDivisible(
-            f"requested {want} digits but only {x.precision} are certified")
-    base, f = x.base, x.base.f
-    roots = None
-    if base.c is not None and want <= f * base.level:
-        roots = _walk_roots(x, want)
+    if digits is not None:
+        x = rw_truncate(x, digits)
+    want, base, f = x.precision, x.base, x.base.f
+    roots = None if base.c is None else _walk_roots(x, want)
     if roots is None:
         return _digit_walk(x, want)
     cinv = _powers(br.invert(base.c), x.ring, -(-want // f))
@@ -459,25 +465,23 @@ def _digit_walk(x: RamifiedWitt, want: int) -> DigitExpansion:
     for _ in range(want):
         a = reduce_mod_pi(cur)
         out.append(a)
-        cur = divide_by_pi(rw_sub(cur, teich_embed(a, x.base, cur.precision)))
+        cur = divide_by_pi(rw_sub(cur, teich_embed(a, x.base)))
     return DigitExpansion(x.base, x.ring, tuple(out))
 
 
 def digits_assemble(d: DigitExpansion) -> RamifiedWitt:
     """sum [a_i] pi^i at precision len(digits).
 
-    For E = X^f - p*[c] coordinate i of slot j is F^i(c^i a_{fi+j}) (digits
-    past the Witt length vanish, p^level = 0); other bases use Horner's rule.
+    For E = X^f - p*[c] coordinate i of slot j is F^i(c^i a_{fi+j}); other
+    bases use Horner's rule.
     """
     base, ring = d.base, d.ring
     if base.c is None:
         return _horner_assemble(d)
-    _check_ring(base, ring)
     f, n = base.f, base.level
-    used = d.digits[:f * n]
-    cpow = _powers(base.c, ring, -(-len(used) // f))
+    cpow = _powers(base.c, ring, -(-len(d.digits) // f))
     slots = [[br.zero(ring)] * n for _ in range(f)]
-    for k, a in enumerate(used):
+    for k, a in enumerate(d.digits):
         i, j = divmod(k, f)
         slots[j][i] = br.frobenius(br.mul(cpow[i], a), i)
     return RamifiedWitt(base, ring, tuple(wc.WittVector(ring, tuple(s)) for s in slots),
@@ -486,11 +490,11 @@ def digits_assemble(d: DigitExpansion) -> RamifiedWitt:
 
 def _horner_assemble(d: DigitExpansion) -> RamifiedWitt:
     """Sum [a_i] pi^i by a Horner walk from the top digit down."""
-    acc = rw_zero(d.base, d.ring, len(d.digits))
+    acc = rw_zero(d.base, d.ring)
     for a in reversed(d.digits):
         acc = rw_mul_pi(acc)
-        acc = rw_add(acc, teich_embed(a, d.base, acc.precision))
-    return RamifiedWitt(d.base, d.ring, acc.coords, len(d.digits))
+        acc = rw_add(acc, teich_embed(a, d.base))
+    return rw_truncate(acc, len(d.digits))
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +510,20 @@ class EmbedAlgebra:
     non-negative integer powers only.
     """
 
-    def __init__(self, base: RamifiedBase, ring: Ring, precision: int | None = None):
-        self.base, self.ring, self.precision = base, ring, precision
+    def __init__(self, base: RamifiedBase, ring: Ring):
+        self.base, self.ring = base, ring
 
     def int(self, n: int) -> RamifiedWitt:
-        return rw_from_int(n, self.base, self.ring, self.precision)
+        return rw_from_int(n, self.base, self.ring)
 
     def name(self, s: str):
         if s == "pi":
-            return rw_pi(self.base, self.ring, self.precision)
+            return rw_pi(self.base, self.ring)
         return br.variable(self.ring, s)
 
     def lift(self, v) -> RamifiedWitt:
         if isinstance(v, RingElement):
-            return teich_embed(v, self.base, self.precision)
+            return teich_embed(v, self.base)
         return v
 
     def add(self, a, b) -> RamifiedWitt:
@@ -539,12 +543,10 @@ class EmbedAlgebra:
             return br.pow_fraction(a, r)
         if r.denominator != 1 or r < 0:
             raise SpecParseError("only variables take fractional or negative powers")
-        return br._power(rw_mul, a, r.numerator,
-                         rw_one(self.base, self.ring, self.precision))
+        return br._power(rw_mul, a, r.numerator, rw_one(self.base, self.ring))
 
 
-def embed_expr(base: RamifiedBase, ring: Ring, text: str,
-               precision: int | None = None) -> RamifiedWitt:
+def embed_expr(base: RamifiedBase, ring: Ring, text: str) -> RamifiedWitt:
     """Embed a V-polynomial expression: variables of A, `pi`, and integers.
 
     Every monomial maps to the Teichmueller lift of its residue, pi maps to
@@ -553,16 +555,15 @@ def embed_expr(base: RamifiedBase, ring: Ring, text: str,
     The multiplicativity across separate embeds is a theorem checked by the
     test suite, not by this function.
     """
-    alg = EmbedAlgebra(base, ring, precision)
+    alg = EmbedAlgebra(base, ring)
     return alg.lift(br.parse_all(text, alg, "embed expression"))
 
 
-def twisted_product(base: RamifiedBase, ring: Ring, text: str, n: int,
-                    precision: int | None = None) -> RamifiedWitt:
+def twisted_product(base: RamifiedBase, ring: Ring, text: str, n: int) -> RamifiedWitt:
     """prod_{k=-n..n} F_pi^k of the embedded expression."""
     if n < 0:
         raise SpecParseError("twist index must be >= 0")
-    a = embed_expr(base, ring, text, precision)
+    a = embed_expr(base, ring, text)
     acc = a
     for k in range(1, n + 1):
         acc = rw_mul(acc, frobenius_pi(a, k))

@@ -319,6 +319,79 @@ class TestKernel:
             assert x - x == br.zero(ring) and x * br.one(ring) == x
 
 
+class TestKernelAboveK1:
+    """The kernel over (Z/p^K)[u]/(M~) at K in {2, 3, 5}, as the lift route
+    runs it: ring laws of _kmul / _kadd, _kpow against repeated products,
+    and reduction mod p against the public K = 1 product.  Each property runs
+    EXAMPLES derandomized examples per ring."""
+
+    RINGS = [
+        ("ff p=3 e=2", {}),
+        ("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true",
+         {"max_terms": 6, "denom_depth": 1}),
+        ("frac base=(ff p=2 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false mod=x^2,x*y^(3/2)",
+         {"max_terms": 8, "exp_bound": 2, "denom_depth": 1}),
+        ("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1", {"max_terms": 6}),
+    ]
+    EXAMPLES = 40
+
+    @staticmethod
+    def operands(desc, kw, K, seed, count):
+        """count term dicts over (Z/p^K)[u]/(M~): the keys of two random
+        elements of the ring, each with a random coefficient mod p^K."""
+        ring = br.make_ring(desc)
+        C = br._CoeffRing(br.base_field(ring), K)
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            keys = dict.fromkeys(k for _ in range(2)
+                                 for k, _ in br.random_element(ring, rng, **kw).terms)
+            out.append(br._nonzero({k: tuple(rng.randrange(C.pk) for _ in range(C.e))
+                                    for k in keys}))
+        return ring, C, out
+
+    @pytest.mark.parametrize("desc,kw", RINGS)
+    @given(K=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_ring_laws(self, desc, kw, K, seed):
+        ring, C, (a, b, c) = self.operands(desc, kw, K, seed, 3)
+
+        def mul(x, y):
+            return ring._kmul(C, x.items(), y.items())
+
+        def add(x, y):
+            return br._kadd(C, x, y.items())
+
+        assert mul(a, b) == mul(b, a) and add(a, b) == add(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+    @pytest.mark.parametrize("desc,kw", RINGS)
+    @given(K=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2 ** 32),
+           n=st.integers(0, 6))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_power_is_repeated_product(self, desc, kw, K, seed, n):
+        ring, C, (a,) = self.operands(desc, kw, K, seed, 1)
+        acc = {ring._unit_key: C.one()}
+        for _ in range(n):
+            acc = ring._kmul(C, acc.items(), a.items())
+        assert ring._kpow(C, dict(a), n) == acc
+
+    @pytest.mark.parametrize("desc,kw", RINGS)
+    @given(K=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_product_reduces_to_the_field_product(self, desc, kw, K, seed):
+        ring, C, (a, b) = self.operands(desc, kw, K, seed, 2)
+        F = br.base_field(ring)
+
+        def reduce(x):  # scaling by 1 over F_q reduces mod p
+            return br._kscale(F, x.items(), 1)
+
+        want = br.mul(br._mk(ring, reduce(a)), br._mk(ring, reduce(b)))
+        assert reduce(ring._kmul(C, a.items(), b.items())) == dict(want.terms)
+
+
 class TestFrobenius:
     def test_positive_on_sums(self):
         ring = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=false")

@@ -3,6 +3,7 @@
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from io import StringIO
@@ -104,6 +105,11 @@ class TestRamifiedLiteral:
     def test_precision_out_of_range(self):
         with pytest.raises(SpecParseError, match="outside"):
             cli.parse_rw(BASE, F3, "RW[base=b0, N=9]{ W{1;0;0;0} | W{0;0;0;0} }")
+
+    def test_precision_zero_parses(self):
+        x = cli.parse_rw(BASE, F3, "RW[base=b0, N=0]{ W{1;0;0;0} | W{0;0;0;0} }")
+        assert x.precision == 0
+        assert cli.format_rw(x) == "RW[base=b0, N=0]{ W{1;0;0;0} | W{0;0;0;0} }"
 
     def test_wrong_slot_count(self):
         with pytest.raises(SpecParseError, match="slots"):
@@ -251,6 +257,42 @@ class TestRwCommands:
         code3, out3, _ = run_cli("rw", "expand", "--base", self.BASE_TXT,
                                  "--ring", "ff p=3 e=1", "--x", out2.strip())
         assert (code3, out3) == (0, out)
+
+    def test_uncertified_precision_is_input_error(self):
+        # E = X^2 - 3 at prec=4 certifies 4 digits: 28 and 1 differ at pi^6
+        base, ring = "rw p=3 e=1 eis=(X^2-3) prec=4", "ff p=3 e=1"
+        x = "RW[base=b0, N=4]{ W{1;0;0} | W{0;0;0} }"
+        for argv, msg in (
+                (("embed", "--expr", "28", "--prec", "8"),
+                 "requested 8 digits but only 4 are certified"),
+                (("embed", "--expr", "1", "--prec", "-2"),
+                 "requested -2 digits but only 4 are certified"),
+                (("expand", "--x", x, "--digits", "-1"),
+                 "requested -1 digits but only 4 are certified"),
+                (("assemble", "--digits", "DIGITS[9]{1;0;0;0;0;0;1;0;0}"),
+                 "N=9 outside 0..4 for this base"),
+                (("assemble", "--digits", "DIGITS[9]{1;0;0;0;0;0;0;0;0}"),
+                 "N=9 outside 0..4 for this base"),
+                (("add", "--x", x, "--y", x.replace("N=4", "N=5")),
+                 "N=5 outside 0..4 for this base")):
+            code, out, err = run_cli("rw", argv[0], "--base", base, "--ring", ring,
+                                     *argv[1:])
+            assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+    def test_ring_off_the_base_is_input_error(self):
+        code, out, err = run_cli("rw", "add", "--base", self.BASE_TXT,
+                                 "--ring", "ff p=2 e=1",
+                                 "--x", "RW[base=b0, N=4]{ W{1;0;0;0} | W{0;0;0;0} }",
+                                 "--y", "RW[base=b0, N=4]{ W{1;0;0;0} | W{0;0;0;0} }")
+        assert (code, out) == (2, "")
+        assert "does not extend the base's F_q" in err
+
+    def test_precision_zero_round_trips(self):
+        args = ("--base", self.BASE_TXT, "--ring", "ff p=3 e=1")
+        code, out, _ = run_cli("rw", "embed", *args, "--expr", "1+pi", "--prec", "0")
+        assert (code, out) == (0, "RW[base=b0, N=0]{ W{1;0;0;0} | W{1;0;0;0} }\n")
+        code, out2, _ = run_cli("rw", "frobpi", *args, "--x", out.strip())
+        assert (code, out2) == (0, out)
 
     def test_inv_of_nonunit_is_input_error(self):
         code, _, err = run_cli("rw", "inv", "--base", self.BASE_TXT,
@@ -459,3 +501,135 @@ class TestExitCodeMapping:
         assert cli._exit_code(er.NoConvergence("x")) == 1
         assert cli._exit_code(er.NoRoot("x")) == 2
         assert cli._exit_code(er.SpecParseError("x")) == 2
+
+
+# Commands that no other test runs: rw add / mul / frobpi / divpi / twist over
+# E = X^2-3, X^3-2 at p = 2, X^2-2 over F_4, X^2-3X-3 and X^2-2 at p = 2, on
+# ff, frac and uq rings, plus witt frob and fontaine shift.  Recorded from the
+# CLI: command (its argv, shell-quoted) -> (exit code, stdout).  The five divpi
+# lines at p = 2 marked "was" changed only in the top (guard) coordinate of
+# their last slot, when the unit -(e_0/p)^-1 became exact for an integer e_0;
+# the certified digits are the same.
+CLI_GOLDEN = {
+    "rw add --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;2;0} | W{0;1;1} }' --y 'RW[base=b0, N=3]{ W{2;2;1} | W{1;0;2} }'":
+        (0, 'RW[base=b0, N=3]{ W{0;1;0} | W{1;1;0} }\n'),
+    "rw mul --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;2;0} | W{0;1;1} }' --y 'RW[base=b0, N=3]{ W{2;2;1} | W{1;0;2} }'":
+        (0, 'RW[base=b0, N=3]{ W{2;0;0} | W{1;1;2} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{0;1;2} | W{1;0;1} }'":
+        (0, 'RW[base=b0, N=3]{ W{1;0;1} | W{1;2;0} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;0;0} | W{0;0;0} }'":
+        (2, ''),
+    "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{x;0;0} | W{x^(1/3);0;0} }'":
+        (0, 'RW[base=b0, N=4]{ W{x^3;0;0} | W{x;0;0} }\n'),
+    "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{x;1;0} | W{x^(1/3);0;0} }' --k -1":
+        (0, 'RW[base=b0, N=4]{ W{x^(1/3);1;0} | W{x^(1/9);0;0} }\n'),
+    "rw mul --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{x;0;0} | W{1;0;0} }' --y 'RW[base=b0, N=4]{ W{x^(1/3);0;0} | W{0;0;0} }'":
+        (0, 'RW[base=b0, N=4]{ W{x^(4/3);0;0} | W{x^(1/3);0;0} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{0;x;0} | W{x^(1/3);0;0} }'":
+        (0, 'RW[base=b0, N=3]{ W{x^(1/3);0;0} | W{x^(1/3);0;0} }\n'),
+    "rw twist --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --expr x --n 1":
+        (0, 'RW[base=b0, N=4]{ W{x^(13/3);0;0} | W{0;0;0} }\n'),
+    "rw twist --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --expr 'x^(1/3)' --n 0":
+        (0, 'RW[base=b0, N=4]{ W{x^(1/3);0;0} | W{0;0;0} }\n'),
+    "rw twist --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --expr 1+pi --n 2":
+        (0, 'RW[base=b0, N=4]{ W{1;1;2} | W{2;0;2} }\n'),
+    "rw mul --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{T;0;0} | W{T^2;0;0} }' --y 'RW[base=b0, N=4]{ W{T+1;0;0} | W{0;0;0} }'":
+        (0, 'RW[base=b0, N=4]{ W{T^2+T;0;0} | W{T^2+T+2;0;0} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{0;T;0} | W{T^2;0;0} }'":
+        (3, ''),
+    "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{T;0;0} | W{T^2;1;0} }'":
+        (0, 'RW[base=b0, N=4]{ W{T+2;0;0} | W{T^2+T+1;1;0} }\n'),
+    "rw add --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{1;1;0} | W{0;1;1} | W{1;0;1} }' --y 'RW[base=b0, N=6]{ W{1;0;1} | W{1;1;0} | W{0;0;1} }'":
+        (0, 'RW[base=b0, N=6]{ W{0;0;0} | W{1;0;0} | W{1;0;0} }\n'),
+    "rw mul --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{1;1;0} | W{0;1;1} | W{1;0;1} }' --y 'RW[base=b0, N=5]{ W{1;0;1} | W{1;1;0} | W{0;0;1} }'":
+        (0, 'RW[base=b0, N=5]{ W{1;0;1} | W{1;1;1} | W{1;1;1} }\n'),
+    "rw divpi --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{0;1;1} | W{1;0;1} | W{0;1;0} }'":
+        (0, 'RW[base=b0, N=5]{ W{1;0;1} | W{0;1;0} | W{1;1;0} }\n'),  # was W{1;1;1}
+    "rw frobpi --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{1;1;0} | W{0;1;1} | W{1;0;1} }'":
+        (0, 'RW[base=b0, N=6]{ W{1;1;0} | W{0;1;1} | W{1;0;1} }\n'),
+    "rw mul --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{T;0;0} | W{1;0;0} | W{0;0;0} }' --y 'RW[base=b0, N=6]{ W{T^2;0;0} | W{0;0;0} | W{T;0;0} }'":
+        (0, 'RW[base=b0, N=6]{ W{T+1;T^2;0} | W{T^2;0;0} | W{T^2;0;0} }\n'),
+    "rw divpi --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{0;T;0} | W{T^2;0;0} | W{0;0;0} }'":
+        (3, ''),
+    "rw twist --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --expr T+pi --n 1":
+        (2, ''),
+    "rw add --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --x 'RW[base=b0, N=4]{ W{u;1;0} | W{0;u+1;1} }' --y 'RW[base=b0, N=4]{ W{u+1;u;1} | W{1;0;u} }'":
+        (0, 'RW[base=b0, N=4]{ W{1;u;1} | W{1;u+1;u+1} }\n'),
+    "rw mul --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --x 'RW[base=b0, N=4]{ W{u;1;0} | W{0;u+1;1} }' --y 'RW[base=b0, N=4]{ W{u+1;u;1} | W{1;0;u} }'":
+        (0, 'RW[base=b0, N=4]{ W{1;u+1;1} | W{u;0;0} }\n'),
+    "rw divpi --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --x 'RW[base=b0, N=4]{ W{0;u;1} | W{u;0;1} }'":
+        (0, 'RW[base=b0, N=3]{ W{u;0;1} | W{u+1;1;0} }\n'),  # was W{u+1;1;u+1}
+    "rw frobpi --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --x 'RW[base=b0, N=4]{ W{u;1;0} | W{0;u+1;1} }'":
+        (0, 'RW[base=b0, N=4]{ W{u;1;0} | W{0;u+1;1} }\n'),
+    "rw twist --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --expr u+pi --n 1":
+        (0, 'RW[base=b0, N=4]{ W{1;u+1;u} | W{u+1;u+1;u} }\n'),
+    "rw add --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;2;0} | W{0;1;1} }' --y 'RW[base=b0, N=4]{ W{2;2;1} | W{1;0;2} }'":
+        (0, 'RW[base=b0, N=4]{ W{0;1;0} | W{1;1;0} }\n'),
+    "rw mul --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;2;0} | W{0;1;1} }' --y 'RW[base=b0, N=4]{ W{2;2;1} | W{1;0;2} }'":
+        (0, 'RW[base=b0, N=4]{ W{2;0;0} | W{1;1;0} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{0;1;2} | W{1;0;1} }'":
+        (0, 'RW[base=b0, N=3]{ W{1;2;2} | W{1;2;0} }\n'),
+    "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{x;0;0} | W{1;0;0} }'":
+        (0, 'RW[base=b0, N=4]{ W{x^3;0;0} | W{1;0;0} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{0;x;0} | W{x^(1/3);0;0} }'":
+        (0, 'RW[base=b0, N=3]{ W{x^(1/3);2*x;0} | W{x^(1/3);0;0} }\n'),
+    "rw mul --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{T;0;0} | W{1;0;0} }' --y 'RW[base=b0, N=4]{ W{T^2;0;0} | W{T;0;0} }'":
+        (0, 'RW[base=b0, N=4]{ W{T+2;T+2;0} | W{2*T^2;T^2+2*T;1} }\n'),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=3]{ W{0;T;0} | W{T;0;0} }'":
+        (3, ''),
+    "rw twist --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'ff p=3 e=1' --expr 2+pi --n 1":
+        (0, 'RW[base=b0, N=4]{ W{2;0;1} | W{0;2;2} }\n'),
+    "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{0;1;0;0} | W{0;0;0;0} }'":
+        (0, 'RW[base=b0, N=5]{ W{0;0;0;0} | W{1;0;0;0} }\n'),  # was W{1;0;0;1}
+    "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{0;1;1;0} | W{1;0;1;0} }'":
+        (0, 'RW[base=b0, N=5]{ W{1;0;1;0} | W{1;1;0;0} }\n'),  # was W{1;1;0;1}
+    "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{0;T^2;0;0} | W{0;0;0;0} }'":
+        (0, 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;0} }\n'),  # was W{T;0;0;T}
+    "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{0;T;T;0} | W{T;0;0;0} }'":
+        (3, ''),
+    "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=1]{ W{0;1;2} | W{1;0;1} }'":
+        (0, 'RW[base=b0, N=0]{ W{1;0;1} | W{1;2;0} }\n'),
+    "rw twist --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --expr x --n -1":
+        (2, ''),
+    "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{x;0;0} | W{0;0;0} }' --k -1":
+        (3, ''),
+    "witt frob --ring 'ff p=3 e=2' --n 3 --x 'W{u;1;2*u}'":
+        (0, 'W{2*u;1;u}\n'),
+    "witt frob --ring 'ff p=3 e=2' --n 3 --x 'W{u;1;2*u}' --k -1":
+        (0, 'W{2*u;1;u}\n'),
+    "witt frob --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --n 2 --x 'W{x+1;x^(1/3)}' --k 2":
+        (0, 'W{x^9+1;x^3}\n'),
+    "witt frob --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --n 2 --x 'W{x;x^2}' --k -2":
+        (0, 'W{x^(1/9);x^(2/9)}\n'),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 2 --x 'W{T;T^2+1}'":
+        (0, 'W{T+2;T^2+T+2}\n'),
+    "fontaine shift --ring 'uq base=(ff p=2 e=1) var=u modulus=u^8' --x 'FONT{u^4;u^2;u}' --dir fwd":
+        (0, 'FONT{u^2;u}\n'),
+    "fontaine shift --ring 'uq base=(ff p=2 e=1) var=u modulus=u^8' --x 'FONT{u^4;u^2;u}' --dir bwd":
+        (0, 'FONT{0;u^4;u^2}\n'),
+    "fontaine shift --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=false' --x 'FONT{x;x^(1/3)}' --dir bwd":
+        (0, 'FONT{x^3;x}\n'),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(CLI_GOLDEN))
+def test_cli_golden(cmd):
+    code, out, _ = run_cli(*shlex.split(cmd))
+    assert (code, out) == CLI_GOLDEN[cmd]
+
+
+@pytest.mark.parametrize("kind,shape", [
+    ("sum", ((2, 1), (3, 1), (8, 2))),
+    ("product", ((1, 1), (3, 2), (9, 3))),
+    ("negation", ((1, 1), (2, 1), (4, 1))),
+])
+def test_bench_poly_lines(kind, shape):
+    # the wall times vary from run to run; everything else is fixed
+    code, out, _ = run_cli("bench", "poly", "--p", "2", "--level", "2",
+                           "--kind", kind)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(shape)
+    for level, (line, (terms, bits)) in enumerate(zip(lines, shape)):
+        assert re.fullmatch(rf"LEVEL {level}: kind={kind} terms={terms} "
+                            rf"peak_bits={bits} wall=\d+\.\d{{3}}s", line)

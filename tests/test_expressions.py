@@ -518,8 +518,10 @@ def test_parse_eisenstein(text, want):
 
 @pytest.mark.parametrize("bkey,key,text,prec,want", EMBED)
 def test_embed_expr(bkey, key, text, prec, want):
-    got = outcome(lambda: cli.format_rw(
-        rw.embed_expr(base(bkey), ring(key), text, prec)))
+    def embed():
+        v = rw.embed_expr(base(bkey), ring(key), text)
+        return v if prec is None else rw.rw_truncate(v, prec)
+    got = outcome(lambda: cli.format_rw(embed()))
     assert got == want
 
 

@@ -61,6 +61,14 @@ class TestProblemValidation:
         with pytest.raises(SpecParseError, match="seed precision"):
             lf.make_hensel_problem((rw.rw_neg(c), rw.rw_one(B, F3)), short, 6)
 
+    def test_coefficients_must_carry_the_target_precision(self):
+        # X^2 - 1 with 1 known to 2 digits certifies no root to 8 digits
+        c = rw.rw_truncate(rw.rw_one(B, F3), 2)
+        with pytest.raises(SpecParseError, match="coefficient precision"):
+            lf.quadratic_problem(B, F3, c, rw.rw_one(B, F3), 8)
+        root = lf.hensel_lift(lf.quadratic_problem(B, F3, c, rw.rw_one(B, F3), 2))
+        assert root.precision == 2
+
     def test_seed_must_be_root_mod_pi(self):
         c = rw.rw_add(rw.rw_from_int(3, B, R3), rw.embed_expr(B, R3, "x"))
         with pytest.raises(NoRoot):

@@ -36,14 +36,13 @@ B_SQ3E = rw.make_ramified_base(3, 1, 2, [-3, 0], 4)
 PERF3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=3 depth_2=0 laurent=true")
 
 
-def rand_rw(base, ring, rng, prec=None):
+def rand_rw(base, ring, rng):
     F = br.base_field(ring)
     coords = tuple(
         wc.WittVector(ring, tuple(br.from_coeff(ring, br.random_coeff(F, rng))
                                   for _ in range(base.level)))
         for _ in range(base.f))
-    z = rw.rw_zero(base, ring, prec)
-    return rw.RamifiedWitt(base, ring, coords, z.precision)
+    return rw.RamifiedWitt(base, ring, coords, base.default_precision)
 
 
 class TestEisensteinValidation:
@@ -139,8 +138,8 @@ class TestArithmetic:
         assert -(-pi) == pi
 
     def test_precision_min_rule(self):
-        x = rw.rw_pi(B_SQ3, F3, precision=9)
-        y = rw.rw_one(B_SQ3, F3, precision=4)
+        x = rw.rw_truncate(rw.rw_pi(B_SQ3, F3), 9)
+        y = rw.rw_truncate(rw.rw_one(B_SQ3, F3), 4)
         assert rw.rw_add(x, y).precision == 4
         assert rw.rw_mul(x, y).precision == 4
 
@@ -180,6 +179,60 @@ class TestArithmetic:
         assert rw._ctx.cache_info().currsize == bound
 
 
+class TestPrecisionGate:
+    """N never exceeds what the Witt length certifies: (level-1)*f digits."""
+
+    def zeros(self, base):
+        return tuple(wc.witt_zero(F3, base.level) for _ in range(base.f))
+
+    def test_ramified_value_refuses_uncertified_precision(self):
+        top = B_SQ3.default_precision
+        for n in (top + 1, B_SQ3.f * B_SQ3.level, -1):
+            with pytest.raises(SpecParseError) as info:
+                rw.RamifiedWitt(B_SQ3, F3, self.zeros(B_SQ3), n)
+            assert str(info.value) == f"N={n} outside 0..{top} for this base"
+        for n in (0, top):
+            assert rw.RamifiedWitt(B_SQ3, F3, self.zeros(B_SQ3), n).precision == n
+
+    def test_ramified_value_refuses_a_ring_off_the_base(self):
+        with pytest.raises(MismatchError, match="does not extend"):
+            rw.RamifiedWitt(B_SQ3, F2, tuple(wc.witt_zero(F2, 7) for _ in range(2)), 4)
+
+    def test_digit_expansion_refuses_uncertified_digits(self):
+        # so neither assembly, closed form or Horner's rule, sees such a string
+        top = B_SQ3E.default_precision
+        with pytest.raises(SpecParseError) as info:
+            rw.DigitExpansion(B_SQ3E, F3, (br.one(F3),) * (top + 1))
+        assert str(info.value) == f"N={top + 1} outside 0..{top} for this base"
+        with pytest.raises(MismatchError):
+            rw.DigitExpansion(B_SQ3E, F2, ())
+        d = rw.DigitExpansion(B_SQ3E, F3, (br.one(F3),) * top)
+        got, want = rw.digits_assemble(d), rw._horner_assemble(d)
+        assert (got.coords, got.precision) == (want.coords, want.precision)
+
+    def test_truncate_only_lowers(self):
+        x = rw.rw_add(rw.rw_one(B_SQ3, F3), rw.rw_pi(B_SQ3, F3))
+        y = rw.rw_truncate(x, 3)
+        assert (y.coords, y.precision) == (x.coords, 3)
+        assert rw.rw_truncate(y, 0).precision == 0
+        for n in (4, -1):
+            with pytest.raises(NotDivisible) as info:
+                rw.rw_truncate(y, n)
+            assert str(info.value) == f"requested {n} digits but only 3 are certified"
+        with pytest.raises(NotDivisible, match="requested -1 digits"):
+            rw.digit_expand(x, -1)
+
+    def test_constructors_and_operations_keep_full_precision(self):
+        top = B_SQ3E.default_precision
+        vals = [rw.rw_zero(B_SQ3E, F3), rw.rw_one(B_SQ3E, F3), rw.rw_pi(B_SQ3E, F3),
+                rw.rw_from_int(5, B_SQ3E, F3), rw.teich_embed(br.one(F3), B_SQ3E),
+                rw.embed_expr(B_SQ3E, F3, "1+pi"),
+                rw.twisted_product(B_SQ3E, F3, "2+pi", 1),
+                rw.rw_inv(rw.rw_from_int(2, B_SQ3E, F3))]
+        assert [v.precision for v in vals] == [top] * len(vals)
+        assert rw.rw_inv(rw.rw_truncate(vals[1], 3)).precision == 3
+
+
 class TestResidueAndDivision:
     def test_reduce_is_a_homomorphism(self):
         rng = random.Random(13)
@@ -216,7 +269,7 @@ class TestResidueAndDivision:
         assert seen_both == {True, False}
 
     def test_divide_needs_certified_digits(self):
-        x = rw.rw_zero(B_SQ3, F3, precision=0)
+        x = rw.rw_truncate(rw.rw_zero(B_SQ3, F3), 0)
         with pytest.raises(NotDivisible):
             rw.divide_by_pi(x)
 
@@ -263,7 +316,7 @@ class TestDigits:
         assert rw.digit_expand(back, 10).digits == d.digits
 
     def test_cannot_ask_for_uncertified_digits(self):
-        x = rw.rw_pi(B_SQ3, F3, precision=3)
+        x = rw.rw_truncate(rw.rw_pi(B_SQ3, F3), 3)
         with pytest.raises(NotDivisible):
             rw.digit_expand(x, 4)
 
@@ -349,7 +402,7 @@ def _rand_element(case, seed, prec):
     coords = tuple(wc.WittVector(ring, tuple(_rand_coord(ring, rng)
                                              for _ in range(base.level)))
                    for _ in range(base.f))
-    return rw.RamifiedWitt(base, ring, coords, prec % (base.f * base.level + 1))
+    return rw.RamifiedWitt(base, ring, coords, prec % (base.default_precision + 1))
 
 
 class TestClosedForm:
@@ -394,6 +447,7 @@ class TestClosedForm:
     def test_digits_assemble_matches_horner(self, case, seed, count):
         base, ring = CLOSED_CASES[case]
         rng = random.Random(seed)
+        count %= base.default_precision + 1
         d = rw.DigitExpansion(base, ring, tuple(_rand_coord(ring, rng)
                                                 for _ in range(count)))
         got, want = rw.digits_assemble(d), rw._horner_assemble(d)
@@ -428,20 +482,22 @@ class TestClosedForm:
         assert taken == ["_digit_walk", "_horner_assemble", "_ord_walk"] * 2
 
     def test_walk_guard_coordinate_at_p2(self):
-        # At p = 2 the walk's unit -(e_0/p)^-1 has a nonzero top coordinate
-        # (e_0/p is formed at fixed length), which leaves T^8 = T in the guard
-        # coordinate here; T has no square root on its representative, so the
-        # walk refuses digits that the coordinates determine: x = 2*[T].
+        # For an integer e_0 the walk's unit -(e_0/p)^-1 is exact: [1] for
+        # X^2 - 2, with no junk in the guard coordinate (a unit formed from
+        # e_0/p at fixed length would be W{1;0;0;1} and leave T there, which
+        # has no square root on its representative).  So the walk reads the
+        # digits of x = 2*[T] over F_2[T]/(T^3+T+1) as the closed form does.
         ring = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
         base = rw.make_ramified_base(2, 1, 2, [-2, 0], 4)
+        assert rw._ctx(base, ring)[1] == wc.witt_one(ring, 4)
         z, t2 = br.zero(ring), br.evaluate(ring, "T^2")
         x = rw.RamifiedWitt(base, ring, (wc.WittVector(ring, (z, t2, z, z)),
                                          wc.witt_zero(ring, 4)), 6)
         assert str(rw.digit_expand(x, 3)) == "DIGITS[3]{0;0;T}"
         assert rw.rw_equal(x, rw.rw_mul(rw.rw_from_int(2, base, ring),
                                         rw.teich_embed(br.variable(ring, "T"), base)))
-        with pytest.raises(DepthExhausted):
-            rw._digit_walk(x, 3)
+        for n in range(7):
+            assert rw._digit_walk(x, n) == rw.digit_expand(x, n)
 
 
 class TestFrobenius:
