@@ -949,6 +949,7 @@ def _cmd_verify(ns, out, err) -> int:
 
 
 def _cmd_bench(ns, out, err) -> int:
+    wc.check_table_request(ns.p, ns.level, ns.kind)
     for level in range(ns.level + 1):
         t0 = time.perf_counter()
         table = wc.structural_polys(ns.p, level, ns.kind)

@@ -55,6 +55,7 @@ from .errors import (
 KINDS = ("sum", "product", "negation")
 DEFAULT_LEVEL_CAP = 6
 DEFAULT_TERM_BUDGET = 1_500_000
+_SUM_WIDTH = 200  # parts of one `+` chain in a compiled table function
 
 # ---------------------------------------------------------------------------
 # sparse integer polynomials
@@ -222,10 +223,9 @@ def _write_table(path: str, payload: dict) -> None:
         json.dump(doc, fh)
 
 
-@lru_cache(maxsize=64)
-def structural_polys(p: int, level: int, kind: str) -> StructuralPolynomialTable:
-    """Generate the structural table for (p, kind, level); the 64 most
-    recently used tables stay cached."""
+def check_table_request(p: int, level: int, kind: str) -> None:
+    """Refuse a table before any work (kind, prime, cap, packing, budget);
+    every bound grows with level, so passing here clears the levels below."""
     if kind not in KINDS:
         raise SpecParseError(f"kind must be one of {KINDS}")
     if not br._is_prime(p):
@@ -239,6 +239,12 @@ def structural_polys(p: int, level: int, kind: str) -> StructuralPolynomialTable
         raise LevelTooLarge(
             f"term-count bound {bound} for (p={p}, {kind}, level {level}) "
             f"exceeds budget {DEFAULT_TERM_BUDGET}")
+
+
+@lru_cache(maxsize=64)
+def structural_polys(p: int, level: int, kind: str) -> StructuralPolynomialTable:
+    """Generate the (p, kind, level) table; the 64 most recent stay cached."""
+    check_table_request(p, level, kind)
     return StructuralPolynomialTable(p, kind, level,
                                      tuple(_generate_polys(p, level, kind)))
 
@@ -339,44 +345,46 @@ def compile_table(table: StructuralPolynomialTable):
 
 
 def _compile_poly(poly: dict):
-    decoded = {k: _mono_decode(k) for k in poly}
+    """poly as f(xs, ys) in nested-Horner form: terms grouped by the exponent
+    e of their first live variable (X0, Y0, X1, Y1, ...), each group's sum
+    times that e-th power once; sums wider than _SUM_WIDTH go to temporaries."""
+    terms = [(_mono_decode(k), c) for k, c in poly.items()]
+    live = sorted({ve for mono, _ in terms for ve in mono})
+    name = {v: f"{'xy'[v % 2]}{v // 2}" for v, _ in live}
     src = ["def _f(xs, ys=None):"]
-    used_x = sorted({v // 2 for mono in decoded.values() for v, _ in mono if v % 2 == 0})
-    used_y = sorted({v // 2 for mono in decoded.values() for v, _ in mono if v % 2 == 1})
-    for i in used_x:
-        src.append(f"    x{i} = xs[{i}]")
-    for i in used_y:
-        src.append(f"    y{i} = ys[{i}]")
-    powers = sorted({(v, e) for mono in decoded.values() for v, e in mono if e > 1})
-    for v, e in powers:
-        name = f"x{v // 2}" if v % 2 == 0 else f"y{v // 2}"
-        src.append(f"    {name}_{e} = {name}**{e}")
-    terms = sorted(poly.items(), key=lambda kc: _mono_sort_key(kc[0]), reverse=True)
-    chunks: list[str] = []
-    src.append("    acc = 0")
-    buf: list[str] = []
-    for key, c in terms:
-        factors = []
-        for v, e in _mono_factors(key):
-            name = f"x{v // 2}" if v % 2 == 0 else f"y{v // 2}"
-            factors.append(name if e == 1 else f"{name}_{e}")
-        if factors:
-            body = "*".join(factors)
-            piece = body if c == 1 else (f"-{body}" if c == -1 else f"{c}*{body}")
-        else:
-            piece = str(c)
-        buf.append(piece)
-        if len(buf) >= 400:
-            chunks.append(buf)
-            buf = []
-    if buf:
-        chunks.append(buf)
-    for chunk in chunks:
-        expr = chunk[0]
-        for piece in chunk[1:]:
-            expr += piece if piece.startswith("-") else f"+{piece}"
-        src.append(f"    acc += {expr}")
-    src.append("    return acc")
+    src += [f"    {name[v]} = {'xy'[v % 2]}s[{v // 2}]" for v in sorted(name)]
+    src += [f"    {name[v]}_{e} = {name[v]}**{e}" for v, e in live if e > 1]
+
+    def summed(parts):
+        chains = ["".join(s if s[0] == "-" else "+" + s for s in parts[i:i + _SUM_WIDTH])
+                  .lstrip("+") for i in range(0, len(parts), _SUM_WIDTH)]
+        if len(chains) == 1:
+            return f"({chains[0]})"
+        t = f"t{len(src)}"
+        src.extend([f"    {t} = 0"] + [f"    {t} += {c}" for c in chains])
+        return t
+
+    def horner(group) -> list[str]:
+        v = min((mono[0][0] for mono, _ in group if mono), default=None)
+        if v is None:
+            return [str(c) for _, c in group]
+        by_e: dict = {}
+        for mono, c in group:
+            e = mono[0][1] if mono and mono[0][0] == v else 0
+            by_e.setdefault(e, []).append((mono[1:] if e else mono, c))
+        out = horner(by_e.pop(0, []))
+        for e, sub in sorted(by_e.items()):
+            pw = name[v] if e == 1 else f"{name[v]}_{e}"
+            inner = horner(sub)
+            if len(inner) > 1:
+                out.append(f"{pw}*{summed(inner)}")
+            elif inner[0] in ("1", "-1"):
+                out.append(inner[0][:-1] + pw)
+            else:
+                out.append(f"{inner[0]}*{pw}")
+        return out
+
+    src.append(f"    return {summed(horner(terms)) if terms else 0}")
     ns: dict = {}
     exec("\n".join(src), {"__builtins__": {}}, ns)
     return ns["_f"]

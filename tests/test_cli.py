@@ -618,6 +618,21 @@ def test_cli_golden(cmd):
     assert (code, out) == CLI_GOLDEN[cmd]
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (("--p", "2", "--level", "7", "--kind", "negation"), 3, "level 7 above cap 6"),
+    (("--p", "2", "--level", "7", "--kind", "sum"), 3, "level 7 above cap 6"),
+    (("--p", "5", "--level", "4", "--kind", "sum"), 3, "130941098"),
+    (("--p", "257", "--level", "2", "--kind", "negation"), 3, "16-bit"),
+    (("--p", "4", "--level", "1"), 2, "p=4 is not prime"),
+])
+def test_bench_poly_refuses_before_the_first_level(argv, code, message):
+    # the top level's refusal comes first: no LEVEL line is printed, and no
+    # lower table (the level-6 sum at p=2 takes minutes) is generated
+    got, out, err = run_cli("bench", "poly", *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("kind,shape", [
     ("sum", ((2, 1), (3, 1), (8, 2))),
     ("product", ((1, 1), (3, 2), (9, 3))),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ F2 = br.make_ring("ff p=2 e=1")
 F3 = br.make_ring("ff p=3 e=1")
 F5 = br.make_ring("ff p=5 e=1")
 F4 = br.make_ring("ff p=2 e=2")
+F9 = br.make_ring("ff p=3 e=2")
 UQ9 = br.make_ring("uq base=(ff p=3 e=2) var=T modulus=T^2+2*T+2")
 PX2 = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false")
 PERF3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=false")
@@ -109,18 +111,39 @@ class TestStructuralTables:
 
 
 class TestCompiledEvaluators:
-    def naive_eval(self, poly, xs, ys):
-        total = 0
+    @staticmethod
+    def naive_eval(poly, xs, ys, const=int):
+        """Term-by-term sum; const maps each integer coefficient into the
+        ring of the arguments (from_int for ring elements)."""
+        total = const(0)
         for key, c in poly.items():
-            v = c
+            v = const(c)
             for var, e in wc._mono_decode(key):
                 base = xs[var // 2] if var % 2 == 0 else ys[var // 2]
                 v *= base ** e
             total += v
         return total
 
+    @staticmethod
+    def wide_poly():
+        """320 distinct exponents of X0 (a top-level sum far wider than one
+        `+` chain), 100-bit coefficients of both signs, a constant term."""
+        rng = random.Random(41)
+        return {wc._mono_key(((0, e), (1, e % 7), (3, e % 2))):
+                rng.choice((-1, 1)) * rng.getrandbits(100) for e in range(320)}
+
+    @staticmethod
+    def deep_poly():
+        """One X0^3 group of 1,250 terms, with a 250-part Y0 sum inside it,
+        plus a few terms outside the group and a bare constant."""
+        poly = {wc._mono_key(((0, 3), (1, a), (2, b))): (-1) ** (a + b) * (5 * a + b + 1)
+                for a in range(250) for b in range(5)}
+        poly.update({wc._mono_key(((2, 2),)): -4, wc._mono_key(((1, 1),)): 1, 0: 9})
+        return poly
+
     @pytest.mark.parametrize("p,level,kind", [(2, 3, "sum"), (3, 2, "product"),
-                                              (5, 2, "sum"), (2, 2, "negation")])
+                                              (5, 2, "sum"), (2, 2, "negation"),
+                                              (5, 3, "product")])
     def test_matches_naive_evaluation(self, p, level, kind):
         rng = random.Random(17)
         table = wc.structural_polys(p, level, kind)
@@ -130,6 +153,38 @@ class TestCompiledEvaluators:
             ys = tuple(rng.randint(-9, 9) for _ in range(level + 1))
             for i, poly in enumerate(table.polys):
                 assert fns[i](xs, ys) == self.naive_eval(poly, xs, ys)
+
+    @pytest.mark.parametrize("make", ["wide_poly", "deep_poly"])
+    def test_wide_and_deep_bodies(self, make):
+        # a bad split of a wide sum must give a wrong value here, not a
+        # SyntaxError or RecursionError at compile time in the field
+        poly = getattr(self, make)()
+        f = wc._compile_poly(poly)
+        rng = random.Random(19)
+        for _ in range(5):
+            xs = tuple(rng.randint(-3, 3) for _ in range(3))
+            ys = tuple(rng.randint(-3, 3) for _ in range(3))
+            assert f(xs, ys) == self.naive_eval(poly, xs, ys)
+
+    @pytest.mark.parametrize("ring", [F9, F4, UQ2, LAUR3], ids=["F9", "F4", "uq", "frac"])
+    def test_ring_elements_match_naive_ring_evaluation(self, ring):
+        # the table route's int/element mixing: integer coefficients (100-bit
+        # in the synthetic polys) times elements, bare constants, and the
+        # `t = 0; t += ...` temporaries of wide sums
+        rng = random.Random(23)
+        p = br.ring_char(ring)
+        const = partial(br.from_int, ring)
+        tables = [wc.structural_polys(p, level, kind)
+                  for level in (2, 3) for kind in ("sum", "product")]
+        polys = ([q for t in tables for q in t.polys]
+                 + [self.wide_poly(), self.deep_poly()])
+        fns = ([f for t in tables for f in wc.compile_table(t)]
+               + [wc._compile_poly(q) for q in polys[-2:]])
+        for _ in range(2):
+            xs = tuple(br.random_element(ring, rng, max_terms=2) for _ in range(4))
+            ys = tuple(br.random_element(ring, rng, max_terms=2) for _ in range(4))
+            for f, poly in zip(fns, polys):
+                assert f(xs, ys) == self.naive_eval(poly, xs, ys, const)
 
 
 class TestGhostOracle:
@@ -205,6 +260,24 @@ class TestWittArithmetic:
             for op in ("add", "mul", "neg"):
                 assert (wc.witt_arith(op, x, y, route="lift")
                         == wc.witt_arith(op, x, y, route="table"))
+
+    @pytest.mark.parametrize("ring", [F3, F4, F9], ids=["F3", "F4", "F9"])
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_lift_route_equals_table_route(self, ring, data):
+        """add, mul and neg agree on both routes at lengths 1..3, over
+        Hypothesis-drawn coordinates: 60 derandomized examples per ring.  For
+        odd p, neg is coordinatewise before any route is chosen."""
+        F = br.base_field(ring)
+        n = data.draw(st.integers(1, 3))
+        coord = st.tuples(*[st.integers(0, F.p - 1)] * F.e).map(
+            partial(br.from_coeff, ring))
+        vector = st.lists(coord, min_size=n, max_size=n).map(
+            lambda cs: wc.WittVector(ring, tuple(cs)))
+        x, y = data.draw(vector), data.draw(vector)
+        for op in ("add", "mul", "neg"):
+            assert (wc.witt_arith(op, x, y, route="lift")
+                    == wc.witt_arith(op, x, y, route="table"))
 
     def test_ring_axioms_random(self):
         rng = random.Random(8)
