@@ -5,7 +5,9 @@ is the integer lift of a monic irreducible M over F_p of degree e.
 Coefficients are e-tuples of integers in [0, p^K).  At K = 1 this is the
 finite field F_q, q = p^e, and ``FiniteFieldSpec`` is that instance; the
 Witt lift route (``witt_core``) runs the same code at K = n+1, where each
-F_p digit is its own integer lift.  Three ring kinds sit on top, each with
+F_p digit is its own integer lift.  At K = n it is Z_q/p^n = W_n(F_q), the
+ring the Z_q route of ``witt_core`` computes in for Witt vectors over F_q.
+Three ring kinds sit on top, each with
 one product on sparse term dicts {exponent key: coefficient}:
 
 * ``FiniteFieldSpec`` -- F_q itself, a single term with key ().

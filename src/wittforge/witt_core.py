@@ -1,20 +1,34 @@
 """Truncated p-typical Witt vectors W_n(A) over characteristic-p rings.
 
-Two independent arithmetic routes are kept alive on purpose:
+Three arithmetic routes are kept alive on purpose:
 
+* Z_q (the default over a ``FiniteFieldSpec``): W_n(F_q) is the strict
+  p-ring Z_q mod p^n, i.e. the coefficient ring (Z/p^n)[u]/(M~) at K = n.
+  x goes in as sum_i p^i [x_i^(p^-i)], the operation runs there, and the
+  result comes back one Teichmueller digit at a time: t = z mod p gives
+  x_i = t^(p^i), then z <- (z - [t]) / p.  [a] mod p^m is any lift of a
+  raised to q^(m-1); those lifts are memoized.
+* route="lift" (the default over frac and uq rings): read the coordinates
+  over Z/p^K (K = n+1) with the base ring's own kernel, apply the ghost map
+  there, do the operation componentwise, and solve the triangular system
+  back.
 * route="table": evaluate the universal structural polynomials (generated by
   the exact ghost recursion over Z, reduced mod p at evaluation time).
-* route="lift": read the coordinates over Z/p^K (K = n+1) with the base
-  ring's own kernel, apply the ghost map there, do the operation
-  componentwise, and solve the triangular system back.  Every division by p^i
-  in the solve is checked for exactness; a failure is a bug, not an input
-  condition.
 
-The table route is exact but its term counts explode combinatorially, so it
-only covers small (p, level) pairs; ``term_count_bound`` gives the a-priori
-monomial-count ceiling that the generation guard enforces.  The lift route
-works at any length and is the default.  Cross-route agreement is part of the
-test suite, so neither can drift.
+Every division by p in the Z_q and lift routes is checked for exactness; a
+failure is a bug, not an input condition.  The table route is exact but its
+term counts explode combinatorially, so it only covers small (p, level)
+pairs; ``term_count_bound`` gives the a-priori monomial-count ceiling that
+the generation guard enforces.  route="lift" and route="table" run on every
+ring and stay as the oracles: cross-route agreement is part of the test
+suite, so no route can drift.
+
+The Z_q route needs no guard digit: Z_q/p^n is W_n(F_q) itself, not an
+approximation of it.  Sums and products there are exact mod p^n, and each
+step back subtracts the Teichmueller lift of the digit it reads, so its
+division by p is exact and leaves z mod p^(n-i-1), all that the n-i-1
+digits still to read depend on.  The lift route, by contrast, runs at
+K = n+1 with a digit to spare (its ledger follows).
 
 Precision ledger for the lift route: with K = n+1, the solved coordinate r_i
 is correct mod p^(K-i).  Proof sketch: the subtracted term p^j r_j^(p^(i-j))
@@ -148,18 +162,13 @@ def _ghost_target(p: int, i: int, kind: str) -> dict:
 
 
 def _weighted_count(weights: tuple[int, ...], total: int) -> int:
-    """Number of monomials of exact weighted degree `total`."""
-
-    @lru_cache(maxsize=None)
-    def f(idx: int, rem: int) -> int:
-        if rem == 0:
-            return 1
-        if idx == len(weights):
-            return 0
-        w = weights[idx]
-        return sum(f(idx + 1, rem - k * w) for k in range(rem // w + 1))
-
-    return f(0, total)
+    """Number of monomials of exact weighted degree `total`: the coefficient
+    of t^total in prod_w 1/(1 - t^w), one pass over 0..total per weight."""
+    ways = [1] + [0] * total
+    for w in weights:
+        for s in range(w, total + 1):
+            ways[s] += ways[s - w]
+    return ways[total]
 
 
 def term_count_bound(p: int, level: int, kind: str = "sum") -> int:
@@ -535,12 +544,15 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
         # iota_i = -X_i for odd p (route-checked in the test suite)
         return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
     if route == "auto":
-        # the lift route works at every length the package supports; the
-        # table route is opt-in since its term counts explode with level
+        # Z_q over finite fields, the lift route elsewhere: both work at
+        # every length; the table route is opt-in since its term counts
+        # explode with level
         if op == "mul":
             fast = _mul_single_coord(x, y)
             if fast is not None:
                 return fast
+        if isinstance(x.ring, br.FiniteFieldSpec):
+            return _witt_op_zq(op, x, y)
         route = "lift"
     if route == "table":
         return _witt_op_table(op, x, y)
@@ -566,6 +578,55 @@ def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
     # scaling by 1 over F_q reduces each coefficient mod p
     return WittVector(ring, tuple(br._mk(ring, br._kscale(F, c.items(), 1))
                                   for c in coords))
+
+
+@lru_cache(maxsize=4096)
+def _teich(F: br.FiniteFieldSpec, a, m: int):
+    """[a] mod p^m: any lift of a raised to the q^(m-1)-th power."""
+    if F.e == 1:
+        return (pow(a[0], F.q ** (m - 1), F.p ** m),)
+    return br._CoeffRing(F, m).cpow(a, F.q ** (m - 1))
+
+
+def _to_zq(x: WittVector) -> list:
+    """x as sum_i p^i [x_i^(p^-i)], a representative of its class in
+    Z_q/p^n; digit i needs only p^(n-i)."""
+    F, n, acc = x.ring, x.length, [0] * x.ring.e
+    for i, c in enumerate(x.coords):
+        if c.terms:
+            pi = F.p ** i
+            t = _teich(F, F.cfrob(c.terms[0][1], -i), n - i)
+            acc = [u + pi * v for u, v in zip(acc, t)]
+    return acc
+
+
+def _from_zq(F: br.FiniteFieldSpec, z, n: int) -> tuple:
+    """Witt coordinates of z in Z_q/p^n, one Teichmueller digit at a time."""
+    p, coords, z = F.p, [], list(z)
+    for i in range(n):
+        t = tuple([v % p for v in z])
+        if any(t):
+            coords.append(br.RingElement(F, (((), F.cfrob(t, i)),)))
+            z = [a - b for a, b in zip(z, _teich(F, t, n - i))]
+        else:
+            coords.append(br.zero(F))
+        d, z = z, [v // p for v in z]
+        if [v * p for v in z] != d:
+            raise IntegralityViolation(
+                f"Z_q digit {i}: {d} is not divisible by {p}")
+    return tuple(coords)
+
+
+def _witt_op_zq(op: str, x: WittVector, y: WittVector | None) -> WittVector:
+    C = br._CoeffRing(x.ring, x.length)
+    z = _to_zq(x)
+    if op == "neg":
+        z = C.cneg(z)
+    elif op == "add":
+        z = C.cadd(z, _to_zq(y))
+    else:
+        z = C.cmul(z, _to_zq(y))
+    return WittVector(x.ring, _from_zq(x.ring, z, x.length))
 
 
 def _witt_op_table(op: str, x: WittVector, y: WittVector | None) -> WittVector:

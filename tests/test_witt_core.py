@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -22,6 +23,8 @@ F3 = br.make_ring("ff p=3 e=1")
 F5 = br.make_ring("ff p=5 e=1")
 F4 = br.make_ring("ff p=2 e=2")
 F9 = br.make_ring("ff p=3 e=2")
+F25 = br.make_ring("ff p=5 e=2")
+F8 = br.make_ring("ff p=2 e=3")
 UQ9 = br.make_ring("uq base=(ff p=3 e=2) var=T modulus=T^2+2*T+2")
 PX2 = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false")
 PERF3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=false")
@@ -91,6 +94,14 @@ class TestStructuralTables:
         for p in primes:
             wc.structural_polys(p, 0, "negation")
         assert wc.structural_polys.cache_info().currsize == bound
+
+    def test_large_prime_sum_request_is_refused_quickly(self):
+        # the count runs over weights up to 251^2 = 63001 in two families;
+        # the budget refusal must not wait seconds for it
+        start = time.perf_counter()
+        with pytest.raises(LevelTooLarge, match="669480506"):
+            wc.check_table_request(251, 2, "sum")
+        assert time.perf_counter() - start < 3.0
 
     def test_term_count_bound_refuses_packing_overflow(self):
         # about p^level steps of counting; refused before the first one
@@ -301,6 +312,99 @@ class TestWittArithmetic:
             wc.witt_add(x, y)
         with pytest.raises(MismatchError):
             wc.witt_add(x, wc.witt_one(F3, 2))
+
+
+def zq_operand(ring, n):
+    """Length-n vectors over a finite field: dense (every coordinate drawn,
+    mostly nonzero) or sparse (at most two nonzero coordinates)."""
+    F = br.base_field(ring)
+    coeff = st.tuples(*[st.integers(0, F.p - 1)] * F.e)
+    dense = st.lists(coeff, min_size=n, max_size=n)
+    sparse = st.dictionaries(st.integers(0, n - 1), coeff, max_size=2).map(
+        lambda d: [d.get(i, F.zero()) for i in range(n)])
+    return st.one_of(dense, sparse).map(
+        lambda cs: wc.WittVector(ring, tuple(br.from_coeff(ring, c) for c in cs)))
+
+
+class TestZqRoute:
+    """W_n(F_q) = Z_q/p^n, the default route over finite fields.  F_8 is
+    the one field here where the twist x_i^(p^-i) differs from x_i^(p^i)."""
+
+    FIELDS = [F2, F3, F4, F8, F9, F25]
+    IDS = ["F2", "F3", "F4", "F8", "F9", "F25"]
+    TABLE_TERMS = 10_000
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("ring", FIELDS, ids=IDS)
+    @given(data=st.data())
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    def test_matches_lift_and_table_routes(self, ring, n, data):
+        """add, mul and neg (p = 2 neg included) agree with route="lift" at
+        n = 1..8, and with route="table" wherever check_table_request admits
+        a table of at most TABLE_TERMS terms: 10 derandomized examples per
+        field and length.  The five larger admitted tables ((2, sum|product, 5),
+        (3, sum|product, 4), (5, sum, 3)) take 0.2-9 s to generate and
+        0.1-1 s per evaluation on ring elements, too slow for a property."""
+        p = br.ring_char(ring)
+        x, y = data.draw(zq_operand(ring, n)), data.draw(zq_operand(ring, n))
+        for op, kind in (("add", "sum"), ("mul", "product"), ("neg", "negation")):
+            got = wc._witt_op_zq(op, x, None if op == "neg" else y)
+            assert got == wc.witt_arith(op, x, y, route="lift")
+            assert got == wc.witt_arith(op, x, y)
+            try:
+                wc.check_table_request(p, n - 1, kind)
+            except LevelTooLarge:
+                continue
+            if wc.term_count_bound(p, n - 1, kind) <= self.TABLE_TERMS:
+                assert got == wc.witt_arith(op, x, y, route="table")
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=IDS)
+    @given(data=st.data())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_round_trip_and_teichmuller_digits(self, ring, data):
+        """W_n(F_q) -> Z_q/p^n -> W_n(F_q) is the identity, and [a] reads
+        back as (a, 0, ..., 0): 30 derandomized examples per field."""
+        F = br.base_field(ring)
+        n = data.draw(st.integers(1, 8))
+        x = data.draw(zq_operand(ring, n))
+        assert wc._from_zq(F, wc._to_zq(x), n) == x.coords
+        a = data.draw(st.tuples(*[st.integers(0, F.p - 1)] * F.e))
+        assert (wc._from_zq(F, wc._teich(F, a, n), n)
+                == wc.teichmuller(br.from_coeff(ring, a), n).coords)
+
+    def test_auto_route_uses_the_ghost_lift_only_off_finite_fields(self, monkeypatch):
+        calls = []
+
+        def recording(name):
+            orig = getattr(wc, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return orig(*args)
+            return wrapped
+
+        for name in ("_lift_ghost", "_lift_solve"):
+            monkeypatch.setattr(wc, name, recording(name))
+        rng = random.Random(11)
+        for ring in self.FIELDS:
+            x, y = rand_witt(ring, rng, 5), rand_witt(ring, rng, 5)
+            wc.witt_add(x, y), wc.witt_mul(x, y), wc.witt_sub(x, y), wc.witt_neg(x)
+            wc.witt_inv_unit(wc.witt_add(wc.witt_one(ring, 5), wc.verschiebung(x)))
+        assert calls == []
+        for ring in (UQ9, PERF3):
+            x = rand_witt(ring, rng, 3, allow_zero=False)
+            y = rand_witt(ring, rng, 3, allow_zero=False)
+            calls.clear()
+            wc.witt_add(x, y)
+            assert set(calls) == {"_lift_ghost", "_lift_solve"}
+
+    def test_teichmuller_memo_is_bounded(self):
+        bound = wc._teich.cache_info().maxsize
+        F = br.make_field(next(p for p in range(bound + 2, 2 * bound + 4)
+                               if br._is_prime(p)), 1)
+        for a in range(bound + 1):
+            wc._teich(F, (a,), 1)
+        assert wc._teich.cache_info().currsize == bound
 
 
 class TestOperators:
