@@ -35,9 +35,10 @@ Elements are immutable: a ``RingElement`` holds a sorted tuple of
 representations and hash equal.  All operations return new elements.
 
 Inverse Frobenius is partial: on a ``FracLaurentRing`` it fails with
-``DepthExhausted`` once an exponent denominator would leave the lattice, and on
-a ``UnivariateQuotient`` it only sees p-th powers of canonical representatives
-(a residue class can have a root the representative hides; ``NoRoot`` then).
+``DepthExhausted`` once an exponent denominator would leave the lattice.  On a
+``UnivariateQuotient`` it is exact: it divides the exponents of the canonical
+representative by p where they allow it, and otherwise decides y^(p^k) = x by
+one F_p-linear solve, so ``NoRoot`` means that no p^k-th root exists.
 """
 
 from __future__ import annotations
@@ -720,9 +721,10 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
 
 
 def frobenius(x: RingElement, k: int) -> RingElement:
-    """k-fold Frobenius y -> y^(p^k); k < 0 walks the partial inverse."""
-    if k == 0:
-        return x
+    """k-fold Frobenius y -> y^(p^k); k < 0 walks the partial inverse, which
+    is exact on a ``UnivariateQuotient`` (``_uq_root``)."""
+    if k < 0 and isinstance(x.ring, UnivariateQuotient):
+        return _uq_root(x, -k)
     step = 1 if k > 0 else -1
     for _ in range(abs(k)):
         x = _frob_once(x, step)
@@ -753,16 +755,89 @@ def _frob_once(x: RingElement, step: int) -> RingElement:
                             f"(denominator {e.denominator} does not divide {b})")
                 d[tuple(n // p for n in key)] = F.cfrob(c, -1)
         return _mk(ring, d)
-    # UnivariateQuotient
-    if step > 0:
-        return pow_int(x, p)
-    for k, c in x.terms:
-        if k % p != 0:
-            raise NoRoot(
-                "canonical representative is not a p-th power "
-                f"(T-exponent {k} not divisible by {p})")
-        d[k // p] = F.cfrob(c, -1)
-    return _mk(ring, d)
+    # UnivariateQuotient, step > 0 (its inverse is _uq_root)
+    return pow_int(x, p)
+
+
+def _uq_root(x: RingElement, k: int) -> RingElement:
+    """The y with y^(p^k) = x in F_q[T]/(g); NoRoot when there is none.
+
+    Dilation comes first: while every exponent of the representative is
+    divisible by p, divide them by p and take p-th roots of the coefficients.
+    Where it refuses, one F_p-linear solve of y^(p^k) = x decides (iterated
+    p-th roots would not: on a non-reduced ring the p-th root found first can
+    fail to be a p^(k-1)-th power while another one is).  On g = T^m the
+    refusal is already exact: the p^k-th powers there are the elements whose
+    exponents p^k divides.
+    """
+    ring, F = x.ring, x.ring.base
+    y = x
+    for _ in range(k):
+        bad = next((e for e, _ in y.terms if e % F.p), None)
+        if bad is not None:
+            break
+        y = _mk(ring, {e // F.p: F.cfrob(c, -1) for e, c in y.terms})
+    else:
+        return y
+    if not any(map(any, ring.modulus[:-1])):  # g = T^m
+        raise NoRoot("canonical representative is not a p-th power "
+                     f"(T-exponent {bad} not divisible by {F.p})")
+    y = _root_solver(ring, k)(x)
+    if y is None:
+        raise NoRoot(f"not a p^{k}-th power, p = {F.p} (decided by an "
+                     f"F_{F.p}-linear solve)")
+    return y
+
+
+@lru_cache(maxsize=64)
+def _root_solver(ring: UnivariateQuotient, k: int):
+    """The solve of y^(p^k) = x in F_q[T]/(g): a function of x giving y or None.
+
+    y -> y^(p^k) is F_p-linear on the coordinates (digit a of the coefficient
+    of T^i at index i*e + a).  [M | I] is row-reduced once, so each solve is
+    one product with the reduced inverse; every candidate is verified.
+    """
+    F = ring.base
+    p, e, pk = F.p, F.e, F.p ** k
+    dim = ring.degree * e
+
+    def vec(z: RingElement) -> list[int]:
+        out = [0] * dim
+        for i, c in z.terms:
+            out[i * e:(i + 1) * e] = c
+        return out
+
+    unit = [tuple(int(a == b) for b in range(e)) for a in range(e)]
+    cols = [vec(pow_int(_term(ring, i, unit[a]), pk))
+            for i in range(ring.degree) for a in range(e)]
+    aug = [[col[r] for col in cols] + [int(j == r) for j in range(dim)]
+           for r in range(dim)]
+    piv_cols = []
+    for c in range(dim):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, dim) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        aug[r] = [v * inv % p for v in aug[r]]
+        for i in range(dim):
+            if i != r and aug[i][c]:
+                m = aug[i][c]
+                aug[i] = [(v - m * w) % p for v, w in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+    pivots = [(c, aug[r][dim:]) for r, c in enumerate(piv_cols)]
+
+    def solve(x: RingElement) -> RingElement | None:
+        t = [(j, v) for j, v in enumerate(vec(x)) if v]
+        out = [0] * dim
+        for c, row in pivots:
+            out[c] = sum(row[j] * v for j, v in t) % p
+        y = _mk(ring, _nonzero({i: tuple(out[i * e:(i + 1) * e])
+                                for i in range(ring.degree)}))
+        return y if pow_int(y, pk) == x else None
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

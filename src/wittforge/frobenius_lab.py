@@ -2,8 +2,10 @@
 and truncated Fontaine sequences.
 
 Everything here is desk-scale and certificate-oriented.  A perfection report
-never just asserts "surjective": it carries witnesses that re-verify under
-the module's own decision procedures.  The tower model is the mod-p shadow
+never just asserts "surjective": it carries witnesses that re-verify.  Its
+p^k-th roots come from ``base_rings.frobenius`` and are mapped back by
+Frobenius; on univariate quotients that inverse is exact, so a missing root
+there is a proof that none exists.  The tower model is the mod-p shadow
 of Z[T]/(T^(p^M) - p), so u stands for p^(1/p^M) and u^(p^(M-1)) for the
 uniformizer pi = p^(1/p); its checks are the finite-depth forms of the
 infinite-level statements, and the report banner says so.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import base_rings as br
 from .base_rings import (
@@ -37,113 +38,7 @@ UNBOUNDED = "unbounded-within-budget"
 
 
 # ---------------------------------------------------------------------------
-# p-th roots in univariate quotients, decided exactly
-
-def _vec(ring: UnivariateQuotient, x: RingElement) -> list[int]:
-    F = ring.base
-    out = [0] * (ring.degree * F.e)
-    for k, c in x.terms:
-        for a in range(F.e):
-            out[k * F.e + a] = c[a]
-    return out
-
-
-def _elt_from_vec(ring: UnivariateQuotient, vec) -> RingElement:
-    p, e = ring.base.p, ring.base.e
-    return br._mk(ring, br._nonzero({i: tuple(v % p for v in vec[i * e:(i + 1) * e])
-                                     for i in range(ring.degree)}))
-
-
-def _modulus_is_power_of_var(ring: UnivariateQuotient) -> bool:
-    return all(c == ring.base.zero() for c in ring.modulus[:-1])
-
-
-class PthRootSolver:
-    """Decides g^p = target in F_q[T]/(modulus).
-
-    The map x -> x^p is F_p-linear, so a Gaussian solve over F_p settles
-    existence exactly.  For the tower rings F_p[u]/(u^D) the p-th power map
-    is plain exponent dilation, undone by the ring's inverse Frobenius.
-    """
-
-    def __init__(self, ring: UnivariateQuotient):
-        self.ring = ring
-        self.p = ring.base.p
-        self.dilation = ring.base.e == 1 and _modulus_is_power_of_var(ring)
-        if not self.dilation:
-            dim = ring.degree * ring.base.e
-            cols = []
-            F = ring.base
-            for i in range(ring.degree):
-                for a in range(F.e):
-                    basis = _elt_from_vec(ring, [
-                        1 if j == i * F.e + a else 0 for j in range(dim)])
-                    cols.append(_vec(ring, br.pow_int(basis, self.p)))
-            # row-reduce [M | I] once; every later solve is a substitution
-            self._rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-            self._reduce()
-
-    def _reduce(self):
-        p = self.p
-        rows = self._rows
-        dim = len(rows)
-        aug = [row[:] + [1 if j == i else 0 for j in range(dim)]
-               for i, row in enumerate(rows)]
-        piv_cols = []
-        r = 0
-        for c in range(dim):
-            piv = next((i for i in range(r, dim) if aug[i][c] % p), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = pow(aug[r][c], -1, p)
-            aug[r] = [(v * inv) % p for v in aug[r]]
-            for i in range(dim):
-                if i != r and aug[i][c] % p:
-                    f = aug[i][c]
-                    aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[r])]
-            piv_cols.append(c)
-            r += 1
-        self._aug = aug
-        self._piv_cols = piv_cols
-        self._rank = r
-
-    def root(self, target: RingElement) -> RingElement | None:
-        if target.ring != self.ring:
-            raise MismatchError("target from a different ring")
-        if self.dilation:
-            try:
-                return br.frobenius(target, -1)
-            except NoRoot:
-                return None
-        dim = len(self._rows)
-        t = _vec(self.ring, target)
-        p = self.p
-        # x = R * t solves M x = t when t is consistent; verify afterwards
-        x = [0] * dim
-        for r in range(self._rank):
-            val = sum(self._aug[r][dim + j] * t[j] for j in range(dim)) % p
-            x[self._piv_cols[r]] = val
-        cand = _elt_from_vec(self.ring, x)
-        if br.pow_int(cand, p) == target:
-            return cand
-        return None
-
-
-_solver = lru_cache(maxsize=64)(PthRootSolver)
-
-
-def uq_pth_root(ring: UnivariateQuotient, target: RingElement,
-                steps: int = 1) -> RingElement | None:
-    """A g with g^(p^steps) = target, or None when no such element exists."""
-    solver = _solver(ring)
-    cur = target
-    for _ in range(steps):
-        cur = solver.root(cur)
-        if cur is None:
-            return None
-    return cur
-
+# the Frobenius kernel of a univariate quotient
 
 def frobenius_kernel_generator(ring: UnivariateQuotient) -> RingElement | None:
     """Generator of {h : h^p = 0}, or None when Frobenius is injective.
@@ -178,13 +73,12 @@ class PerfectionReport:
     verdict: bool
 
 
-def _surjectivity_probe(elements, budget: int, root):
-    """Largest k <= budget such that every probe element x has a p^k-th
-    root ``root(x, k)`` (None when there is none); returns (depth or
-    None-for-unbounded, witness or None)."""
+def _surjectivity_probe(elements, budget: int):
+    """Largest k <= budget such that every probe element has a verified
+    p^k-th root; returns (depth or None-for-unbounded, witness or None)."""
     for k in range(1, budget + 1):
         for x in elements:
-            if not x.is_zero() and root(x, k) is None:
+            if not x.is_zero() and _verified_frobenius_root(x, k) is None:
                 return k - 1, (x, k)
     return None, None
 
@@ -256,17 +150,12 @@ def perfection_report(ring: Ring, budget: int = 4, samples: int = 10,
             witnesses.append(("injectivity", br.format_element(gen),
                               "kernel generator, p-th power vanishes"))
 
-    # --- surjectivity: generator-first probe with verified roots; univariate
-    # quotients get the exact linear-algebra decision
-    probes = _probe_elements(ring, samples, seed)
-    if isinstance(ring, UnivariateQuotient):
-        surjective, fail = _surjectivity_probe(
-            probes, budget, lambda x, k: uq_pth_root(ring, x, k))
-        how = " (exact F_p-linear solve)"
-    else:
-        surjective, fail = _surjectivity_probe(probes, budget,
-                                               _verified_frobenius_root)
-        how = " under the decision procedure"
+    # --- surjectivity: generator-first probe with verified roots; on
+    # univariate quotients br.frobenius decides them by a linear solve
+    surjective, fail = _surjectivity_probe(_probe_elements(ring, samples, seed),
+                                           budget)
+    how = (" (exact F_p-linear solve)" if isinstance(ring, UnivariateQuotient)
+           else " under the decision procedure")
     if fail is not None:
         x, k = fail
         witnesses.append(("surjectivity", br.format_element(x),
@@ -428,10 +317,7 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
         psi = lambda d: _stage_lift(ring, d, dilate=p)
         hom_ok = hom_ok and psi(d1 * d2) == psi(d1) * psi(d2) \
             and psi(d1 + d2) == psi(d1) + psi(d2)
-        img = psi(d1)
-        root = uq_pth_root(ring, img)
-        roots_ok = roots_ok and root is not None \
-            and br.pow_int(root, p) == img
+        roots_ok = roots_ok and _verified_frobenius_root(psi(d1), 1) is not None
     items.append(("cross-level-roots", hom_ok and roots_ok,
                   "u -> u^p is a homomorphism; images acquire verified roots"))
 

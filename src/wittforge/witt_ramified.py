@@ -352,7 +352,7 @@ def divide_by_pi(x: RamifiedWitt) -> RamifiedWitt:
         raise NotDivisible("no certified digits left to divide")
     f = x.base.f
     eis, neg_inv_u = _ctx(x.base, x.ring)
-    y_top = wc.witt_mul(neg_inv_u, wc.divide_by_p_fixed(x.coords[0]))
+    y_top = wc.witt_mul(neg_inv_u, _slot0_over_p(x))
     out = [None] * f
     out[f - 1] = y_top
     for i in range(f - 1, 0, -1):
@@ -361,6 +361,23 @@ def divide_by_pi(x: RamifiedWitt) -> RamifiedWitt:
         else:
             out[i - 1] = wc.witt_add(x.coords[i], wc.witt_mul(eis[i], y_top))
     return RamifiedWitt(x.base, x.ring, tuple(out), x.precision - 1)
+
+
+def _slot0_over_p(x: RamifiedWitt) -> wc.WittVector:
+    """Slot 0 divided by p at fixed length, its top coordinate an untrusted 0.
+
+    Coordinate i of slot 0 carries digit f*i, so one with f*i >= N is read by
+    no certified digit: where its p-th root is missing it reads as 0.
+    """
+    w, cut = x.coords[0], -(-x.precision // x.base.f)
+    head = wc.divide_by_p(wc.WittVector(x.ring, w.coords[:cut])).coords
+    tail = []
+    for a in w.coords[cut:]:
+        try:
+            tail.append(br.frobenius(a, -1))
+        except (NoRoot, DepthExhausted):
+            tail.append(br.zero(x.ring))
+    return wc.WittVector(x.ring, head + tuple(tail) + (br.zero(x.ring),))
 
 
 def rw_ord(x: RamifiedWitt, limit: int | None = None) -> int | None:
@@ -408,24 +425,30 @@ def rw_equal(x: RamifiedWitt, y: RamifiedWitt, precision: int | None = None) -> 
 # digit fi + j is c^-i F^-i(r_{j,i}), read off with no Witt arithmetic.  The
 # digit walk divides slot j D_j = ceil((steps - j)/f) times, taking a p-th
 # root of each coordinate i >= 1 still in the slot, so it roots r_{j,i}
-# min(i, D_j) times; the closed forms run only when all those roots exist,
-# and otherwise leave the refusal to the walk.  (At p = 2 the walk roots the
-# junk that a fixed-length unit -(e_0/p)^-1, from an e_0 given as a Witt
-# vector, leaves in the guard coordinate; over a uq ring such a root can be
-# missing, and then the walk refuses digits the closed form reads.)
+# min(i, D_j) times, one p-th root at a time.  A coordinate with fi + j >= N
+# is read by no certified digit, and divide_by_pi reads its missing root as 0.
+# The closed forms take the same roots, iterated as the walk does (on a
+# non-reduced ring a single p-th root can miss a p^k-th root that exists, and
+# then the two would differ), and leave any refusal to the walk.
 
 
 def _walk_roots(x: RamifiedWitt, steps: int):
-    """F^-min(i, D_j)(r_{j,i}) for every slot j and coordinate i, or None
-    when one of these roots is missing."""
+    """F^-min(i, D_j)(r_{j,i}) for every slot j and coordinate i with
+    f*i + j < N, or None when one of these roots is missing."""
     f = x.base.f
     out = []
     for j, r in enumerate(x.coords):
         d = -(-(steps - j) // f)
-        try:
-            out.append([br.frobenius(a, -min(i, d)) for i, a in enumerate(r.coords)])
-        except (NoRoot, DepthExhausted):
-            return None
+        cut = -(-(x.precision - j) // f)  # f*i + j < N exactly when i < cut
+        row = []
+        for i, a in enumerate(r.coords[:cut]):
+            try:
+                for _ in range(min(i, d)):
+                    a = br.frobenius(a, -1)
+            except (NoRoot, DepthExhausted):
+                return None
+            row.append(a)
+        out.append(row)
     return out
 
 
@@ -459,9 +482,12 @@ def digit_expand(x: RamifiedWitt, digits: int | None = None) -> DigitExpansion:
 
 
 def _digit_walk(x: RamifiedWitt, want: int) -> DigitExpansion:
-    """Greedy extraction: a_i = residue, subtract [a_i], then divide by pi."""
+    """Greedy extraction: a_i = residue, subtract [a_i], then divide by pi.
+
+    The walk runs at precision want, so that a coordinate no digit below
+    want reads is a guard coordinate to divide_by_pi."""
     out = []
-    cur = x
+    cur = rw_truncate(x, want)
     for _ in range(want):
         a = reduce_mod_pi(cur)
         out.append(a)

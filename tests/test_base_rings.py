@@ -429,6 +429,23 @@ class TestFrobenius:
         assert br.frobenius(sq, -1) == br.evaluate(ring, "T")
         with pytest.raises(NoRoot):
             br.frobenius(br.evaluate(ring, "T"), -1)
+        # F_27: dilation refuses T, whose cube root T^9 the linear solve finds
+        f27 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1")
+        assert br.frobenius(br.evaluate(f27, "T"), -1) == br.evaluate(f27, "T^9")
+
+    @given(p=st.sampled_from([2, 3]), e=st.integers(1, 2), degree=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32), k=st.integers(1, 3))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_uq_roundtrip_on_squarefree_moduli(self, p, e, degree, seed, k):
+        # a reduced finite ring is a product of fields, so every element has
+        # exactly one p^k-th root and frobenius(., -k) must find it
+        rng, field = random.Random(seed), F(p, e)
+        modulus = tuple(br.random_coeff(field, rng) for _ in range(degree))
+        ring = br.UnivariateQuotient(field, "T", modulus + (field.one(),))
+        if not br.is_reduced_univariate(ring).reduced:
+            return
+        x = br.random_element(ring, rng, max_terms=4, exp_bound=degree - 1)
+        assert br.frobenius(br.frobenius(x, -k), k) == x
 
     def test_roundtrip_random(self):
         rng = random.Random(11)

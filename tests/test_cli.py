@@ -509,7 +509,10 @@ class TestExitCodeMapping:
 # CLI: command (its argv, shell-quoted) -> (exit code, stdout).  The five divpi
 # lines at p = 2 marked "was" changed only in the top (guard) coordinate of
 # their last slot, when the unit -(e_0/p)^-1 became exact for an integer e_0;
-# the certified digits are the same.
+# the certified digits are the same.  The divpi and twist lines marked
+# "was (3, '')" or "was (2, '')" refused while the uq inverse Frobenius only
+# dilated exponents; the two rw expand lines marked so, over non-reduced
+# rings, refused on a guard coordinate that no certified digit reads.
 CLI_GOLDEN = {
     "rw add --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;2;0} | W{0;1;1} }' --y 'RW[base=b0, N=3]{ W{2;2;1} | W{1;0;2} }'":
         (0, 'RW[base=b0, N=3]{ W{0;1;0} | W{1;1;0} }\n'),
@@ -536,7 +539,7 @@ CLI_GOLDEN = {
     "rw mul --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{T;0;0} | W{T^2;0;0} }' --y 'RW[base=b0, N=4]{ W{T+1;0;0} | W{0;0;0} }'":
         (0, 'RW[base=b0, N=4]{ W{T^2+T;0;0} | W{T^2+T+2;0;0} }\n'),
     "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{0;T;0} | W{T^2;0;0} }'":
-        (3, ''),
+        (0, 'RW[base=b0, N=3]{ W{T^2;0;0} | W{T+1;0;0} }\n'),  # was (3, '')
     "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{T;0;0} | W{T^2;1;0} }'":
         (0, 'RW[base=b0, N=4]{ W{T+2;0;0} | W{T^2+T+1;1;0} }\n'),
     "rw add --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{1;1;0} | W{0;1;1} | W{1;0;1} }' --y 'RW[base=b0, N=6]{ W{1;0;1} | W{1;1;0} | W{0;0;1} }'":
@@ -550,9 +553,9 @@ CLI_GOLDEN = {
     "rw mul --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{T;0;0} | W{1;0;0} | W{0;0;0} }' --y 'RW[base=b0, N=6]{ W{T^2;0;0} | W{0;0;0} | W{T;0;0} }'":
         (0, 'RW[base=b0, N=6]{ W{T+1;T^2;0} | W{T^2;0;0} | W{T^2;0;0} }\n'),
     "rw divpi --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{0;T;0} | W{T^2;0;0} | W{0;0;0} }'":
-        (3, ''),
+        (0, 'RW[base=b0, N=5]{ W{T^2;0;0} | W{0;0;0} | W{T^2+T;0;0} }\n'),  # was (3, '')
     "rw twist --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --expr T+pi --n 1":
-        (2, ''),
+        (0, 'RW[base=b0, N=6]{ W{1;1;0} | W{1;0;1} | W{0;1;0} }\n'),  # was (2, '')
     "rw add --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --x 'RW[base=b0, N=4]{ W{u;1;0} | W{0;u+1;1} }' --y 'RW[base=b0, N=4]{ W{u+1;u;1} | W{1;0;u} }'":
         (0, 'RW[base=b0, N=4]{ W{1;u;1} | W{1;u+1;u+1} }\n'),
     "rw mul --base 'rw p=2 e=2 eis=(X^2-2) prec=4' --ring 'ff p=2 e=2' --x 'RW[base=b0, N=4]{ W{u;1;0} | W{0;u+1;1} }' --y 'RW[base=b0, N=4]{ W{u+1;u;1} | W{1;0;u} }'":
@@ -576,7 +579,7 @@ CLI_GOLDEN = {
     "rw mul --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=4]{ W{T;0;0} | W{1;0;0} }' --y 'RW[base=b0, N=4]{ W{T^2;0;0} | W{T;0;0} }'":
         (0, 'RW[base=b0, N=4]{ W{T+2;T+2;0} | W{2*T^2;T^2+2*T;1} }\n'),
     "rw divpi --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --x 'RW[base=b0, N=3]{ W{0;T;0} | W{T;0;0} }'":
-        (3, ''),
+        (0, 'RW[base=b0, N=2]{ W{T;2*T;0} | W{T+1;0;0} }\n'),  # was (3, '')
     "rw twist --base 'rw p=3 e=1 eis=(X^2-3*X-3) prec=4' --ring 'ff p=3 e=1' --expr 2+pi --n 1":
         (0, 'RW[base=b0, N=4]{ W{2;0;1} | W{0;2;2} }\n'),
     "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{0;1;0;0} | W{0;0;0;0} }'":
@@ -586,13 +589,21 @@ CLI_GOLDEN = {
     "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{0;T^2;0;0} | W{0;0;0;0} }'":
         (0, 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;0} }\n'),  # was W{T;0;0;T}
     "rw divpi --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T+1' --x 'RW[base=b0, N=6]{ W{0;T;T;0} | W{T;0;0;0} }'":
-        (3, ''),
+        (0, 'RW[base=b0, N=5]{ W{T;0;0;0} | W{T^2+T;T^2+T;0;0} }\n'),  # was (3, '')
     "rw divpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=1]{ W{0;1;2} | W{1;0;1} }'":
         (0, 'RW[base=b0, N=0]{ W{1;0;1} | W{1;2;0} }\n'),
     "rw twist --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true' --expr x --n -1":
         (2, ''),
     "rw frobpi --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 laurent=true' --x 'RW[base=b0, N=4]{ W{x;0;0} | W{0;0;0} }' --k -1":
         (3, ''),
+    "rw expand --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4' --x 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;T} }'":
+        (0, 'DIGITS[5]{0;T;0;0;0}\n'),  # was (3, '')
+    "rw expand --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4' --x 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;0} }'":
+        (0, 'DIGITS[5]{0;T;0;0;0}\n'),
+    "rw expand --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T^2' --x 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;T} }'":
+        (0, 'DIGITS[5]{0;T;0;0;0}\n'),  # was (3, '')
+    "rw expand --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T^2' --x 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;0} }'":
+        (0, 'DIGITS[5]{0;T;0;0;0}\n'),
     "witt frob --ring 'ff p=3 e=2' --n 3 --x 'W{u;1;2*u}'":
         (0, 'W{2*u;1;u}\n'),
     "witt frob --ring 'ff p=3 e=2' --n 3 --x 'W{u;1;2*u}' --k -1":
@@ -616,6 +627,35 @@ CLI_GOLDEN = {
 def test_cli_golden(cmd):
     code, out, _ = run_cli(*shlex.split(cmd))
     assert (code, out) == CLI_GOLDEN[cmd]
+
+
+def _golden_operands(cmd):
+    opts = shlex.split(cmd)
+    opts = dict(zip(opts[2::2], opts[3::2]))
+    base, ring = cli.parse_base(opts["--base"]), br.make_ring(opts["--ring"])
+    return base, ring, opts
+
+
+@pytest.mark.parametrize("cmd", [c for c in sorted(CLI_GOLDEN) if c.startswith("rw divpi")
+                                 and "modulus=T^3+" in c and CLI_GOLDEN[c][0] == 0])
+def test_uq_field_divpi_goldens_multiply_back(cmd):
+    # over F_27 and F_8, where four of these refused while the uq inverse
+    # Frobenius only dilated exponents: pi * y = x to y's certified precision,
+    # by the shift-and-fold product rather than by division
+    base, ring, opts = _golden_operands(cmd)
+    y = cli.parse_rw(base, ring, CLI_GOLDEN[cmd][1].strip())
+    assert rw.rw_equal(rw.rw_mul_pi(y), cli.parse_rw(base, ring, opts["--x"]))
+
+
+def test_uq_field_twist_golden():
+    # F^-1(a) * a * F(a) for a = T + pi over F_8: its residue is
+    # T^4 * T * T^2 = T^7 = 1, and F(F^-1(a)) = a
+    cmd = next(c for c in CLI_GOLDEN if c.startswith("rw twist") and "T^3+T+1" in c)
+    base, ring, opts = _golden_operands(cmd)
+    got = cli.parse_rw(base, ring, CLI_GOLDEN[cmd][1].strip())
+    assert rw.reduce_mod_pi(got) == br.pow_int(br.variable(ring, "T"), 7) == br.one(ring)
+    a = rw.embed_expr(base, ring, opts["--expr"])
+    assert rw.rw_equal(rw.frobenius_pi(rw.frobenius_pi(a, -1), 1), a)
 
 
 @pytest.mark.parametrize("argv,code,message", [

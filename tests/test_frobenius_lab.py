@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from wittforge.errors import (
     DepthExhausted,
     IncompatibleSequence,
     MismatchError,
+    NoRoot,
 )
 
 
@@ -84,52 +86,75 @@ class TestPerfectionReports:
         assert a.endswith("VERDICT: PASS")
 
 
+def _root(x, k=1):
+    """br.frobenius(x, -k), or None where it raises NoRoot."""
+    try:
+        return br.frobenius(x, -k)
+    except NoRoot:
+        return None
+
+
+def _all_elements(U):
+    F = U.base
+    return [br._mk(U, br._nonzero(dict(enumerate(cs))))
+            for cs in itertools.product(list(F.iter_elements()), repeat=U.degree)]
+
+
 class TestPthRootSolver:
+    """The uq inverse Frobenius of base_rings: dilation, else a linear solve."""
+
     def test_dilation_ring_roots(self):
         U = br.make_ring("uq base=(ff p=3 e=1) var=u modulus=u^27")
         u = br.variable(U, "u")
-        r = fl.uq_pth_root(U, br.pow_int(u, 6))
+        r = _root(br.pow_int(u, 6))
         assert r == br.pow_int(u, 2)
-        assert fl.uq_pth_root(U, u) is None
-        assert fl.uq_pth_root(U, br.pow_int(u, 18), steps=2) == br.pow_int(u, 2)
+        assert _root(u) is None
+        assert _root(br.pow_int(u, 18), 2) == br.pow_int(u, 2)
 
-    def test_gaussian_route_matches_brute_force(self):
-        # F_4[T]/(T^2): 16 elements, brute-force the image of Frobenius
-        U = br.make_ring("uq base=(ff p=2 e=2) var=T modulus=T^2")
-        elements = []
-        F = U.base
-        for c0 in F.iter_elements():
-            for c1 in F.iter_elements():
-                d = {}
-                if c0 != F.zero():
-                    d[0] = c0
-                if c1 != F.zero():
-                    d[1] = c1
-                elements.append(br._mk(U, d))
-        squares = {tuple(br.pow_int(x, 2).terms) for x in elements}
+    @pytest.mark.parametrize("spec", [
+        "uq base=(ff p=2 e=2) var=T modulus=T^2",
+        "uq base=(ff p=2 e=1) var=T modulus=T^3+T^2",
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gaussian_route_matches_brute_force(self, spec, k):
+        # brute-force the image of y -> y^(p^k): frobenius(x, -k) succeeds
+        # exactly there, with a root that maps back to x
+        U = br.make_ring(spec)
+        elements = _all_elements(U)
+        image = {br.frobenius(y, k) for y in elements}
         for x in elements:
-            root = fl.uq_pth_root(U, x)
-            if tuple(x.terms) in squares:
-                assert root is not None and br.pow_int(root, 2) == x
+            root = _root(x, k)
+            if x in image:
+                assert root is not None and br.frobenius(root, k) == x
             else:
                 assert root is None
+
+    def test_pk_root_that_iterated_roots_miss(self):
+        # in F_2[T]/(T^3+T^2), T^4 = T^2: dilation takes T^2 to T, which is
+        # no square, yet T^2 has the fourth root T
+        U = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T^2")
+        t, t2 = br.variable(U, "T"), br.evaluate(U, "T^2")
+        assert _root(t2) == t and _root(t) is None
+        assert br.frobenius(_root(t2, 2), 2) == t2
 
     def test_every_field_element_has_root(self):
         U = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^2+1")
         rng = random.Random(3)
         for _ in range(10):
             x = br.random_element(U, rng, max_terms=2)
-            r = fl.uq_pth_root(U, x)
+            r = _root(x)
             assert r is not None and br.pow_int(r, 3) == x
 
     def test_solver_memo_is_bounded(self):
-        bound = fl._solver.cache_info().maxsize
-        for idx in range(bound + 1):  # distinct monic quartic moduli over F_3
+        bound = br._root_solver.cache_info().maxsize
+        for idx in range(1, bound + 2):  # distinct monic quartics other than T^4
             a, b, c, d = br._digits(idx, 3, 4)
             U = br.make_ring("uq base=(ff p=3 e=1) var=T "
                              f"modulus=T^4+{a}*T^3+{b}*T^2+{c}*T+{d}")
-            assert fl.uq_pth_root(U, br.one(U)) == br.one(U)
-        assert fl._solver.cache_info().currsize == bound
+            t = br.variable(U, "T")  # dilation refuses T, so the solver runs
+            r = _root(t)
+            assert r is None or br.pow_int(r, 3) == t
+        assert br._root_solver.cache_info().currsize == bound
 
 
 class TestSemiperfectTower:

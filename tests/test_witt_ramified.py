@@ -339,15 +339,17 @@ class TestWalkRefusals:
                 "(denominator 9 does not divide 3)")
 
     def test_digit_expand_runs_out_of_roots(self):
-        # slot 0 = W{1;0;x;0}: digits 0, 1 root x once, digits 0..3 twice
-        for depth, n, msg in ((0, 2, self.ROOT_1), (0, 6, self.ROOT_1),
-                              (1, 3, self.ROOT_1_3), (1, 6, self.ROOT_1_3)):
+        # slot 0 = W{1;0;x;0}: coordinate 2 carries digit 4, so five or more
+        # digits root x twice; fewer do not read it, and its missing root
+        # (digit 4 >= N) refuses nothing
+        for depth, msg in ((0, self.ROOT_1), (1, self.ROOT_1_3)):
             x = _shallow_case(depth, ("1", "0", "x", "0"))
-            with pytest.raises(DepthExhausted) as info:
-                rw.digit_expand(x, n)
-            assert str(info.value) == msg
-        assert str(rw.digit_expand(_shallow_case(1, ("1", "0", "x", "0")), 2)) == \
-            "DIGITS[2]{1;0}"
+            for n in (5, 6):
+                with pytest.raises(DepthExhausted) as info:
+                    rw.digit_expand(x, n)
+                assert str(info.value) == msg
+            assert [str(rw.digit_expand(x, n)) for n in (2, 4)] == \
+                ["DIGITS[2]{1;0}", "DIGITS[4]{1;0;0;0}"]
 
     def test_rw_ord_runs_out_of_roots(self):
         # slot 0 = W{0;0;x;0} has order 4; the walk roots x at each division
@@ -374,10 +376,16 @@ B_ZETA = rw.make_ramified_base(
 B_PLUS3 = rw.make_ramified_base(3, 1, 2, [3, 0], 4)  # X^2 + 3: c = -1
 LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true")
 UQ3 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1")
+# non-reduced rings at p = 2, where many coordinates (guard ones among them,
+# with f*i + j >= N) have no square root: dilation decides roots on T^4, the
+# linear solve on T^3+T^2
+B_SQ2 = rw.make_ramified_base(2, 1, 2, [-2, 0], 4)
+UQ2_NIL = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^4")
+UQ2_MIX = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T^2")
 CLOSED_CASES = [
     (B_SQ3E, F3), (B_PLUS3, F3), (B_UNRAM, F3), (B_CB2, F2), (B_SQ4, F4),
     (B_ZETA, F9), (B_PLUS3, LAUR3), (rw.make_ramified_base(3, 1, 2, [-3, 0], 3), LAUR3),
-    (B_SQ3E, UQ3),
+    (B_SQ3E, UQ3), (B_SQ2, UQ2_NIL), (B_SQ2, UQ2_MIX),
 ]
 EXAMPLES = 120
 
@@ -498,6 +506,34 @@ class TestClosedForm:
                                         rw.teich_embed(br.variable(ring, "T"), base)))
         for n in range(7):
             assert rw._digit_walk(x, n) == rw.digit_expand(x, n)
+
+    def test_routes_take_the_same_iterated_roots(self):
+        # digit 4 of slot 0 = W{0;0;T^2;0} over F_2[T]/(T^3+T^2) is a fourth
+        # root of T^2, and T^2 = T^4 has one; but the walk roots one square
+        # root at a time, dilation takes T^2 to T, and T is no square.  The
+        # closed form takes the same roots, so both routes give one outcome
+        z, t2 = br.zero(UQ2_MIX), br.evaluate(UQ2_MIX, "T^2")
+        x = rw.RamifiedWitt(B_SQ2, UQ2_MIX, (wc.WittVector(UQ2_MIX, (z, z, t2, z)),
+                                             wc.witt_zero(UQ2_MIX, 4)), 6)
+        for n in range(7):
+            assert _outcome(rw.digit_expand, x, n) == _outcome(rw._digit_walk, x, n)
+        assert _outcome(rw.rw_ord, x, None) == _outcome(rw._ord_walk, x, 6)
+
+    @pytest.mark.parametrize("ring", [UQ2_NIL, UQ2_MIX])
+    def test_guard_coordinate_root_is_not_needed(self, ring):
+        # coordinate 3 of slot 1 carries digit 2*3 + 1 = 7 >= N = 5: no
+        # certified digit reads it, so its missing square root (T has none
+        # here) refuses nothing, and the value equals the one with top 0
+        z, t = br.zero(ring), br.variable(ring, "T")
+
+        def value(top):
+            return rw.RamifiedWitt(B_SQ2, ring, (wc.witt_zero(ring, 4),
+                                                 wc.WittVector(ring, (t, z, z, top))), 5)
+
+        x, x0 = value(t), value(z)
+        assert str(rw.digit_expand(x)) == str(rw.digit_expand(x0)) == "DIGITS[5]{0;T;0;0;0}"
+        assert rw._digit_walk(x, 5) == rw.digit_expand(x)
+        assert rw.rw_equal(x, x0)
 
 
 class TestFrobenius:
