@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -82,6 +82,18 @@ def _is_prime(n: int) -> bool:
 def _digits(n: int, p: int, e: int) -> tuple[int, ...]:
     """The e base-p digits of n, lowest first (element n of F_q in order)."""
     return tuple(n // p ** i % p for i in range(e))
+
+
+def _hash_once(self) -> int:
+    """``__hash__`` of a frozen dataclass over its compared fields, computed
+    on first use and kept on the instance: the generated one rebuilds and
+    hashes the field tuple, recursively, on every memo lookup."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _power(mul, a, n: int, one):
@@ -180,6 +192,7 @@ class FiniteFieldSpec(_CoeffRing):
     gen_name: str = "u"
 
     _unit_key = ()
+    __hash__ = _hash_once
 
     def __post_init__(self):
         object.__setattr__(self, "pk", self.p)
@@ -371,6 +384,8 @@ class FracLaurentRing(_Polynomials):
     laurent: bool
     quotient: tuple[tuple[int, ...], ...] = ()
 
+    __hash__ = _hash_once
+
     @property
     def lattice_b(self) -> int:
         return (2 ** self.depth_2) * (self.base.p ** self.depth_p)
@@ -409,6 +424,7 @@ class UnivariateQuotient(_Polynomials):
     modulus: tuple[FieldCoeff, ...]
 
     _unit_key = 0
+    __hash__ = _hash_once
 
     @property
     def degree(self) -> int:

@@ -15,6 +15,14 @@ Three arithmetic routes are kept alive on purpose:
 * route="table": evaluate the universal structural polynomials (generated by
   the exact ghost recursion over Z, reduced mod p at evaluation time).
 
+The default route first answers what needs no arithmetic.  Every x in W_n(A)
+is sum_i V^i[x_i] (Serre, Local Fields, II.6), so when no index i has x_i
+and y_i both nonzero, x + y is the coordinatewise union of x and y; a zero
+operand is the commonest case.  The negation of zero is zero, and a product
+with one operand of at most one nonzero coordinate is V^k(F^k(x) * [b]).
+These shortcuts belong to route="auto" only: route="lift" and route="table"
+always run their full computation, so each stays an independent oracle.
+
 Every division by p in the Z_q and lift routes is checked for exactness; a
 failure is a bug, not an input condition.  The table route is exact but its
 term counts explode combinatorially, so it only covers small (p, level)
@@ -547,7 +555,17 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
         # Z_q over finite fields, the lift route elsewhere: both work at
         # every length; the table route is opt-in since its term counts
         # explode with level
-        if op == "mul":
+        if op == "add":
+            for a, b in zip(x.coords, y.coords):
+                if a.terms and b.terms:
+                    break
+            else:
+                # disjoint supports (a zero operand included): the union
+                return WittVector(x.ring, tuple(b if b.terms else a
+                                                for a, b in zip(x.coords, y.coords)))
+        elif op == "neg" and not any(c.terms for c in x.coords):
+            return x
+        elif op == "mul":
             fast = _mul_single_coord(x, y)
             if fast is not None:
                 return fast

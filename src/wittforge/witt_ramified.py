@@ -52,6 +52,8 @@ class RamifiedBase:
     c: RingElement | None = dataclasses.field(default=None, compare=False,
                                               repr=False)
 
+    __hash__ = br._hash_once
+
     @property
     def q(self) -> int:
         return self.p ** self.e
@@ -271,29 +273,23 @@ def rw_inv(x):
 
 
 def _rw_mul(x: RamifiedWitt, y: RamifiedWitt, prec: int) -> RamifiedWitt:
-    f = x.base.f
-    ring = x.ring
-    n = x.base.level
+    f, ring = x.base.f, x.ring
     eis, _ = _ctx(x.base, ring)
-    zero = wc.witt_zero(ring, n)
-    s = [zero] * (2 * f - 1)
+    s = [wc.witt_zero(ring, x.base.level)] * (2 * f - 1)
+    # the zero guards skip a product and its sum outright; a first product
+    # added to a zero s[i + j] is free already (the union rule of witt_arith)
     for i, a in enumerate(x.coords):
         if wc.witt_ord(a) is None:
             continue
         for j, b in enumerate(y.coords):
-            if wc.witt_ord(b) is None:
-                continue
-            s[i + j] = wc.witt_add(s[i + j], wc.witt_mul(a, b))
+            if wc.witt_ord(b) is not None:
+                s[i + j] = wc.witt_add(s[i + j], wc.witt_mul(a, b))
     # reduce pi^k for k >= f via pi^f = -sum e_j pi^j
+    live = [j for j in range(f) if wc.witt_ord(eis[j]) is not None]
     for k in range(2 * f - 2, f - 1, -1):
-        c = s[k]
-        if wc.witt_ord(c) is None:
-            continue
-        s[k] = zero
-        for j in range(f):
-            if wc.witt_ord(eis[j]) is None:
-                continue
-            s[k - f + j] = wc.witt_sub(s[k - f + j], wc.witt_mul(c, eis[j]))
+        if wc.witt_ord(s[k]) is not None:
+            for j in live:
+                s[k - f + j] = wc.witt_sub(s[k - f + j], wc.witt_mul(s[k], eis[j]))
     return RamifiedWitt(x.base, ring, tuple(s[:f]), prec)
 
 
@@ -305,10 +301,7 @@ def rw_mul_pi(x: RamifiedWitt) -> RamifiedWitt:
     out = []
     for j in range(f):
         prev = x.coords[j - 1] if j > 0 else wc.witt_zero(x.ring, x.base.level)
-        if wc.witt_ord(top) is None or wc.witt_ord(eis[j]) is None:
-            out.append(prev)
-        else:
-            out.append(wc.witt_sub(prev, wc.witt_mul(top, eis[j])))
+        out.append(wc.witt_sub(prev, wc.witt_mul(top, eis[j])))
     return RamifiedWitt(x.base, x.ring, tuple(out), x.precision)
 
 
@@ -356,10 +349,7 @@ def divide_by_pi(x: RamifiedWitt) -> RamifiedWitt:
     out = [None] * f
     out[f - 1] = y_top
     for i in range(f - 1, 0, -1):
-        if wc.witt_ord(eis[i]) is None or wc.witt_ord(y_top) is None:
-            out[i - 1] = x.coords[i]
-        else:
-            out[i - 1] = wc.witt_add(x.coords[i], wc.witt_mul(eis[i], y_top))
+        out[i - 1] = wc.witt_add(x.coords[i], wc.witt_mul(eis[i], y_top))
     return RamifiedWitt(x.base, x.ring, tuple(out), x.precision - 1)
 
 
@@ -381,13 +371,16 @@ def _slot0_over_p(x: RamifiedWitt) -> wc.WittVector:
 
 
 def rw_ord(x: RamifiedWitt, limit: int | None = None) -> int | None:
-    """pi-adic order up to the certified precision; None when 0 mod pi^N.
+    """pi-adic order below min(limit, N); None when 0 mod pi^min(limit, N).
 
-    For E = X^f - p*[c] digit k vanishes exactly when coordinate k // f of
-    slot k % f does, so the order is read off the coordinates; other bases
-    walk the digit expansion up to the first nonzero digit.
+    x is first truncated to that bound, so a coordinate that no digit below
+    it reads never refuses a root.  For E = X^f - p*[c] digit k vanishes
+    exactly when coordinate k // f of slot k % f does, so the order is read
+    off the coordinates; other bases walk the digit expansion up to the
+    first nonzero digit.
     """
     bound = max(0, x.precision if limit is None else min(limit, x.precision))
+    x = rw_truncate(x, bound)
     if x.base.c is not None:
         f = x.base.f
         k = next((k for k in range(bound)

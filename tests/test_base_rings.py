@@ -170,6 +170,16 @@ class TestDescriptorRoundtrip:
         assert br.make_ring(canon) == ring
         assert br.canonical_descriptor(br.make_ring(canon)) == canon
 
+    @pytest.mark.parametrize("desc", CASES)
+    def test_rings_built_apart_hash_equal(self, desc):
+        # each ring and its base field keep their hash after the first call;
+        # an equal one built apart must hash the same and hit the same memo
+        a, b = br.make_ring(desc), br.make_ring(desc)
+        assert a is not b and a == b
+        assert hash(a) == hash(a) == hash(b)
+        assert hash(br.base_field(a)) == hash(br.base_field(b))
+        assert {a: desc}[b] == desc
+
     def test_uq_modulus_is_not_truncated(self):
         for desc in self.CASES[-2:]:
             ring = br.make_ring(desc)

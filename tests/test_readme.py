@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import wittforge.cli_io as cli
+import wittforge.witt_core as wc
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SKIP = (("bench", "poly"), ("verify",))
@@ -106,3 +107,27 @@ def test_readme_command(command, tmp_path, monkeypatch):
     for name, digest in WRITTEN.get(command, {}).items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+HENSEL = next(c for c in GOLDEN if c.startswith("hensel lift "))
+HENSEL_LIFT_SOLVES = 24  # ghost-lift solves of the README `hensel lift` example
+
+
+def test_readme_hensel_lift_solve_count(monkeypatch):
+    """The README `hensel lift` example prints its pinned stdout with at most
+    HENSEL_LIFT_SOLVES calls of the lift route's solve.  A count does not
+    flake as a timing does, and it catches a change that brings back Witt
+    arithmetic on zero or disjoint operands (94 solves before the union rule
+    of ``witt_core.witt_arith``)."""
+    calls = []
+    solve = wc._lift_solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(wc, "_lift_solve", counting)
+    out, err = StringIO(), StringIO()
+    code = cli.main(shlex.split(HENSEL), stdout=out, stderr=err)
+    assert (code, out.getvalue()) == GOLDEN[HENSEL], err.getvalue()
+    assert len(calls) <= HENSEL_LIFT_SOLVES

@@ -36,6 +36,23 @@ UQ2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
 LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true")
 
 
+def record_lift_calls(monkeypatch) -> list:
+    """The names of the ghost-lift steps called from now on, in order."""
+    calls = []
+
+    def recording(name):
+        orig = getattr(wc, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return orig(*args)
+        return wrapped
+
+    for name in ("_lift_ghost", "_lift_solve"):
+        monkeypatch.setattr(wc, name, recording(name))
+    return calls
+
+
 def rand_witt(ring, rng, n, **kw):
     return wc.WittVector(ring, tuple(br.random_element(ring, rng, **kw)
                                      for _ in range(n)))
@@ -373,18 +390,7 @@ class TestZqRoute:
                 == wc.teichmuller(br.from_coeff(ring, a), n).coords)
 
     def test_auto_route_uses_the_ghost_lift_only_off_finite_fields(self, monkeypatch):
-        calls = []
-
-        def recording(name):
-            orig = getattr(wc, name)
-
-            def wrapped(*args):
-                calls.append(name)
-                return orig(*args)
-            return wrapped
-
-        for name in ("_lift_ghost", "_lift_solve"):
-            monkeypatch.setattr(wc, name, recording(name))
+        calls = record_lift_calls(monkeypatch)
         rng = random.Random(11)
         for ring in self.FIELDS:
             x, y = rand_witt(ring, rng, 5), rand_witt(ring, rng, 5)
@@ -527,6 +533,64 @@ class TestOperators:
                     for u, v in ((x, y), (y, x)):
                         assert wc._mul_single_coord(u, v) == \
                             wc.witt_arith("mul", u, v, route="lift")
+
+    @pytest.mark.parametrize("ring", [F4, F3, LAUR3, UQ2, UQ5],
+                             ids=["F4", "F3", "laurent3", "uq2", "uq3"])
+    def test_disjoint_sum_is_the_coordinate_union(self, ring):
+        # the default route's union rule against the full lift route, and
+        # the table route where its tables are small (at most 10,000 terms):
+        # disjoint random supports, one operand zero, both zero; n = 1..5,
+        # 4 draws per n, seed 17
+        rng = random.Random(17)
+        p, z = br.ring_char(ring), br.zero(ring)
+        for n in range(1, 6):
+            routes = ["lift"] + ["table"] * all(
+                wc.term_count_bound(p, n - 1, kind) <= 10_000
+                for kind in ("sum", "negation"))
+            zero = wc.witt_zero(ring, n)
+            for _ in range(4):
+                # each index is nonzero in x, in y or in neither
+                side = [rng.randrange(3) for _ in range(n)]
+                a = rand_witt(ring, rng, n, max_terms=2, allow_zero=False)
+                b = rand_witt(ring, rng, n, max_terms=2, allow_zero=False)
+                x = wc.WittVector(ring, tuple(c if s == 0 else z
+                                              for c, s in zip(a.coords, side)))
+                y = wc.WittVector(ring, tuple(c if s == 1 else z
+                                              for c, s in zip(b.coords, side)))
+                for u, v in ((x, y), (x, zero), (zero, y), (zero, zero)):
+                    union = wc.WittVector(ring, tuple(
+                        c if c.terms else d for c, d in zip(u.coords, v.coords)))
+                    assert wc.witt_add(u, v) == wc.witt_add(v, u) == union
+                    for route in routes:
+                        assert wc.witt_arith("add", u, v, route=route) == union
+                        assert wc.witt_arith("add", v, u, route=route) == union
+                        assert wc.witt_sub(u, v) == wc.witt_arith(
+                            "add", u, wc.witt_arith("neg", v, route=route),
+                            route=route)
+                        assert wc.witt_arith("neg", zero, route=route) == zero
+                assert wc.witt_neg(zero) == zero
+
+    def test_disjoint_sum_runs_no_ghost_lift(self, monkeypatch):
+        # over frac and uq rings a disjoint sum calls neither _lift_ghost
+        # nor _lift_solve; an overlapping one still calls both
+        calls = record_lift_calls(monkeypatch)
+        rng = random.Random(19)
+        for ring in (LAUR3, UQ2, UQ5):
+            z = br.zero(ring)
+            a = rand_witt(ring, rng, 4, allow_zero=False)
+            b = rand_witt(ring, rng, 4, allow_zero=False)
+            x = wc.WittVector(ring, (a.coords[0], z, a.coords[2], z))
+            y = wc.WittVector(ring, (z, b.coords[1], z, b.coords[3]))
+            calls.clear()
+            wc.witt_add(x, y), wc.witt_add(y, x), wc.witt_add(x, wc.witt_zero(ring, 4))
+            wc.witt_neg(wc.witt_zero(ring, 4))
+            assert calls == []
+            wc.witt_add(a, b)
+            assert set(calls) == {"_lift_ghost", "_lift_solve"}
+            # the explicit lift route stays a full oracle
+            calls.clear()
+            wc.witt_arith("add", x, y, route="lift")
+            assert set(calls) == {"_lift_ghost", "_lift_solve"}
 
     def test_inv_unit(self):
         rng = random.Random(16)

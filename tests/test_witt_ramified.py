@@ -169,6 +169,15 @@ class TestArithmetic:
         with pytest.raises(NotAUnit):
             rw.rw_inv(rw.rw_pi(B_SQ3, F3))
 
+    def test_bases_built_apart_hash_equal(self):
+        # a base keeps its hash after the first call; one built apart, here
+        # from Witt-vector coefficients, must hash the same and hit _ctx
+        twin = rw.make_ramified_base(
+            3, 1, 2, [wc.int_to_witt(-3, F3, 4), wc.witt_zero(F3, 4)], 4)
+        assert twin is not B_SQ3E and twin == B_SQ3E
+        assert hash(twin) == hash(B_SQ3E) == hash(B_SQ3E)
+        assert rw._ctx(twin, F3) is rw._ctx(B_SQ3E, F3)
+
     def test_context_memo_is_bounded(self):
         bound = rw._ctx.cache_info().maxsize
         for idx in range(bound + 1):  # one base, distinct uq rings over F_3
@@ -352,14 +361,21 @@ class TestWalkRefusals:
                 ["DIGITS[2]{1;0}", "DIGITS[4]{1;0;0;0}"]
 
     def test_rw_ord_runs_out_of_roots(self):
-        # slot 0 = W{0;0;x;0} has order 4; the walk roots x at each division
-        for depth, limit, msg in ((0, None, self.ROOT_1), (0, 2, self.ROOT_1),
-                                  (1, None, self.ROOT_1_3), (1, 3, self.ROOT_1_3)):
+        # slot 0 = W{0;0;x;0} has order 4; the walk roots x at each division.
+        # Coordinate 2 carries digit 4, so a limit of 5 or more reads it and
+        # refuses; rw_ord truncates to its limit first, so below 5 no digit
+        # reads it and the order is None (0 mod pi^limit)
+        for depth, limit, msg in ((0, None, self.ROOT_1), (0, 5, self.ROOT_1),
+                                  (1, None, self.ROOT_1_3), (1, 5, self.ROOT_1_3)):
             x = _shallow_case(depth, ("0", "0", "x", "0"))
             with pytest.raises(DepthExhausted) as info:
                 rw.rw_ord(x, limit)
             assert str(info.value) == msg
-        assert rw.rw_ord(_shallow_case(1, ("0", "0", "x", "0")), 2) is None
+        for depth in (0, 1):
+            x = _shallow_case(depth, ("0", "0", "x", "0"))
+            for limit in (2, 3, 4):
+                assert rw.rw_ord(x, limit) is None
+                assert rw._ord_walk(rw.rw_truncate(x, limit), limit) is None
         assert rw.rw_ord(_shallow_case(0, ("1", "0", "x", "0"))) == 0
 
     def test_more_digits_than_certified(self):
@@ -445,9 +461,11 @@ class TestClosedForm:
            st.integers(0, 40), st.integers(-1, 17))
     @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
     def test_rw_ord_matches_walk(self, case, seed, prec, limit):
+        # rw_ord truncates to its bound first, so the walk runs at that bound
         x = _rand_element(case, seed, prec)
         bound = max(0, min(limit, x.precision))
-        assert _outcome(rw.rw_ord, x, limit) == _outcome(rw._ord_walk, x, bound)
+        assert _outcome(rw.rw_ord, x, limit) == \
+            _outcome(rw._ord_walk, rw.rw_truncate(x, bound), bound)
 
     @given(st.integers(0, len(CLOSED_CASES) - 1), st.integers(0, 2 ** 32),
            st.integers(0, 17))
