@@ -47,7 +47,7 @@ import operator
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 from .errors import (
@@ -239,13 +239,8 @@ class FiniteFieldSpec(_CoeffRing):
         d = gcd(n, m)
         if self.cpow(a, m // d) != one:
             raise NoRoot(f"no {n}-th root in F_{self.q}")
-        r, rest = a, d
-        for ell in _prime_factors(d):
-            r, rest = self._lth_root(r, ell), rest // ell
-            # of the l choices, keep one that is still a rest-th power
-            zeta = self._unity_root(ell)
-            while self.cpow(r, m // rest) != one:
-                r = self.cmul(r, zeta)
+        # the root AMM picks is again a power of every index still to come
+        r = reduce(self._lth_root, _prime_factors(d), a)
         roots = [self.cpow(r, pow(n // d, -1, m // d))]
         zeta = self._unity_root(d)
         for _ in range(d - 1):
@@ -911,61 +906,36 @@ def _fq_poly_invmod(a: RingElement, m: RingElement) -> RingElement | None:
     return mul(s0, invert(r0))  # r0 = a*s0 mod m is a nonzero constant
 
 
-def fq_radical(g: RingElement) -> RingElement:
-    """Squarefree radical of a monic g in F_q[T], char-p aware (handles g' = 0)."""
-    unit = one(g.ring)
-    if g.terms[0][0] == (0,):
-        return unit
-    gp = _fq_deriv(g)
-    if gp.is_zero():
-        # every exponent of g is divisible by p: g is a p-th power
-        return fq_radical(frobenius(g, -1))
-    d = _fq_gcd(g, gp)
-    if d == unit:
-        return _fq_monic(g)
-    w, r = _fq_divmod(g, d)
-    assert r.is_zero()
-    y = d
-    while True:
-        cg = _fq_gcd(y, w)
-        if cg == unit:
-            break
-        y, r = _fq_divmod(y, cg)
-        assert r.is_zero()
-    # y = product of factors whose multiplicity is divisible by p
-    if y == unit:
-        return _fq_monic(w)
-    return _fq_monic(mul(w, fq_radical(y)))
-
-
 def fq_multiplicity_layers(g: RingElement) -> list[tuple[int, RingElement]]:
     """[(k, A_k)] with g = prod A_k^k in F_q[T], A_k squarefree and pairwise
-    coprime; every A_k is monic and not constant."""
-    g = _fq_monic(g)
-    rad = fq_radical(g)
-    unit = one(g.ring)
-    layers = []
-    prev = acc = unit
-    k = 0
-    while acc != g:
-        k += 1
-        acc = _fq_gcd(g, pow_int(rad, k))
-        step, r = _fq_divmod(acc, prev)
-        assert r.is_zero()
-        layers.append((k, step))  # step = prod of factors with multiplicity >= k
-        prev = acc
-    out = []
-    for i, (k, step) in enumerate(layers):
-        nxt = layers[i + 1][1] if i + 1 < len(layers) else unit
-        exact, r = _fq_divmod(step, nxt)
-        assert r.is_zero()
-        if exact != unit:
-            out.append((k, exact))
-    return out
+    coprime; every A_k is monic and not constant.  k ascends.
+
+    Yun's squarefree factorization in characteristic p: the gcd loop on
+    g / gcd(g, g') peels off the A_k with p not dividing k, and what is left
+    of gcd(g, g') is a p-th power, whose p-th root is factored the same way
+    with every multiplicity scaled by p.
+    """
+    g, unit, scale, layers = _fq_monic(g), one(g.ring), 1, []
+    while g != unit:
+        c = _fq_gcd(g, _fq_deriv(g))
+        w, k = _fq_divmod(g, c)[0], scale
+        while w != unit:
+            y = _fq_gcd(w, c)
+            a = _fq_divmod(w, y)[0]
+            if a != unit:
+                layers.append((k, a))
+            w, c, k = y, _fq_divmod(c, y)[0], k + scale
+        g, scale = frobenius(c, -1), scale * g.ring.base.p
+    return sorted(layers, key=_KEY)
+
+
+def fq_radical(g: RingElement) -> RingElement:
+    """Squarefree radical of g in F_q[T]: the product of its layers."""
+    return reduce(mul, (a for _, a in fq_multiplicity_layers(g)), one(g.ring))
 
 
 # ---------------------------------------------------------------------------
-# reducedness certificate (derivative/gcd route, nilpotent witness on failure)
+# reducedness certificate (squarefree layers, nilpotent witness on failure)
 
 
 @dataclass(frozen=True)
@@ -978,23 +948,15 @@ class ReducednessReport:
 def is_reduced_univariate(ring: UnivariateQuotient) -> ReducednessReport:
     """Decide whether F_q[T]/(g) is reduced; if not, exhibit a nilpotent.
 
-    The witness is the class of the radical of g, which is nonzero of degree
-    < deg g and satisfies witness^(deg g) = 0.
+    With g = prod A_k^k the ring is reduced exactly when every k is 1.  The
+    witness is the class of the radical prod A_k, and rad^m = 0 mod g
+    exactly when m >= every k, so its nilpotency is the largest k.
     """
-    g = _poly_elt(ring.base, ring.var, ring.modulus)
-    rad = fq_radical(g)
-    if rad == g:
+    layers = fq_multiplicity_layers(_poly_elt(ring.base, ring.var, ring.modulus))
+    top = layers[-1][0]
+    if top == 1:
         return ReducednessReport(True, None, None)
-    w = _uq_elt(ring, rad)
-    # smallest k with witness^k = 0, bounded by deg g
-    k = 1
-    acc = w
-    while not acc.is_zero():
-        acc = mul(acc, w)
-        k += 1
-        if k > ring.degree + 1:
-            raise AssertionError("radical witness failed to nilpotentiate")
-    return ReducednessReport(False, w, k)
+    return ReducednessReport(False, _uq_elt(ring, reduce(mul, (a for _, a in layers))), top)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -794,10 +794,11 @@ class RingMap:
 def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
     """Build a coefficient-ring homomorphism from generator assignments.
 
-    Every relation of the source presentation is checked on the given images;
-    a violation raises RelationViolated.  Field coefficients map along the
-    canonical embedding when src and dst share (p, e, modulus), otherwise the
-    field generator needs an explicit image satisfying the modulus.
+    Every relation of the source presentation is mapped to dst by
+    ``apply_ring_map`` and must vanish there; a violation raises
+    RelationViolated.  Field coefficients map along the canonical embedding
+    when src and dst share (p, e, modulus), otherwise the field generator
+    needs an explicit image satisfying the modulus.
     """
     images = dict(images or {})
     resolved: dict[str, RingElement] = {}
@@ -819,12 +820,9 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
             else:
                 raise RelationViolated(
                     f"field generator {gname!r} needs an explicit image")
-        img = resolved[gname]
-        acc = br.zero(dst)
-        for d, c in enumerate(Fs.modulus):
-            acc = br.add(acc, br.mul(br.from_int(dst, c), br.pow_int(img, d)))
-        if not acc.is_zero():
-            raise RelationViolated("field generator image violates the modulus")
+        Fp = br.make_field(Fs.p, 1)
+        _check_relation(br._poly_elt(Fp, gname, map(Fp.from_int, Fs.modulus)), dst,
+                        resolved, "field generator image violates the modulus")
     if isinstance(src, FracLaurentRing):
         for v in src.variables:
             if v not in resolved:
@@ -844,23 +842,22 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
                     raise RelationViolated(
                         f"image of Laurent variable {v!r} not invertible: {exc}"
                     ) from exc
+        free = replace(src, quotient=())  # where the quotient monomials are nonzero
         for gen in src.quotient:
-            img = br.one(dst)
-            for v, e in zip(src.variables, br._exponents(src, gen)):
-                img = br.mul(img, br.pow_fraction(resolved[v], e))
-            if not img.is_zero():
-                raise RelationViolated("quotient monomial does not map to zero")
+            _check_relation(br._term(free, gen, Fs.one()), dst, resolved,
+                            "quotient monomial does not map to zero")
     elif isinstance(src, UnivariateQuotient):
         if src.var not in resolved:
             raise RelationViolated(f"variable {src.var!r} has no image")
-        img = resolved[src.var]
-        acc = br.zero(dst)
-        cmap = _field_coeff_mapper(src, dst, resolved)
-        for d, c in enumerate(src.modulus):
-            acc = br.add(acc, br.mul(cmap(c), br.pow_int(img, d)))
-        if not acc.is_zero():
-            raise RelationViolated("quotient variable image violates the modulus")
+        _check_relation(br._poly_elt(Fs, src.var, src.modulus), dst, resolved,
+                        "quotient variable image violates the modulus")
     return RingMap(src, dst, tuple(sorted(resolved.items())))
+
+
+def _check_relation(rel: RingElement, dst: Ring, resolved: dict, message: str) -> None:
+    """RelationViolated(message) unless rel, read in its own ring, maps to 0."""
+    if not apply_ring_map(RingMap(rel.ring, dst, tuple(resolved.items())), rel).is_zero():
+        raise RelationViolated(message)
 
 
 def _field_coeff_mapper(src: Ring, dst: Ring, resolved: dict):

@@ -105,6 +105,21 @@ class TestFiniteField:
                         with pytest.raises(NoRoot):
                             f.nth_root(a, n)
 
+    def test_nth_root_exhaustive_on_small_fields(self):
+        # every a, and every n <= 2q that divides q-1 or is below 13: the
+        # smallest root, or NoRoot exactly where brute force finds none
+        for p, e in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)):
+            f = F(p, e)
+            ns = [n for n in range(1, 2 * f.q + 1) if (f.q - 1) % n == 0 or n < 13]
+            for n in ns:
+                ref = brute_nth_roots(f, n)
+                for a in f.iter_elements():
+                    if a in ref:
+                        assert f.nth_root(a, n) == ref[a], (p, e, n, a)
+                    else:
+                        with pytest.raises(NoRoot):
+                            f.nth_root(a, n)
+
     def test_nth_root_in_a_large_field(self):
         # q = 1009^2: 4 = 2^2 has the square roots 2 and -2
         f = F(1009, 2)
@@ -516,6 +531,53 @@ class TestRadicalMachinery:
         assert not rep.reduced
         assert rep.witness == br.evaluate(ring, "T+1")
         assert rep.nilpotency == 2
+
+
+def random_monic(field, rng, degree):
+    """A random monic element of F_q[T] of the given degree."""
+    coeffs = [br.random_coeff(field, rng) for _ in range(degree)] + [field.one()]
+    return br._poly_elt(field, "T", coeffs)
+
+
+class TestFactorizationProperties:
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_layers_of_random_products(self, p, e):
+        # g = prod f_i^k_i with k_i up to 2p+2, so p | k and (for p = 2)
+        # p^2 | k occur; factors may repeat or share roots
+        field, rng = F(p, e), random.Random(100 * p + e)
+        one = br.one(br._poly_ring(field, "T"))
+        for _ in range(40):
+            g = one
+            for _ in range(rng.randint(1, 3)):
+                f = random_monic(field, rng, rng.randint(1, 2))
+                g = g * br.pow_int(f, rng.randint(1, 2 * p + 2))
+            layers = br.fq_multiplicity_layers(g)
+            ks = [k for k, _ in layers]
+            assert ks == sorted(set(ks)) and ks[0] >= 1
+            prod = one
+            for k, a in layers:
+                assert a.terms[0][1] == field.one() and a.terms[0][0] != (0,)
+                assert br._fq_gcd(a, br._fq_deriv(a)) == one  # squarefree
+                prod = prod * br.pow_int(a, k)
+            assert prod == g
+            for i, (_, a) in enumerate(layers):
+                for _, b in layers[i + 1:]:
+                    assert br._fq_gcd(a, b) == one
+            radical = one
+            for _, a in layers:
+                radical = radical * a
+            assert br.fq_radical(g) == radical
+            ring = br.make_ring(f"uq base=(ff p={p} e={e}) var=T modulus={g}")
+            rep = br.is_reduced_univariate(ring)
+            assert rep.reduced == (ks == [1])
+            if rep.reduced:
+                assert rep.witness is None and rep.nilpotency is None
+                continue
+            assert rep.witness == br._uq_elt(ring, radical)
+            m, acc = 1, rep.witness
+            while not acc.is_zero():
+                m, acc = m + 1, acc * rep.witness
+            assert rep.nilpotency == m == max(ks)
 
 
 def mobius(n):

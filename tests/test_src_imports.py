@@ -2,13 +2,17 @@
 
 perfbench/oracles.py re-derives Witt arithmetic apart from src/; if a module
 of src/ imported perfbench, the benchmark's checks would stop being
-independent of the code they check.
+independent of the code they check.  In the other direction, the benchmark's
+tracer wraps library functions by name and skips a missing one silently, so
+the names it lists are checked here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wittforge"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wittforge"
 
 
 def _imported_modules(tree):
@@ -32,3 +36,22 @@ def test_no_src_module_imports_perfbench():
            for name in _imported_modules(ast.parse(path.read_text(), str(path)))
            if name.split(".")[0] == "perfbench"]
     assert not bad
+
+
+def _assigned_constant(path, name):
+    """The literal value assigned to a module-level name, read without import."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not assigned in {path}")
+
+
+def test_every_traced_function_exists():
+    spans = _assigned_constant(ROOT / "perfbench" / "tracer.py", "SPANS")
+    assert spans
+    missing = [f"{mod}.{fname}" for mod, fname, _ in spans
+               if not callable(getattr(importlib.import_module(f"wittforge.{mod}"),
+                                       fname, None))]
+    assert not missing
+    importlib.import_module("wittforge.frobenius_lab")  # the lab's one span

@@ -16,6 +16,7 @@ from wittforge.errors import (
     NotAUnit,
     NotDivisible,
     NotInGhostImage,
+    RelationViolated,
 )
 
 F2 = br.make_ring("ff p=2 e=1")
@@ -612,6 +613,12 @@ class TestOperators:
 
 
 class TestFunctor:
+    @staticmethod
+    def refusal(src, dst, images):
+        with pytest.raises(RelationViolated) as info:
+            wc.make_ring_map(src, dst, images)
+        return str(info.value)
+
     def test_kill_variable(self):
         ring = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 laurent=false")
         phi = wc.make_ring_map(ring, ring, {"x": "0"})
@@ -658,7 +665,6 @@ class TestFunctor:
             assert wc.project(wc.witt_functor(phi, a)) == wc.apply_ring_map(phi, wc.project(a))
 
     def test_relation_violations(self):
-        from wittforge.errors import RelationViolated
         uq = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^2+T+1")
         dst = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false")
         with pytest.raises(RelationViolated):
@@ -686,3 +692,87 @@ class TestFunctor:
         u = br.from_coeff(F4, F4.gen())
         img = wc.apply_ring_map(phi, u * u)
         assert img == br.evaluate(uq, "T^2")
+
+    def test_uq_source_is_a_ring_hom(self):
+        # F_2[T]/(T^2+T+1) -> F_4 sending T to u, the same field twice
+        uq = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^2+T+1")
+        phi = wc.make_ring_map(uq, F4, {"T": "u"})
+        assert wc.apply_ring_map(phi, br.evaluate(uq, "T")) == br.evaluate(F4, "u")
+        assert wc.apply_ring_map(phi, br.evaluate(uq, "T+1")) == br.evaluate(F4, "u^2")
+        elts = [br._uq_elt(uq, br._poly_elt(F2, "T", [(a,), (b,)]))
+                for a in range(2) for b in range(2)]
+        for a in elts:
+            for b in elts:
+                assert (wc.apply_ring_map(phi, a * b)
+                        == wc.apply_ring_map(phi, a) * wc.apply_ring_map(phi, b))
+                assert (wc.apply_ring_map(phi, a + b)
+                        == wc.apply_ring_map(phi, a) + wc.apply_ring_map(phi, b))
+        x = wc.WittVector(uq, tuple(elts[1:]))
+        assert wc.project(wc.witt_functor(phi, x)) == wc.apply_ring_map(phi, elts[1])
+
+    def test_implicit_field_generator_image(self):
+        # src and dst share (p, e, modulus): u goes to u without being named
+        phi = wc.make_ring_map(F9, UQ9, {})
+        assert dict(phi.images) == {"u": br.evaluate(UQ9, "u")}
+        assert wc.apply_ring_map(phi, br.evaluate(F9, "u+2")) == br.evaluate(UQ9, "u+2")
+        # and through the uq modulus T^2+2T+2, whose coefficients live in F_9
+        ident = wc.make_ring_map(UQ9, UQ9, {"T": "T"})
+        rng = random.Random(21)
+        for _ in range(6):
+            x = br.random_element(UQ9, rng)
+            assert wc.apply_ring_map(ident, x) == x
+        conj = wc.make_ring_map(UQ9, UQ9, {"T": "2*T+1"})  # the other root
+        t = br.evaluate(UQ9, "T")
+        assert wc.apply_ring_map(conj, t * t) == br.evaluate(UQ9, "(2*T+1)^2")
+
+    def test_refusal_messages(self):
+        assert self.refusal(F9, F9, {"u": "1"}) == (
+            "field generator image violates the modulus")
+        uq4 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^2+T+1")
+        assert self.refusal(F4, uq4, {"u": "T^3"}) == (
+            "field generator image violates the modulus")
+        assert self.refusal(LAUR3, PERF3, {"x": "x"}) == (
+            "image of Laurent variable 'x' not invertible: "
+            "non-constant monomial in a non-Laurent ring")
+        assert self.refusal(LAUR3, LAUR3, {"x": "x+1"}) == (
+            "image of 'x' admits no 1/3 power: fractional power of a non-monomial")
+        assert self.refusal(F3, F2, {}) == "characteristics differ"
+        assert self.refusal(UQ9, UQ9, {}) == "variable 'T' has no image"
+        assert self.refusal(UQ9, UQ9, {"T": "T+1"}) == (
+            "quotient variable image violates the modulus")
+
+    def test_refusal_order_with_two_broken_relations(self):
+        # u -> 1 breaks u^2+u+1 and x -> x breaks x^2 = 0: the field comes first
+        quo = br.make_ring("frac base=(ff p=2 e=2) vars=x depth_p=0 depth_2=0 "
+                           "laurent=false mod=x^2")
+        assert self.refusal(quo, PX2, {"u": "1", "x": "x"}) == (
+            "field generator image violates the modulus")
+        assert self.refusal(quo, PX2, {"u": "1"}) == (
+            "field generator image violates the modulus")
+        assert self.refusal(quo, PX2, {"x": "x"}) == (
+            "field generator 'u' needs an explicit image")
+        # the same over a uq source: u -> 0 and T -> 0 break both moduli
+        uq = br.make_ring("uq base=(ff p=2 e=2) var=T modulus=T^2+T+u")
+        assert self.refusal(uq, F2, {"u": "0", "T": "0"}) == (
+            "field generator image violates the modulus")
+        f4 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^2+T+1")
+        assert self.refusal(uq, f4, {"u": "T", "T": "0"}) == (
+            "quotient variable image violates the modulus")
+        # a missing variable is refused before the roots and units of the others
+        laur = br.make_ring("frac base=(ff p=3 e=1) vars=x,y depth_p=1 depth_2=0 "
+                            "laurent=true")
+        assert self.refusal(laur, PERF3, {"x": "x+1"}) == "variable 'y' has no image"
+        # per variable, the 1/B power before the unit
+        assert self.refusal(laur, PERF3, {"x": "x+1", "y": "x"}) == (
+            "image of 'x' admits no 1/3 power: fractional power of a non-monomial")
+        assert self.refusal(laur, PERF3, {"x": "x", "y": "x+1"}) == (
+            "image of Laurent variable 'x' not invertible: "
+            "non-constant monomial in a non-Laurent ring")
+        # and the roots before the quotient monomials
+        quo3 = br.make_ring("frac base=(ff p=3 e=1) vars=x,y depth_p=1 depth_2=0 "
+                            "laurent=false mod=x^2")
+        assert self.refusal(quo3, PERF3, {"x": "x", "y": "x+1"}) == (
+            "image of 'y' admits no 1/3 power: fractional power of a non-monomial")
+        wc.make_ring_map(quo3, quo3, {"x": "x", "y": "y"})
+        assert self.refusal(quo3, quo3, {"x": "y", "y": "x"}) == (
+            "quotient monomial does not map to zero")

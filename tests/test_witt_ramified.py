@@ -242,6 +242,24 @@ class TestPrecisionGate:
         assert rw.rw_inv(rw.rw_truncate(vals[1], 3)).precision == 3
 
 
+class TestFormat:
+    def test_str_of_a_ramified_value(self):
+        # the literal ``RW[N=..]{ W{..} | W{..} }`` that readers of printed
+        # values (the benchmark's digit checks among them) parse
+        ring = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 "
+                            "laurent=false")
+        z = br.zero(ring)
+        slots = (wc.WittVector(ring, (br.evaluate(ring, "x^(1/3)+2"), z,
+                                      br.evaluate(ring, "x^2"), br.one(ring))),
+                 wc.WittVector(ring, (z, z, z, br.evaluate(ring, "2*x"))))
+        x = rw.RamifiedWitt(B_SQ3E, ring, slots, 5)
+        assert str(x) == "RW[N=5]{ W{x^(1/3)+2;0;x^2;1} | W{0;0;0;2*x} }"
+        base4 = rw.make_ramified_base(2, 2, 2, [-2, 0], 3)
+        y = rw.RamifiedWitt(base4, F4, (wc.make_witt(F4, [br.evaluate(F4, "u"), 0, 1]),
+                                        wc.witt_zero(F4, 3)), 0)
+        assert str(y) == "RW[N=0]{ W{u;0;1} | W{0;0;0} }"
+
+
 class TestResidueAndDivision:
     def test_reduce_is_a_homomorphism(self):
         rng = random.Random(13)
