@@ -48,6 +48,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import gcd
 
 from .errors import (
@@ -1107,9 +1108,8 @@ def _parse_ring(ts: _Tokens) -> Ring:
         gen_name = "u"
         if ts.peek() == ("ident", "modulus"):
             _expect_key(ts, "modulus")
-            alg = IntPolyAlgebra(what="modulus")
-            poly = parse_expression(ts, alg)
-            modulus = tuple(poly.get(d, 0) for d in range(max(poly) + 1))
+            alg = PolyAlgebra(INTEGERS, what="modulus")
+            modulus = tuple(parse_expression(ts, alg))
             gen_name = alg.var or gen_name
         return make_field(p, e, modulus, gen_name)
     if kind == "frac":
@@ -1209,9 +1209,9 @@ def _parse_monomial_exps(ts: _Tokens, ring: FracLaurentRing) -> tuple[int, ...]:
 #   atom  := int | ident | '(' expr ')'
 #
 # The grammar only shapes the input.  An algebra object gives each node its
-# meaning through int(n), name(s), add, sub, neg, mul and pow(a, Fraction);
-# ring elements, integer polynomials, ramified embeddings and polynomials in
-# X over a ramified base are the four algebras in use.
+# meaning through int(n), name(s), add, sub, neg, mul and pow(a, Fraction):
+# ring elements, ramified embeddings, and one PolyAlgebra in a named variable
+# over the integers (ff moduli, eis=) or the ramified embeddings (--poly).
 
 
 def parse_expression(ts: _Tokens, alg):
@@ -1309,51 +1309,76 @@ class RingAlgebra:
         return variable(self.ring, s)
 
 
-class IntPolyAlgebra:
-    """Integer polynomials {degree: coefficient} in one named variable.
+class _Integers:
+    """Z as a coefficient algebra: no names, non-negative integer powers."""
 
-    With var=None the first identifier names the variable.  Written degrees
-    stay as keys when their coefficients cancel, so "X^2-X^2+3" has degree 2.
+    int = staticmethod(int)
+    add, neg, mul = map(staticmethod, (operator.add, operator.neg, operator.mul))
+
+    @staticmethod
+    def pow(a: int, r: Fraction) -> int:
+        if r.denominator != 1 or r < 0:
+            raise SpecParseError("integer exponents must be non-negative integers")
+        return a ** r.numerator
+
+
+INTEGERS = _Integers()
+
+
+class PolyAlgebra:
+    """Polynomials in one named variable over a coefficient algebra.
+
+    Values are coefficient lists, low degree first.  A constant takes the
+    powers its coefficient algebra allows, any other polynomial non-negative
+    integer powers.  With var=None the first name becomes the variable;
+    other names are the coefficient algebra's.  Written degrees stay when
+    their coefficients cancel, so "X^2-X^2+3" has degree 2.
     """
 
-    def __init__(self, var: str | None = None, what: str = "polynomial"):
-        self.var = var
-        self.what = what
+    def __init__(self, coeffs, var: str | None = None, what: str = "polynomial"):
+        self.coeffs, self.var, self.what = coeffs, var, what
+        # one zero object, so that mul can skip the rows that hold it
+        self.zero, self.one = coeffs.int(0), coeffs.int(1)
 
-    def int(self, n: int) -> dict:
-        return {0: n}
+    def int(self, n: int) -> list:
+        return [self.coeffs.int(n)]
 
-    def name(self, s: str) -> dict:
+    def name(self, s: str) -> list:
         if self.var is None:
             self.var = s
-        elif s != self.var:
+        if s == self.var:
+            return [self.zero, self.one]
+        if self.coeffs is INTEGERS:
             raise SpecParseError(f"{self.what} variable must be {self.var}")
-        return {1: 1}
+        return [self.coeffs.name(s)]
 
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for d, c in b.items():
-            out[d] = out.get(d, 0) + c
-        return out
+    def add(self, a: list, b: list) -> list:
+        return [self.coeffs.add(u, v)
+                for u, v in zip_longest(a, b, fillvalue=self.zero)]
 
-    def neg(self, a: dict) -> dict:
-        return {d: -c for d, c in a.items()}
+    def neg(self, a: list) -> list:
+        return [self.coeffs.neg(u) for u in a]
 
-    def sub(self, a: dict, b: dict) -> dict:
+    def sub(self, a: list, b: list) -> list:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i, x in a.items():
-            for j, y in b.items():
-                out[i + j] = out.get(i + j, 0) + x * y
+    def mul(self, a: list, b: list) -> list:
+        cadd, cmul = self.coeffs.add, self.coeffs.mul
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u is self.zero:
+                continue
+            for j, v in enumerate(b):
+                out[i + j] = cadd(out[i + j], cmul(u, v))
         return out
 
-    def pow(self, a: dict, r: Fraction) -> dict:
+    def pow(self, a: list, r: Fraction) -> list:
+        if len(a) == 1:
+            return [self.coeffs.pow(a[0], r)]
         if r.denominator != 1 or r < 0:
             raise SpecParseError(
                 f"{self.what} exponents must be non-negative integers")
-        return _power(self.mul, a, r.numerator, {0: 1})
+        return _power(self.mul, a, r.numerator, [self.one])
 
 
 def evaluate(ring: Ring, text: str) -> RingElement:

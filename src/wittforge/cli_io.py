@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 from io import StringIO
 from itertools import product as iproduct
-from itertools import zip_longest
 
 from . import base_rings as br
 from . import frobenius_lab as fl
@@ -141,70 +140,17 @@ def parse_fontaine(ring, text: str) -> fl.FontaineElement:
 # ---------------------------------------------------------------------------
 # polynomials in one unknown X over a ramified base, for the lift command
 
-class _PolyXAlgebra:
-    """Polynomials in X over a ramified base, for expressions like "X^2-(p+x)".
-
-    Values are coefficient lists, low degree first.  X is the unknown, p the
-    base prime and pi the uniformizer; other names are coefficient-ring
-    variables, embedded (fractional powers included) as by embed_expr.
-    """
-
-    def __init__(self, base, ring):
-        self.base, self.ring = base, ring
-        self.scalars = rw.EmbedAlgebra(base, ring)
-
-    def int(self, n):
-        return [self.scalars.int(n)]
+class _PolyX(br.PolyAlgebra):
+    """Polynomials in X over a ramified base, for expressions like "X^2-(p+x)":
+    p names the base prime, other names are embedded as by embed_expr."""
 
     def name(self, s):
-        if s == "X":
-            return [rw.rw_zero(self.base, self.ring), rw.rw_one(self.base, self.ring)]
-        if s == "p":
-            return self.int(self.base.p)
-        v = self.scalars.name(s)
-        return v if isinstance(v, br.RingElement) else [v]
-
-    def lift(self, a):
-        return a if isinstance(a, list) else [self.scalars.lift(a)]
-
-    def add(self, a, b):
-        z = rw.rw_zero(self.base, self.ring)
-        return [rw.rw_add(u, v)
-                for u, v in zip_longest(self.lift(a), self.lift(b), fillvalue=z)]
-
-    def neg(self, a):
-        return [rw.rw_neg(u) for u in self.lift(a)]
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        a, b = self.lift(a), self.lift(b)
-        z = rw.rw_zero(self.base, self.ring)
-        out = [z] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            # skip exact zeros only: a coefficient that is zero to its
-            # precision still carries guard coordinates into the products
-            if all(wc.witt_ord(r) is None for r in u.coords):
-                continue
-            for j, v in enumerate(b):
-                out[i + j] = rw.rw_add(out[i + j], rw.rw_mul(u, v))
-        return out
-
-    def pow(self, a, r):
-        if not isinstance(a, list):
-            return self.scalars.pow(a, r)
-        if r.denominator != 1:
-            raise SpecParseError(f"expected integer exponent, got {r}")
-        if r < 0:
-            raise SpecParseError("negative powers of X are not allowed")
-        return br._power(self.mul, a, r.numerator,
-                         [rw.rw_one(self.base, self.ring)])
+        return self.int(self.coeffs.base.p) if s == "p" else super().name(s)
 
 
 def parse_poly_x(base, ring, text: str):
-    alg = _PolyXAlgebra(base, ring)
-    coeffs = tuple(alg.lift(br.parse_all(text, alg, "polynomial")))
+    alg = _PolyX(rw.EmbedAlgebra(base, ring), "X")
+    coeffs = tuple(map(alg.coeffs.lift, br.parse_all(text, alg, "polynomial")))
     while len(coeffs) > 1 and rw.rw_is_zero(coeffs[-1]):
         coeffs = coeffs[:-1]
     return coeffs

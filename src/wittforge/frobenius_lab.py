@@ -308,12 +308,11 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
                   "basis images distinct, homomorphism, phi(x mod pi) = x^p"))
 
     # (c) cross-level: u_{M-1} -> u_M^p embeds, and every image has a root
-    prev = _reduced_stage_ring(p, depth - 1)
     roots_ok = True
     hom_ok = True
     for _ in range(samples):
-        d1 = br.random_element(prev, rng, max_terms=3)
-        d2 = br.random_element(prev, rng, max_terms=3)
+        d1 = br.random_element(stage, rng, max_terms=3)
+        d2 = br.random_element(stage, rng, max_terms=3)
         psi = lambda d: _stage_lift(ring, d, dilate=p)
         hom_ok = hom_ok and psi(d1 * d2) == psi(d1) * psi(d2) \
             and psi(d1 + d2) == psi(d1) + psi(d2)

@@ -64,10 +64,12 @@ from .base_rings import (
 from .errors import (
     DepthExhausted,
     IntegralityViolation,
+    LatticeError,
     LevelTooLarge,
     MismatchError,
     NoConvergence,
     NoRoot,
+    NotAUnit,
     NotDivisible,
     NotInGhostImage,
     RelationViolated,
@@ -794,8 +796,10 @@ class RingMap:
 def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
     """Build a coefficient-ring homomorphism from generator assignments.
 
-    Every relation of the source presentation is mapped to dst by
-    ``apply_ring_map`` and must vanish there; a violation raises
+    Each frac variable's image has its B-th root taken once, and x^(n/B)
+    maps to that root's n-th power, so the map is a homomorphism by
+    construction.  Every relation of the source presentation is mapped to
+    dst by ``apply_ring_map`` and must vanish there; a violation raises
     RelationViolated.  Field coefficients map along the canonical embedding
     when src and dst share (p, e, modulus), otherwise the field generator
     needs an explicit image satisfying the modulus.
@@ -827,21 +831,7 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
         for v in src.variables:
             if v not in resolved:
                 raise RelationViolated(f"variable {v!r} has no image")
-        b = src.lattice_b
-        for v in src.variables:
-            if b > 1:
-                try:
-                    br.pow_fraction(resolved[v], Fraction(1, b))
-                except Exception as exc:
-                    raise RelationViolated(
-                        f"image of {v!r} admits no 1/{b} power: {exc}") from exc
-            if src.laurent:
-                try:
-                    br.invert(resolved[v])
-                except Exception as exc:
-                    raise RelationViolated(
-                        f"image of Laurent variable {v!r} not invertible: {exc}"
-                    ) from exc
+        _generator_images(src, dst, resolved)
         free = replace(src, quotient=())  # where the quotient monomials are nonzero
         for gen in src.quotient:
             _check_relation(br._term(free, gen, Fs.one()), dst, resolved,
@@ -860,39 +850,53 @@ def _check_relation(rel: RingElement, dst: Ring, resolved: dict, message: str) -
         raise RelationViolated(message)
 
 
-def _field_coeff_mapper(src: Ring, dst: Ring, resolved: dict):
-    Fs = br.base_field(src)
-
-    def cmap(c) -> RingElement:
-        if Fs.e == 1:
-            return br.from_int(dst, c[0])
-        gen_img = resolved[Fs.gen_name]
-        acc = br.from_int(dst, c[0])
-        pw = br.one(dst)
-        for d in range(1, Fs.e):
-            pw = br.mul(pw, gen_img)
-            if c[d]:
-                acc = br.add(acc, br.mul(br.from_int(dst, c[d]), pw))
-        return acc
-
-    return cmap
+def _generator_images(src: Ring, dst: Ring, resolved: dict) -> tuple[list, list]:
+    """The powers g^0..g^(e-1) of the field generator's image, and the image
+    of each key exponent's generator: T's image on a uq ring, on a frac ring
+    the root of x's image for x^(1/B), by the exact inverse Frobenius and
+    then a fractional power for the 2-part.  Refusals go variable by
+    variable: a missing root, then (Laurent) a root that is not a unit."""
+    F = br.base_field(src)
+    gpows = [br.one(dst)]
+    for _ in range(1, F.e):
+        gpows.append(br.mul(gpows[-1], resolved[F.gen_name]))
+    if isinstance(src, UnivariateQuotient):
+        return gpows, [resolved[src.var]]
+    roots = []
+    for v in getattr(src, "variables", ()):  # none on a finite field
+        try:
+            r = br.frobenius(resolved[v], -src.depth_p)
+            if src.depth_2:
+                r = br.pow_fraction(r, Fraction(1, 2 ** src.depth_2))
+        except (DepthExhausted, LatticeError, NoRoot) as exc:
+            raise RelationViolated(
+                f"image of {v!r} admits no 1/{src.lattice_b} power: {exc}") from exc
+        if src.laurent:
+            try:
+                br.invert(r)
+            except NotAUnit as exc:
+                raise RelationViolated(
+                    f"image of Laurent variable {v!r} not invertible: {exc}") from exc
+        roots.append(r)
+    return gpows, roots
 
 
 def apply_ring_map(phi: RingMap, x: RingElement) -> RingElement:
+    """phi(x): each term maps to its coefficient's image times integer
+    powers of the generator images."""
     if x.ring != phi.src:
         raise MismatchError("element not in the map's source ring")
-    resolved = dict(phi.images)
-    cmap = _field_coeff_mapper(phi.src, phi.dst, resolved)
-    acc = br.zero(phi.dst)
+    dst = phi.dst
+    gpows, gens = _generator_images(phi.src, dst, dict(phi.images))
+    acc = br.zero(dst)
     for key, c in x.terms:
-        term = cmap(c)
-        if isinstance(phi.src, FracLaurentRing):
-            for v, e in zip(phi.src.variables, br._exponents(phi.src, key)):
-                if e != 0:
-                    term = br.mul(term, br.pow_fraction(resolved[v], e))
-        elif isinstance(phi.src, UnivariateQuotient):
-            if key:
-                term = br.mul(term, br.pow_int(resolved[phi.src.var], key))
+        term = br.from_int(dst, c[0])
+        for a, g in zip(c[1:], gpows[1:]):
+            if a:
+                term = br.add(term, br.mul(br.from_int(dst, a), g))
+        for g, n in zip(gens, key if isinstance(key, tuple) else (key,)):
+            if n:
+                term = br.mul(term, br.pow_int(g, n))
         acc = br.add(acc, term)
     return acc
 

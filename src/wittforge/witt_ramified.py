@@ -112,12 +112,11 @@ def _teichmuller_unit(eis) -> RingElement | None:
 
 def parse_eisenstein(text: str):
     """Parse E as a monic integer polynomial in X; returns (f, [e_0..e_{f-1}])."""
-    coeffs = br.parse_all(text, br.IntPolyAlgebra("X", "Eisenstein"),
-                          "Eisenstein polynomial")
-    fdeg = max(coeffs)
-    if coeffs[fdeg] != 1:
+    *coeffs, lead = br.parse_all(text, br.PolyAlgebra(br.INTEGERS, "X", "Eisenstein"),
+                                 "Eisenstein polynomial")
+    if lead != 1:
         raise NotEisenstein("Eisenstein polynomial must be monic")
-    return fdeg, [coeffs.get(i, 0) for i in range(fdeg)]
+    return len(coeffs), coeffs
 
 
 @dataclass(frozen=True, eq=False)

@@ -139,6 +139,11 @@ MAKE_RING = [
     ('ff p=5 e=4', 'ff p=5 e=4 modulus=u^4+2'),
     ('ff p=7 e=2', 'ff p=7 e=2 modulus=u^2+1'),
     ('ff p=7 e=3', 'ff p=7 e=3 modulus=u^3+2'),
+    # constants take integer powers, the variable non-negative ones
+    ('ff p=3 e=2 modulus=u^2+1^3', 'ff p=3 e=2 modulus=u^2+1'),
+    ('ff p=3 e=2 modulus=u^2+0^0', 'ff p=3 e=2 modulus=u^2+1'),
+    ('ff p=3 e=2 modulus=u^2+2^(1/2)', '!SpecParseError'),
+    ('ff p=3 e=2 modulus=u^2+u^0', 'ff p=3 e=2 modulus=u^2+1'),
 ]
 
 # (ring, expression) -> canonical element
@@ -293,6 +298,11 @@ EISENSTEIN = [
     ('(X^2-3', '!SpecParseError'),
     ('X^2+x', '!SpecParseError'),
     ('0*X^2-3', '!NotEisenstein'),
+    ('X^2-3^1', '(2, [-3, 0])'),
+    ('X^2-3+0^0-1', '(2, [-3, 0])'),
+    ('X^2-2^(1/2)', '!SpecParseError'),
+    ('(X^2-3)^1', '(2, [-3, 0])'),
+    ('X^2-3*X^0', '(2, [-3, 0])'),
 ]
 
 # (base, ring, expression, precision) -> RW literal
@@ -476,6 +486,28 @@ POLY_X = [
     ('b4', 'X10', 'X^2/3', '!SpecParseError'),
     ('b4', 'X10', '(X', '!SpecParseError'),
     ('b4', 'X10', 'X+', '!SpecParseError'),
+    # powers of constants, of X and of coefficient-ring names
+    ('b4', 'X10', 'X-pi^0',
+     'RW[base=b0, N=4]{ W{2;0;0} | W{0;0;0} } ; RW[base=b0, N=4]{ W{1;0;0} | '
+     'W{0;0;0} }'),
+    ('b4', 'X10', 'X^2-pi^2',
+     'RW[base=b0, N=4]{ W{0;2;0} | W{0;0;0} } ; RW[base=b0, N=4]{ W{0;0;0} | '
+     'W{0;0;0} } ; RW[base=b0, N=4]{ W{1;0;0} | W{0;0;0} }'),
+    ('b4', 'X10', 'X^2-(p+x)^2',
+     'RW[base=b0, N=4]{ W{2*x^2;x^3;2*x^9+2} | W{0;0;0} } ; RW[base=b0, N=4]{ W{0;'
+     '0;0} | W{0;0;0} } ; RW[base=b0, N=4]{ W{1;0;0} | W{0;0;0} }'),
+    ('b4', 'X10', 'X-(x+1)^(1/2)', '!SpecParseError'),
+    ('b4', 'X10', 'X^0+X',
+     'RW[base=b0, N=4]{ W{1;0;0} | W{0;0;0} } ; RW[base=b0, N=4]{ W{1;0;0} | '
+     'W{0;0;0} }'),
+    ('b4', 'X10', '(X-X)^2+X',
+     'RW[base=b0, N=4]{ W{0;0;0} | W{0;0;0} } ; RW[base=b0, N=4]{ W{1;0;0} | '
+     'W{0;0;0} }'),
+    ('b4', 'X10', 'x*X^2-1',
+     'RW[base=b0, N=4]{ W{2;0;0} | W{0;0;0} } ; RW[base=b0, N=4]{ W{0;0;0} | '
+     'W{0;0;0} } ; RW[base=b0, N=4]{ W{x;0;0} | W{0;0;0} }'),
+    ('b4', 'X10', 'X-pi^(1/2)', '!SpecParseError'),
+    ('c6', 'X2', 'X^(1/2)', '!SpecParseError'),
     ('b4', 'F3', 'X-x', '!SpecParseError'),
 ]
 

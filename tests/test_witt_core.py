@@ -734,8 +734,13 @@ class TestFunctor:
         assert self.refusal(LAUR3, PERF3, {"x": "x"}) == (
             "image of Laurent variable 'x' not invertible: "
             "non-constant monomial in a non-Laurent ring")
+        # x+1 has the cube root x^(1/3)+1, which is not a unit
         assert self.refusal(LAUR3, LAUR3, {"x": "x+1"}) == (
-            "image of 'x' admits no 1/3 power: fractional power of a non-monomial")
+            "image of Laurent variable 'x' not invertible: "
+            "only monomials are invertible here")
+        assert self.refusal(LAUR3, LAUR3, {"x": "x^(1/3)"}) == (
+            "image of 'x' admits no 1/3 power: p-th root of exponent 1/3 leaves "
+            "the lattice (denominator 9 does not divide 3)")
         assert self.refusal(F3, F2, {}) == "characteristics differ"
         assert self.refusal(UQ9, UQ9, {}) == "variable 'T' has no image"
         assert self.refusal(UQ9, UQ9, {"T": "T+1"}) == (
@@ -763,16 +768,75 @@ class TestFunctor:
                             "laurent=true")
         assert self.refusal(laur, PERF3, {"x": "x+1"}) == "variable 'y' has no image"
         # per variable, the 1/B power before the unit
-        assert self.refusal(laur, PERF3, {"x": "x+1", "y": "x"}) == (
-            "image of 'x' admits no 1/3 power: fractional power of a non-monomial")
+        assert self.refusal(laur, PERF3, {"x": "x^(1/9)+1", "y": "x"}) == (
+            "image of 'x' admits no 1/3 power: p-th root of exponent 1/9 leaves "
+            "the lattice (denominator 27 does not divide 9)")
         assert self.refusal(laur, PERF3, {"x": "x", "y": "x+1"}) == (
             "image of Laurent variable 'x' not invertible: "
             "non-constant monomial in a non-Laurent ring")
         # and the roots before the quotient monomials
         quo3 = br.make_ring("frac base=(ff p=3 e=1) vars=x,y depth_p=1 depth_2=0 "
                             "laurent=false mod=x^2")
-        assert self.refusal(quo3, PERF3, {"x": "x", "y": "x+1"}) == (
-            "image of 'y' admits no 1/3 power: fractional power of a non-monomial")
+        assert self.refusal(quo3, PERF3, {"x": "x", "y": "x^(1/9)"}) == (
+            "image of 'y' admits no 1/3 power: p-th root of exponent 1/9 leaves "
+            "the lattice (denominator 27 does not divide 9)")
+        # y -> x+1 has the cube root x^(1/3)+1 in PERF3, and x -> 0 kills x^2
+        wc.make_ring_map(quo3, PERF3, {"x": "0", "y": "x+1"})
         wc.make_ring_map(quo3, quo3, {"x": "x", "y": "y"})
         assert self.refusal(quo3, quo3, {"x": "y", "y": "x"}) == (
             "quotient monomial does not map to zero")
+
+    # (ring, images of x, exponents k): x^(k/B) must map to phi(x^(1/B))^k
+    ROOT_MAPS = [
+        ("frac base=(ff p=5 e=1) vars=x depth_p=0 depth_2=1 laurent=false",
+         [f"{c}*x^{j}" for c in (1, 4) for j in (1, 2, 3, 4)], range(1, 9)),
+        ("frac base=(ff p=3 e=2) vars=x depth_p=0 depth_2=1 laurent=true",
+         [f"{c}*x^({j})" for c in ("1", "2", "u", "2*u") for j in (1, -1)],
+         [-4, -3, -2, -1, 1, 2, 3, 4]),
+        ("frac base=(ff p=7 e=1) vars=x depth_p=1 depth_2=2 laurent=false",
+         [f"{c}*x^{j}" for c in (1, 2, 4) for j in (1, 2, 3)][:8], range(1, 9)),
+    ]
+
+    def test_each_root_is_taken_once(self):
+        checks = 0
+        for text, images, ks in self.ROOT_MAPS:
+            ring = br.make_ring(text)
+            b = ring.lattice_b
+            for img in images:
+                phi = wc.make_ring_map(ring, ring, {"x": img})
+                root = wc.apply_ring_map(phi, br.evaluate(ring, f"x^(1/{b})"))
+                assert br.pow_int(root, b) == br.evaluate(ring, img)
+                for k in ks:
+                    x_k = br.evaluate(ring, f"x^({k}/{b})")
+                    assert wc.apply_ring_map(phi, x_k) == br.pow_int(root, k), (img, k)
+                    checks += 1
+        assert checks == 192
+
+    def test_witt_functor_commutes_with_witt_mul_under_a_square_root(self):
+        ring = br.make_ring(self.ROOT_MAPS[0][0])
+        phi = wc.make_ring_map(ring, ring, {"x": "4*x"})
+        W = lambda *cs: wc.make_witt(ring, [br.evaluate(ring, c) for c in cs])
+        a = W("x^(1/2)", "x^(3/2)+1")
+        b = W("2*x", "x^(1/2)")
+        fa, fb = wc.witt_functor(phi, a), wc.witt_functor(phi, b)
+        assert wc.witt_functor(phi, wc.witt_mul(a, b)) == wc.witt_mul(fa, fb)
+        assert wc.witt_functor(phi, wc.witt_add(a, b)) == wc.witt_add(fa, fb)
+
+    @pytest.mark.parametrize("dst,image,cube_root", [
+        ("ff p=3 e=1", "2", "2"),
+        ("uq base=(ff p=3 e=1) var=T modulus=T^2+1", "T", "2*T"),
+    ], ids=["ff", "uq"])
+    def test_roots_by_the_inverse_frobenius_outside_frac_rings(self, dst, image,
+                                                               cube_root):
+        src = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 "
+                           "laurent=false")
+        dst = br.make_ring(dst)
+        phi = wc.make_ring_map(src, dst, {"x": image})
+        root = wc.apply_ring_map(phi, br.evaluate(src, "x^(1/3)"))
+        assert root == br.evaluate(dst, cube_root)
+        rng = random.Random(22)
+        for _ in range(12):
+            a, b = (br.random_element(src, rng, denom_depth=1) for _ in range(2))
+            fa, fb = wc.apply_ring_map(phi, a), wc.apply_ring_map(phi, b)
+            assert wc.apply_ring_map(phi, a * b) == fa * fb
+            assert wc.apply_ring_map(phi, a + b) == fa + fb
