@@ -7,10 +7,13 @@ finite field F_q, q = p^e, and ``FiniteFieldSpec`` is that instance; the
 Witt lift route (``witt_core``) runs the same code at K = n+1, where each
 F_p digit is its own integer lift.  At K = n it is Z_q/p^n = W_n(F_q), the
 ring the Z_q route of ``witt_core`` computes in for Witt vectors over F_q.
-Three ring kinds sit on top, each with
-one product on sparse term dicts {exponent key: coefficient}:
+Three ring kinds sit on top, with two products on sparse term dicts
+{exponent key: coefficient}, one for monomial keys and one for uq:
 
-* ``FiniteFieldSpec`` -- F_q itself, a single term with key ().
+* ``FiniteFieldSpec`` -- F_q itself, the monomial ring in no variables: a
+  single term with key ().  It shares the frac product (``_Monomials``), and
+  with it the inverse, Frobenius, printing and fractional powers, so its
+  constants take every root that ``FiniteFieldSpec.nth_root`` finds.
 * ``FracLaurentRing`` -- (Laurent) polynomials over F_q whose exponents live in
   the lattice (1/B)Z with B = 2^depth_2 * p^depth_p, optionally cut down by a
   monomial ideal.  The p-part of B is the declared perfection depth; the 2-part
@@ -22,8 +25,8 @@ one product on sparse term dicts {exponent key: coefficient}:
   itself is the one-variable ``FracLaurentRing`` ``_poly_ring(F, var)``;
   ``_as_poly`` and ``_uq_elt`` carry elements out of and into F_q[T]/(g).
 
-The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p`` and each
-kind's ``_kmul`` and ``_kpow``) take the coefficient ring as an argument,
+The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p``, the two
+``_kmul`` and the one ``_kpow``) take the coefficient ring as an argument,
 read their operands as (key, coefficient) pairs (an element's ``terms`` or a
 dict's ``items()``; ``_kpow`` takes a dict), return term dicts and keep no
 zero coefficients.  Exponents are
@@ -178,25 +181,84 @@ class _CoeffRing:
 
 
 # ---------------------------------------------------------------------------
+# the products of the ring kinds, on term dicts {key: coefficient}
+
+
+class _Polynomials:
+    """The power of every ring kind, by square-and-multiply on its product."""
+
+    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
+        acc, kmul = None, self._kmul
+        while n:
+            if n & 1:
+                acc = a if acc is None else kmul(C, acc.items(), a.items())
+            n >>= 1
+            if n:
+                a = kmul(C, a.items(), a.items())
+        return {self._unit_key: C.one()} if acc is None else acc
+
+
+class _Monomials(_Polynomials):
+    """The monomial kernel of F_q and ``FracLaurentRing``: a key is the tuple
+    of integer numerators of the exponents over ``lattice_b``, one per
+    variable, so F_q, the ring in no variables, has the one key ()."""
+
+    @property
+    def lattice_b(self) -> int:
+        return (2 ** self.depth_2) * (self.base.p ** self.depth_p)
+
+    @property
+    def _unit_key(self) -> tuple[int, ...]:
+        return (0,) * len(self.variables)
+
+    def _killed(self, key) -> bool:
+        """Whether the monomial ideal contains x^key."""
+        return any(all(e >= g for e, g in zip(key, gen)) for gen in self.quotient)
+
+    def _kmul(self, C: _CoeffRing, a, b) -> dict:
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict = {}
+        get, cmul, cadd = out.get, C.cmul, C.cadd
+        plus, quo = operator.add, self.quotient
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = tuple(map(plus, k1, k2))
+                if quo and self._killed(k):
+                    continue
+                c = cmul(c1, c2)
+                cur = get(k)
+                out[k] = c if cur is None else cadd(cur, c)
+        return _nonzero(out)
+
+
+# ---------------------------------------------------------------------------
 # finite fields
 
 
 @dataclass(frozen=True)
-class FiniteFieldSpec(_CoeffRing):
+class FiniteFieldSpec(_Monomials, _CoeffRing):
     """F_p[u]/(modulus), the coefficient ring at K = 1; modulus is monic of
-    degree e, stored low-to-high.  As a ring kind its elements are single
-    terms with key ()."""
+    degree e, stored low-to-high.  As a ring kind it is the monomial ring in
+    no variables over itself: its elements are single terms with key ()."""
 
     p: int
     e: int
     modulus: tuple[int, ...]
     gen_name: str = "u"
 
-    _unit_key = ()
+    # class constants, not fields: equality, hash and descriptor ignore them
+    variables = quotient = ()
+    laurent = False
+    depth_p = depth_2 = 0
     __hash__ = _hash_once
 
     def __post_init__(self):
         object.__setattr__(self, "pk", self.p)
+
+    @property
+    def base(self) -> FiniteFieldSpec:
+        return self
 
     @property
     def q(self) -> int:
@@ -274,18 +336,6 @@ class FiniteFieldSpec(_CoeffRing):
     def iter_elements(self):
         return (_digits(idx, self.p, self.e) for idx in range(self.q))
 
-    def _kmul(self, C: _CoeffRing, a, b) -> dict:
-        for _, x in a:
-            for _, y in b:
-                c = C.cmul(x, y)
-                if any(c):
-                    return {(): c}
-        return {}
-
-    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
-        c = C.cpow(a.get((), C.zero()), n)
-        return {(): c} if any(c) else {}
-
 
 @lru_cache(maxsize=64)
 def _multiplicative_generator(F: FiniteFieldSpec) -> FieldCoeff:
@@ -350,22 +400,8 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | None = None,
 # ring descriptors
 
 
-class _Polynomials:
-    """The power of the ring kinds with many terms, by square-and-multiply."""
-
-    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
-        acc, kmul = None, self._kmul
-        while n:
-            if n & 1:
-                acc = a if acc is None else kmul(C, acc.items(), a.items())
-            n >>= 1
-            if n:
-                a = kmul(C, a.items(), a.items())
-        return {self._unit_key: C.one()} if acc is None else acc
-
-
 @dataclass(frozen=True)
-class FracLaurentRing(_Polynomials):
+class FracLaurentRing(_Monomials):
     """F_q[x_1^(1/B), ...] (or Laurent), exponent lattice (1/B)Z, B = 2^a p^m.
 
     The monomial x_1^(n_1/B) * ... has the key (n_1, ...), integers over
@@ -381,34 +417,6 @@ class FracLaurentRing(_Polynomials):
     quotient: tuple[tuple[int, ...], ...] = ()
 
     __hash__ = _hash_once
-
-    @property
-    def lattice_b(self) -> int:
-        return (2 ** self.depth_2) * (self.base.p ** self.depth_p)
-
-    @property
-    def _unit_key(self) -> tuple[int, ...]:
-        return (0,) * len(self.variables)
-
-    def _killed(self, key) -> bool:
-        """Whether the monomial ideal contains x^key."""
-        return any(all(e >= g for e, g in zip(key, gen)) for gen in self.quotient)
-
-    def _kmul(self, C: _CoeffRing, a, b) -> dict:
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get, cmul, cadd = out.get, C.cmul, C.cadd
-        plus, quo = operator.add, self.quotient
-        for k1, c1 in a:
-            for k2, c2 in b:
-                k = tuple(map(plus, k1, k2))
-                if quo and self._killed(k):
-                    continue
-                c = cmul(c1, c2)
-                cur = get(k)
-                out[k] = c if cur is None else cadd(cur, c)
-        return _nonzero(out)
 
 
 @dataclass(frozen=True)
@@ -458,12 +466,8 @@ class UnivariateQuotient(_Polynomials):
 Ring = FiniteFieldSpec | FracLaurentRing | UnivariateQuotient
 
 
-def base_field(ring: Ring) -> FiniteFieldSpec:
-    return ring if isinstance(ring, FiniteFieldSpec) else ring.base
-
-
 def ring_char(ring: Ring) -> int:
-    return base_field(ring).p
+    return ring.base.p
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +578,7 @@ def _term(ring: Ring, key, c: FieldCoeff) -> RingElement:
     return RingElement(ring, ((key, c),) if any(c) else ())
 
 
-def _frac_term(ring: FracLaurentRing, exps, c: FieldCoeff) -> RingElement:
+def _frac_term(ring: _Monomials, exps, c: FieldCoeff) -> RingElement:
     """c * x^exps for rational exponents: the one way from exponents to a key."""
     b = ring.lattice_b
     key = []
@@ -589,12 +593,6 @@ def _frac_term(ring: FracLaurentRing, exps, c: FieldCoeff) -> RingElement:
     if ring._killed(key):
         return zero(ring)
     return _term(ring, key, c)
-
-
-def _exponents(ring: FracLaurentRing, key) -> tuple[Fraction, ...]:
-    """The rational exponents of a key."""
-    b = ring.lattice_b
-    return tuple(Fraction(n, b) for n in key)
 
 
 def _uq_elt(ring: UnivariateQuotient, f: RingElement) -> RingElement:
@@ -614,7 +612,7 @@ def zero(ring: Ring) -> RingElement:
 
 
 def one(ring: Ring) -> RingElement:
-    return from_coeff(ring, base_field(ring).one())
+    return from_coeff(ring, ring.base.one())
 
 
 def from_coeff(ring: Ring, c: FieldCoeff) -> RingElement:
@@ -622,7 +620,7 @@ def from_coeff(ring: Ring, c: FieldCoeff) -> RingElement:
 
 
 def from_int(ring: Ring, n: int) -> RingElement:
-    return from_coeff(ring, base_field(ring).from_int(n))
+    return from_coeff(ring, ring.base.from_int(n))
 
 
 def coerce(ring: Ring, v) -> RingElement:
@@ -636,7 +634,7 @@ def coerce(ring: Ring, v) -> RingElement:
 
 
 def variable(ring: Ring, name: str) -> RingElement:
-    F = base_field(ring)
+    F = ring.base
     if isinstance(ring, FracLaurentRing) and name in ring.variables:
         return _frac_term(ring, [int(v == name) for v in ring.variables], F.one())
     if isinstance(ring, UnivariateQuotient) and name == ring.var:
@@ -646,19 +644,15 @@ def variable(ring: Ring, name: str) -> RingElement:
     raise SpecParseError(f"unknown symbol {name!r} in this ring")
 
 
-def monomial(ring: FracLaurentRing, exps, coeff: FieldCoeff | None = None) -> RingElement:
-    return _frac_term(ring, exps, coeff if coeff is not None else ring.base.one())
-
-
 def add(x: RingElement, y: RingElement) -> RingElement:
     if x.ring != y.ring:
         raise MismatchError("elements from different rings")
-    return _mk(x.ring, _kadd(base_field(x.ring), x.terms, y.terms))
+    return _mk(x.ring, _kadd(x.ring.base, x.terms, y.terms))
 
 
 def neg(x: RingElement) -> RingElement:
     # the keys stay as they are, and so does their order
-    return RingElement(x.ring, tuple(_kneg(base_field(x.ring), x.terms).items()))
+    return RingElement(x.ring, tuple(_kneg(x.ring.base, x.terms).items()))
 
 
 def sub(x: RingElement, y: RingElement) -> RingElement:
@@ -669,14 +663,14 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
     if x.ring != y.ring:
         raise MismatchError("elements from different rings")
     ring = x.ring
-    return _mk(ring, ring._kmul(base_field(ring), x.terms, y.terms))
+    return _mk(ring, ring._kmul(ring.base, x.terms, y.terms))
 
 
 def pow_int(x: RingElement, n: int) -> RingElement:
     if n < 0:
         return pow_int(invert(x), -n)
     ring = x.ring
-    return _mk(ring, ring._kpow(base_field(ring), dict(x.terms), n))
+    return _mk(ring, ring._kpow(ring.base, dict(x.terms), n))
 
 
 def is_monomial(x: RingElement) -> bool:
@@ -686,34 +680,32 @@ def is_monomial(x: RingElement) -> bool:
 def invert(x: RingElement) -> RingElement:
     """Multiplicative inverse where one exists; NotAUnit otherwise."""
     ring = x.ring
-    F = base_field(ring)
+    F = ring.base
     if x.is_zero():
         raise NotAUnit("zero is not invertible")
-    if isinstance(ring, FiniteFieldSpec):
-        return from_coeff(ring, F.cinv(x.terms[0][1]))
-    if isinstance(ring, FracLaurentRing):
-        if not is_monomial(x):
-            raise NotAUnit("only monomials are invertible here")
-        key, c = x.terms[0]
-        if not ring.laurent and any(e != 0 for e in key):
-            raise NotAUnit("non-constant monomial in a non-Laurent ring")
-        return _term(ring, tuple(-n for n in key), F.cinv(c))
-    # UnivariateQuotient: extended gcd of the representative with the modulus
-    r = _fq_poly_invmod(_as_poly(x), _poly_elt(F, ring.var, ring.modulus))
-    if r is None:
-        raise NotAUnit("representative shares a factor with the modulus")
-    return _uq_elt(ring, r)
+    if isinstance(ring, UnivariateQuotient):
+        # extended gcd of the representative with the modulus
+        r = _fq_poly_invmod(_as_poly(x), _poly_elt(F, ring.var, ring.modulus))
+        if r is None:
+            raise NotAUnit("representative shares a factor with the modulus")
+        return _uq_elt(ring, r)
+    if not is_monomial(x):
+        raise NotAUnit("only monomials are invertible here")
+    key, c = x.terms[0]
+    if not ring.laurent and any(e != 0 for e in key):
+        raise NotAUnit("non-constant monomial in a non-Laurent ring")
+    return _term(ring, tuple(-n for n in key), F.cinv(c))
 
 
 def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
-    """x^r for rational r; only single-term elements and zero support a
-    fractional part (0^r = 0 for r > 0)."""
+    """x^r for rational r; only single-term elements and zero of ff and frac
+    rings support a fractional part (0^r = 0 for r > 0)."""
     ring = x.ring
-    monomial_route = isinstance(ring, FracLaurentRing) and is_monomial(x) and (
-        r.denominator != 1 or r < 0)
-    if r.denominator == 1 and not monomial_route:
+    uq = isinstance(ring, UnivariateQuotient)
+    # a negative power of a monomial takes the lattice checks of its exponents
+    if r.denominator == 1 and (uq or r >= 0 or not is_monomial(x)):
         return pow_int(x, r.numerator)
-    if not isinstance(ring, FracLaurentRing):
+    if uq:
         raise LatticeError("fractional powers need an exponent lattice")
     if x.is_zero():
         if r < 0:
@@ -725,7 +717,7 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
     key, c = x.terms[0]
     croot = F.nth_root(F.cpow(c, r.numerator) if r.numerator >= 0 else
                        F.cpow(F.cinv(c), -r.numerator), r.denominator)
-    return _frac_term(ring, [e * r for e in _exponents(ring, key)], croot)
+    return _frac_term(ring, [Fraction(n, ring.lattice_b) * r for n in key], croot)
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +727,8 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
 def frobenius(x: RingElement, k: int) -> RingElement:
     """k-fold Frobenius y -> y^(p^k); k < 0 walks the partial inverse, which
     is exact on a ``UnivariateQuotient`` (``_uq_root``)."""
-    if k < 0 and isinstance(x.ring, UnivariateQuotient):
-        return _uq_root(x, -k)
+    if isinstance(x.ring, UnivariateQuotient):
+        return _uq_root(x, -k) if k < 0 else pow_int(x, x.ring.base.p ** k)
     step = 1 if k > 0 else -1
     for _ in range(abs(k)):
         x = _frob_once(x, step)
@@ -744,31 +736,29 @@ def frobenius(x: RingElement, k: int) -> RingElement:
 
 
 def _frob_once(x: RingElement, step: int) -> RingElement:
+    """One Frobenius step (step = 1) or inverse step (step = -1) on the
+    monomial keys of an ff or frac ring."""
     ring = x.ring
-    F = base_field(ring)
-    p = F.p
-    if isinstance(ring, FiniteFieldSpec):
-        return from_coeff(ring, F.cfrob(x.terms[0][1], step) if x.terms else F.zero())
-    d: dict = {}
-    if isinstance(ring, FracLaurentRing):
-        if step > 0:
-            for key, c in x.terms:
-                new_key = tuple(e * p for e in key)
-                if not ring._killed(new_key):
-                    d[new_key] = F.cfrob(c, 1)
-        else:
-            for key, c in x.terms:
-                for n in key:
-                    if n % p:
-                        b = ring.lattice_b
-                        e = Fraction(n, b * p)
-                        raise DepthExhausted(
-                            f"p-th root of exponent {e * p} leaves the lattice "
-                            f"(denominator {e.denominator} does not divide {b})")
-                d[tuple(n // p for n in key)] = F.cfrob(c, -1)
-        return _mk(ring, d)
-    # UnivariateQuotient, step > 0 (its inverse is _uq_root)
-    return pow_int(x, p)
+    F = ring.base
+    p, quo = F.p, ring.quotient
+    terms = []
+    if step > 0:
+        for key, c in x.terms:
+            key = tuple([e * p for e in key])
+            if not (quo and ring._killed(key)):
+                terms.append((key, F.cfrob(c, 1)))
+    else:
+        for key, c in x.terms:
+            for n in key:
+                if n % p:
+                    b = ring.lattice_b
+                    e = Fraction(n, b * p)
+                    raise DepthExhausted(
+                        f"p-th root of exponent {e * p} leaves the lattice "
+                        f"(denominator {e.denominator} does not divide {b})")
+            terms.append((tuple([n // p for n in key]), F.cfrob(c, -1)))
+    # scaling every key by p, or dividing every key by p, keeps their order
+    return RingElement(ring, tuple(terms))
 
 
 def _uq_root(x: RingElement, k: int) -> RingElement:
@@ -1422,18 +1412,18 @@ def _format_exp(name: str, e) -> str:
 
 def format_element(x: RingElement) -> str:
     ring = x.ring
-    F = base_field(ring)
+    F = ring.base
     if not x.terms:
         return "0"
     parts = []
     for key, c in x.terms:
-        if isinstance(ring, FiniteFieldSpec):
-            mono = ""
-        elif isinstance(ring, FracLaurentRing):
-            mono = "*".join(_format_exp(v, e)
-                            for v, e in zip(ring.variables, _exponents(ring, key)) if e)
-        else:
+        if isinstance(ring, UnivariateQuotient):
             mono = "" if key == 0 else _format_exp(ring.var, key)
+        elif key:
+            mono = "*".join([_format_exp(v, Fraction(n, ring.lattice_b))
+                             for v, n in zip(ring.variables, key) if n])
+        else:  # the key () of a field constant
+            mono = ""
         cs = format_coeff(F, c)
         if not mono:
             parts.append(cs)
@@ -1476,16 +1466,14 @@ def random_coeff(F: FiniteFieldSpec, rng) -> FieldCoeff:
 def random_element(ring: Ring, rng, max_terms: int = 3, exp_bound: int = 3,
                    denom_depth: int = 0, allow_zero: bool = True) -> RingElement:
     """Random canonical element; denom_depth controls p-power denominators."""
-    F = base_field(ring)
-    if isinstance(ring, FiniteFieldSpec):
-        c = random_coeff(F, rng)
-        if not allow_zero and c == F.zero():
-            c = F.one()
-        return from_coeff(ring, c)
+    F = ring.base
     d: dict = {}
     nterms = rng.randint(0 if allow_zero else 1, max_terms)
     for _ in range(nterms):
-        if isinstance(ring, FracLaurentRing):
+        if isinstance(ring, UnivariateQuotient):
+            k = rng.randrange(ring.degree)
+            t = _term(ring, k, random_coeff(F, rng))
+        else:
             exps = []
             for _ in ring.variables:
                 num = rng.randint(0 if not ring.laurent else -exp_bound, exp_bound)
@@ -1495,9 +1483,6 @@ def random_element(ring: Ring, rng, max_terms: int = 3, exp_bound: int = 3,
                 t = _frac_term(ring, exps, random_coeff(F, rng))
             except LatticeError:
                 continue
-        else:
-            k = rng.randrange(ring.degree)
-            t = _term(ring, k, random_coeff(F, rng))
         d = _kadd(F, d, t.terms)
     out = _mk(ring, d)
     if not allow_zero and out.is_zero():

@@ -25,10 +25,7 @@ from . import lifting as lf
 from . import witt_core as wc
 from . import witt_ramified as rw
 from .errors import (
-    BudgetExceeded,
-    DepthExhausted,
     LevelTooLarge,
-    NoConvergence,
     NoRoot,
     NotDivisible,
     SpecParseError,
@@ -312,7 +309,7 @@ def _check_operator_identities(cfg):
 
 
 def _rand_rw(base, ring, rng):
-    F = br.base_field(ring)
+    F = ring.base
     coords = tuple(
         wc.WittVector(ring, tuple(br.from_coeff(ring, br.random_coeff(F, rng))
                                   for _ in range(base.level)))
@@ -1054,14 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _exit_code(exc: WittforgeError) -> int:
-    if isinstance(exc, (DepthExhausted, BudgetExceeded, LevelTooLarge)):
-        return 3
-    if isinstance(exc, NoConvergence):
-        return 1
-    return 2
-
-
 _parser = None  # the argparse tree, built on the first call to main
 
 
@@ -1079,5 +1068,5 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return ns.handler(ns, out, err)
     except WittforgeError as exc:
         err.write(f"error: {exc}\n")
-        return _exit_code(exc)
+        return exc.exit_code
 

@@ -1,13 +1,14 @@
 """Exception taxonomy shared by all wittforge modules.
 
 Every error that a caller is expected to catch derives from WittforgeError.
-The CLI maps these onto exit codes: parse/usage problems give 2, precision
-or perfection-depth exhaustion gives 3, verification failures give 1.
+Each class carries the CLI exit code it maps onto: parse/usage problems give
+2, precision or perfection-depth exhaustion gives 3, verification failures
+give 1.
 """
 
 
 class WittforgeError(Exception):
-    pass
+    exit_code = 2
 
 
 class SpecParseError(WittforgeError):
@@ -20,6 +21,8 @@ class LatticeError(WittforgeError):
 
 class DepthExhausted(WittforgeError):
     """An inverse-Frobenius application needs more perfection depth than declared."""
+
+    exit_code = 3
 
 
 class NoRoot(WittforgeError):
@@ -45,6 +48,8 @@ class IntegralityViolation(WittforgeError):
 class LevelTooLarge(WittforgeError):
     """Structural-polynomial generation refused: level above cap or predicted term count above budget."""
 
+    exit_code = 3
+
 
 class NotEisenstein(WittforgeError):
     """Proposed polynomial fails the Eisenstein checks."""
@@ -61,6 +66,8 @@ class DerivativeNotUnit(WittforgeError):
 class NoConvergence(WittforgeError):
     """Newton iteration failed to reach the target precision in the allotted steps."""
 
+    exit_code = 1
+
 
 class IncompatibleSequence(WittforgeError):
     """A p-power-compatible sequence fails its defining relation a_{i+1}^p = a_i."""
@@ -68,6 +75,8 @@ class IncompatibleSequence(WittforgeError):
 
 class BudgetExceeded(WittforgeError):
     """A desk-scale model was requested beyond its element-size budget."""
+
+    exit_code = 3
 
 
 class MismatchError(WittforgeError):

@@ -583,7 +583,7 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
 
 def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
     ring = x.ring
-    F = br.base_field(ring)
+    F = ring.base
     C = br._CoeffRing(F, x.length + 1)
     gx = _lift_ghost(ring, C, [dict(c.terms) for c in x.coords])
     if op == "neg":
@@ -812,8 +812,8 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
         if img.ring != dst:
             raise MismatchError("image lives in the wrong ring")
         resolved[name] = img
-    Fs = br.base_field(src)
-    Fd = br.base_field(dst)
+    Fs = src.base
+    Fd = dst.base
     if Fs.p != Fd.p:
         raise RelationViolated("characteristics differ")
     if Fs.e > 1:
@@ -856,14 +856,14 @@ def _generator_images(src: Ring, dst: Ring, resolved: dict) -> tuple[list, list]
     the root of x's image for x^(1/B), by the exact inverse Frobenius and
     then a fractional power for the 2-part.  Refusals go variable by
     variable: a missing root, then (Laurent) a root that is not a unit."""
-    F = br.base_field(src)
+    F = src.base
     gpows = [br.one(dst)]
     for _ in range(1, F.e):
         gpows.append(br.mul(gpows[-1], resolved[F.gen_name]))
     if isinstance(src, UnivariateQuotient):
         return gpows, [resolved[src.var]]
     roots = []
-    for v in getattr(src, "variables", ()):  # none on a finite field
+    for v in src.variables:
         try:
             r = br.frobenius(resolved[v], -src.depth_p)
             if src.depth_2:

@@ -167,7 +167,7 @@ class DigitExpansion:
 
 def _gate(base: RamifiedBase, ring: Ring, n: int) -> None:
     """The one precision rule: 0 <= N <= (level-1)*f, over the base's F_q."""
-    F = br.base_field(ring)
+    F = ring.base
     if (F.p, F.e, F.modulus) != (base.field.p, base.field.e, base.field.modulus):
         raise MismatchError("coefficient ring does not extend the base's F_q")
     if not 0 <= n <= base.default_precision:

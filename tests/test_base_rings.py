@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -164,6 +165,67 @@ class TestPower:
         assert len(calls) == n.bit_length() + bin(n).count("1") - 2
 
 
+class TestFieldRingsThroughTheMonomialKernel:
+    """An ff ring is the monomial ring in no variables: its elements are
+    single terms with key (), and every ring operation must agree with the
+    field's own coefficient arithmetic.  40 derandomized examples per field;
+    coefficients are drawn mod q, so zero comes up on every field."""
+
+    FIELDS = {"F2": (2, 1), "F4": (2, 2), "F8": (2, 3), "F9": (3, 2), "F25": (5, 2)}
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(a=st.integers(0, 30), b=st.integers(0, 30), n=st.integers(-30, 30),
+           k=st.integers(0, 10), num=st.integers(-12, 12), i=st.integers(0, 3),
+           j=st.integers(0, 2))
+    def test_ops_match_the_coefficient_arithmetic(self, name, a, b, n, k, num, i, j):
+        f = F(*self.FIELDS[name])
+        ca, cb = (br._digits(v % f.q, f.p, f.e) for v in (a, b))
+        x, y = br.from_coeff(f, ca), br.from_coeff(f, cb)
+
+        def const(c):
+            return br.from_coeff(f, c)
+
+        assert br.mul(x, y) == const(f.cmul(ca, cb))
+        if x.is_zero():
+            with pytest.raises(NotAUnit):
+                br.invert(x)
+        else:
+            assert br.invert(x) == const(f.cinv(ca))
+        if x.is_zero() and n < 0:
+            with pytest.raises(NotAUnit):
+                br.pow_int(x, n)
+        else:
+            assert br.pow_int(x, n) == const(f.cpow(ca, n))
+        # k runs past e, and the inverse Frobenius is exact on a field
+        assert br.frobenius(x, k) == const(f.cfrob(ca, k))
+        assert br.frobenius(x, -k) == const(f.cfrob(ca, -k))
+        r = Fraction(num, 2 ** i * f.p ** j)
+        if x.is_zero() and r < 0:
+            with pytest.raises(NotAUnit):
+                br.pow_fraction(x, r)
+            return
+        try:
+            want = const(f.nth_root(f.cpow(ca, r.numerator), r.denominator))
+        except NoRoot:
+            with pytest.raises(NoRoot):
+                br.pow_fraction(x, r)
+            return
+        got = br.pow_fraction(x, r)
+        assert got == want
+        assert br.pow_int(got, r.denominator) == br.pow_int(x, r.numerator)
+
+    def test_fields_have_no_hidden_knob(self):
+        # the monomial-ring constants are class attributes, not fields
+        assert [fd.name for fd in dataclasses.fields(br.FiniteFieldSpec)] == [
+            "p", "e", "modulus", "gen_name"]
+        a, b = br.make_field(3, 2), br.make_field(3, 2)
+        assert a is not b and a == b == br.FiniteFieldSpec(3, 2, (1, 0, 1), "u")
+        assert hash(a) == hash(b) == hash((3, 2, (1, 0, 1), "u"))
+        assert br.canonical_descriptor(a) == "ff p=3 e=2 modulus=u^2+1"
+        assert a.base is a and a.variables == a.quotient == ()
+
+
 class TestDescriptorRoundtrip:
     CASES = [
         "ff p=5 e=1",
@@ -192,7 +254,7 @@ class TestDescriptorRoundtrip:
         a, b = br.make_ring(desc), br.make_ring(desc)
         assert a is not b and a == b
         assert hash(a) == hash(a) == hash(b)
-        assert hash(br.base_field(a)) == hash(br.base_field(b))
+        assert hash(a.base) == hash(b.base)
         assert {a: desc}[b] == desc
 
     def test_uq_modulus_is_not_truncated(self):
@@ -365,7 +427,7 @@ class TestKernelAboveK1:
         """count term dicts over (Z/p^K)[u]/(M~): the keys of two random
         elements of the ring, each with a random coefficient mod p^K."""
         ring = br.make_ring(desc)
-        C = br._CoeffRing(br.base_field(ring), K)
+        C = br._CoeffRing(ring.base, K)
         rng = random.Random(seed)
         out = []
         for _ in range(count):
@@ -408,7 +470,7 @@ class TestKernelAboveK1:
     @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
     def test_product_reduces_to_the_field_product(self, desc, kw, K, seed):
         ring, C, (a, b) = self.operands(desc, kw, K, seed, 2)
-        F = br.base_field(ring)
+        F = ring.base
 
         def reduce(x):  # scaling by 1 over F_q reduces mod p
             return br._kscale(F, x.items(), 1)

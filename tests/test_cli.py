@@ -495,12 +495,12 @@ class TestExitCodeMapping:
 
     def test_taxonomy_mapping(self):
         from wittforge import errors as er
-        assert cli._exit_code(er.DepthExhausted("x")) == 3
-        assert cli._exit_code(er.BudgetExceeded("x")) == 3
-        assert cli._exit_code(er.LevelTooLarge("x")) == 3
-        assert cli._exit_code(er.NoConvergence("x")) == 1
-        assert cli._exit_code(er.NoRoot("x")) == 2
-        assert cli._exit_code(er.SpecParseError("x")) == 2
+        assert er.DepthExhausted("x").exit_code == 3
+        assert er.BudgetExceeded("x").exit_code == 3
+        assert er.LevelTooLarge("x").exit_code == 3
+        assert er.NoConvergence("x").exit_code == 1
+        assert er.NoRoot("x").exit_code == 2
+        assert er.SpecParseError("x").exit_code == 2
 
 
 # Commands that no other test runs: rw add / mul / frobpi / divpi / twist over

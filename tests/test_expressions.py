@@ -46,6 +46,7 @@ RINGS = {
     'T27': 'uq base=(ff p=3 e=3) var=T modulus=T^27+T^2+2',
     'F2': 'ff p=2 e=1',
     'X2': 'frac base=(ff p=2 e=1) vars=x depth_p=2 depth_2=1 laurent=true',
+    'F5': 'ff p=5 e=1',
 }
 
 BASES = {
@@ -187,11 +188,14 @@ EVALUATE = [
     ('F9', 'u^2', '2'),
     ('F9', 'u^(-1)', '2*u'),
     ('F9', '2*u+1', '2*u+1'),
-    ('F9', 'u^(1/2)', '!LatticeError'),
+    # ff constants take the roots that exist, the smallest one: (2u+1)^2 = u
+    ('F9', 'u^(1/2)', '2*u+1'),
     ('F3', '1+1', '2'),
     ('F3', '2', '2'),
     ('F3', '-1', '2'),
     ('F3', '2^(-1)', '2'),
+    ('F5', '4^(1/2)', '2'),
+    ('F5', '2^(1/2)', '!NoRoot'),
     ('F4', 'u', 'u'),
     ('F4', 'u^3', '1'),
     ('XYq', 'x*y^2', 'x*y^2'),

@@ -297,7 +297,7 @@ class TestWittArithmetic:
         """add, mul and neg agree on both routes at lengths 1..3, over
         Hypothesis-drawn coordinates: 60 derandomized examples per ring.  For
         odd p, neg is coordinatewise before any route is chosen."""
-        F = br.base_field(ring)
+        F = ring.base
         n = data.draw(st.integers(1, 3))
         coord = st.tuples(*[st.integers(0, F.p - 1)] * F.e).map(
             partial(br.from_coeff, ring))
@@ -335,7 +335,7 @@ class TestWittArithmetic:
 def zq_operand(ring, n):
     """Length-n vectors over a finite field: dense (every coordinate drawn,
     mostly nonzero) or sparse (at most two nonzero coordinates)."""
-    F = br.base_field(ring)
+    F = ring.base
     coeff = st.tuples(*[st.integers(0, F.p - 1)] * F.e)
     dense = st.lists(coeff, min_size=n, max_size=n)
     sparse = st.dictionaries(st.integers(0, n - 1), coeff, max_size=2).map(
@@ -382,7 +382,7 @@ class TestZqRoute:
     def test_round_trip_and_teichmuller_digits(self, ring, data):
         """W_n(F_q) -> Z_q/p^n -> W_n(F_q) is the identity, and [a] reads
         back as (a, 0, ..., 0): 30 derandomized examples per field."""
-        F = br.base_field(ring)
+        F = ring.base
         n = data.draw(st.integers(1, 8))
         x = data.draw(zq_operand(ring, n))
         assert wc._from_zq(F, wc._to_zq(x), n) == x.coords
@@ -840,3 +840,29 @@ class TestFunctor:
             fa, fb = wc.apply_ring_map(phi, a), wc.apply_ring_map(phi, b)
             assert wc.apply_ring_map(phi, a * b) == fa * fb
             assert wc.apply_ring_map(phi, a + b) == fa + fb
+
+    def test_square_roots_into_a_finite_field(self):
+        # x^(1/2) -> 2, the smaller square root of 4 = 2^2 in F_5
+        src = br.make_ring(self.ROOT_MAPS[0][0])
+        dst = br.make_ring("ff p=5 e=1")
+        phi = wc.make_ring_map(src, dst, {"x": "4"})
+        assert wc.apply_ring_map(phi, br.evaluate(src, "x^(1/2)")) == br.evaluate(dst, "2")
+        rng = random.Random(23)
+        for _ in range(12):
+            a, b = (br.random_element(src, rng) for _ in range(2))
+            fa, fb = wc.apply_ring_map(phi, a), wc.apply_ring_map(phi, b)
+            assert wc.apply_ring_map(phi, a * b) == fa * fb
+            assert wc.apply_ring_map(phi, a + b) == fa + fb
+        for _ in range(4):
+            a = wc.WittVector(src, tuple(br.random_element(src, rng) for _ in range(3)))
+            b = wc.WittVector(src, tuple(br.random_element(src, rng) for _ in range(3)))
+            fa, fb = wc.witt_functor(phi, a), wc.witt_functor(phi, b)
+            assert wc.witt_functor(phi, wc.witt_mul(a, b)) == wc.witt_mul(fa, fb)
+            assert wc.witt_functor(phi, wc.witt_add(a, b)) == wc.witt_add(fa, fb)
+            assert wc.project(fa) == wc.apply_ring_map(phi, wc.project(a))
+        # 2 is not a square mod 5
+        assert self.refusal(src, dst, {"x": "2"}) == (
+            "image of 'x' admits no 1/2 power: no 2-th root in F_5")
+        # open: (x+1)^2 has the square root x+1, but only monomials are rooted
+        assert self.refusal(src, src, {"x": "x^2+2*x+1"}) == (
+            "image of 'x' admits no 1/2 power: fractional power of a non-monomial")

@@ -37,7 +37,7 @@ PERF3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=3 depth_2=0 laurent=
 
 
 def rand_rw(base, ring, rng):
-    F = br.base_field(ring)
+    F = ring.base
     coords = tuple(
         wc.WittVector(ring, tuple(br.from_coeff(ring, br.random_coeff(F, rng))
                                   for _ in range(base.level)))
