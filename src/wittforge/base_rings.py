@@ -7,23 +7,21 @@ finite field F_q, q = p^e, and ``FiniteFieldSpec`` is that instance; the
 Witt lift route (``witt_core``) runs the same code at K = n+1, where each
 F_p digit is its own integer lift.  At K = n it is Z_q/p^n = W_n(F_q), the
 ring the Z_q route of ``witt_core`` computes in for Witt vectors over F_q.
-Three ring kinds sit on top, with two products on sparse term dicts
-{exponent key: coefficient}, one for monomial keys and one for uq:
+Three ring kinds sit on top, each a monomial ring followed by a reduction
+(``_Monomials``): elements are sparse term dicts {exponent key: coefficient},
+a key holds the integer numerators of the exponents over the lattice
+denominator B, one per variable, and ``_reduce`` applies the ring's relations:
 
 * ``FiniteFieldSpec`` -- F_q itself, the monomial ring in no variables: a
-  single term with key ().  It shares the frac product (``_Monomials``), and
-  with it the inverse, Frobenius, printing and fractional powers, so its
-  constants take every root that ``FiniteFieldSpec.nth_root`` finds.
+  single term with key ().
 * ``FracLaurentRing`` -- (Laurent) polynomials over F_q whose exponents live in
   the lattice (1/B)Z with B = 2^depth_2 * p^depth_p, optionally cut down by a
   monomial ideal.  The p-part of B is the declared perfection depth; the 2-part
-  exists so square roots of monomials have a home.  A key is the tuple of
-  integer numerators of the exponents over B; rational exponents exist only
-  where they enter a ring (``_frac_term``) and where they are printed.
-* ``UnivariateQuotient`` -- F_q[T]/(g) for a monic g; a product accumulates
-  sparsely and is reduced by g once, from the top degree down.  F_q[T]
-  itself is the one-variable ``FracLaurentRing`` ``_poly_ring(F, var)``;
-  ``_as_poly`` and ``_uq_elt`` carry elements out of and into F_q[T]/(g).
+  exists so square roots of monomials have a home.  Rational exponents exist
+  only where they enter a ring (``_frac_term``) and where they are printed.
+* ``UnivariateQuotient`` -- F_q[T]/(g) for a monic g: keys (n,), B = 1, and a
+  product and reduction by g on lists indexed by degree.  F_q[T] itself is
+  the one-variable ``FracLaurentRing`` ``_poly_ring(F, var)``, same keys.
 
 The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p``, the two
 ``_kmul`` and the one ``_kpow``) take the coefficient ring as an argument,
@@ -37,11 +35,11 @@ Elements are immutable: a ``RingElement`` holds a sorted tuple of
 (exponent key, field coefficient) pairs, so equal elements have identical
 representations and hash equal.  All operations return new elements.
 
-Inverse Frobenius is partial: on a ``FracLaurentRing`` it fails with
+Frobenius F^k scales every key by p^k.  Its inverse divides them by p, one
+pass per step, and is partial: on a ``FracLaurentRing`` it fails with
 ``DepthExhausted`` once an exponent denominator would leave the lattice.  On a
-``UnivariateQuotient`` it is exact: it divides the exponents of the canonical
-representative by p where they allow it, and otherwise decides y^(p^k) = x by
-one F_p-linear solve, so ``NoRoot`` means that no p^k-th root exists.
+``UnivariateQuotient`` it is exact: where a pass refuses, one F_p-linear solve
+decides y^(p^k) = x, so ``NoRoot`` means that no p^k-th root exists.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import operator
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import zip_longest
 from math import gcd
 
@@ -181,27 +179,14 @@ class _CoeffRing:
 
 
 # ---------------------------------------------------------------------------
-# the products of the ring kinds, on term dicts {key: coefficient}
+# the monomial kernel of every ring kind, on term dicts {key: coefficient}
 
 
-class _Polynomials:
-    """The power of every ring kind, by square-and-multiply on its product."""
-
-    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
-        acc, kmul = None, self._kmul
-        while n:
-            if n & 1:
-                acc = a if acc is None else kmul(C, acc.items(), a.items())
-            n >>= 1
-            if n:
-                a = kmul(C, a.items(), a.items())
-        return {self._unit_key: C.one()} if acc is None else acc
-
-
-class _Monomials(_Polynomials):
-    """The monomial kernel of F_q and ``FracLaurentRing``: a key is the tuple
-    of integer numerators of the exponents over ``lattice_b``, one per
-    variable, so F_q, the ring in no variables, has the one key ()."""
+class _Monomials:
+    """The kernel every ring kind shares: a key is the tuple of integer
+    numerators of the exponents over ``lattice_b``, one per variable, so
+    F_q, the ring in no variables, has the one key ().  A ring kind is this
+    monomial ring followed by its reduction ``_reduce``."""
 
     @property
     def lattice_b(self) -> int:
@@ -214,6 +199,12 @@ class _Monomials(_Polynomials):
     def _killed(self, key) -> bool:
         """Whether the monomial ideal contains x^key."""
         return any(all(e >= g for e, g in zip(key, gen)) for gen in self.quotient)
+
+    def _reduce(self, C: _CoeffRing, d: dict) -> dict:
+        """d without its killed keys and zero coefficients, in d's order."""
+        quo = self.quotient
+        return {k: c for k, c in d.items()
+                if any(c) and not (quo and self._killed(k))}
 
     def _kmul(self, C: _CoeffRing, a, b) -> dict:
         if len(a) > len(b):
@@ -230,6 +221,21 @@ class _Monomials(_Polynomials):
                 cur = get(k)
                 out[k] = c if cur is None else cadd(cur, c)
         return _nonzero(out)
+
+    def _kpow(self, C: _CoeffRing, a: dict, n: int) -> dict:
+        """a^n for n >= 0: one term scales its key, anything else takes
+        square-and-multiply on the ring's product."""
+        if len(a) == 1:
+            ((key, c),) = a.items()
+            return self._reduce(C, {tuple([e * n for e in key]): C.cpow(c, n)})
+        acc, kmul = None, self._kmul
+        while n:
+            if n & 1:
+                acc = a if acc is None else kmul(C, acc.items(), a.items())
+            n >>= 1
+            if n:
+                a = kmul(C, a.items(), a.items())
+        return {self._unit_key: C.one()} if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -420,47 +426,79 @@ class FracLaurentRing(_Monomials):
 
 
 @dataclass(frozen=True)
-class UnivariateQuotient(_Polynomials):
-    """F_q[T]/(g) with g monic of degree >= 1, stored low-to-high."""
+class UnivariateQuotient(_Monomials):
+    """F_q[T]/(g) with g monic of degree >= 1, stored low-to-high: the
+    monomial ring F_q[T], keys (n,), reduced by g."""
 
     base: FiniteFieldSpec
     var: str
     modulus: tuple[FieldCoeff, ...]
 
-    _unit_key = 0
+    # class constants, not fields: equality, hash and descriptor ignore them
+    quotient = ()
+    laurent = False
+    depth_p = depth_2 = 0
     __hash__ = _hash_once
+
+    @property
+    def variables(self) -> tuple[str]:
+        return (self.var,)
 
     @property
     def degree(self) -> int:
         return len(self.modulus) - 1
 
+    @cached_property
+    def _tail(self) -> list:  # the terms of g below its leading one
+        return [(j, c) for j, c in enumerate(self.modulus[:-1]) if any(c)]
+
     def _kmul(self, C: _CoeffRing, a, b) -> dict:
-        acc: dict = {}
-        get, cmul, cadd = acc.get, C.cmul, C.cadd
-        for i, x in a:
+        """The product mod g of operands in the ring (degrees below deg g),
+        accumulated in a list indexed by degree, so no key is hashed."""
+        if not (a and b):
+            return {}
+        b = [(j, y) for (j,), y in b]
+        acc = [None] * (2 * self.degree - 1)
+        cmul, cadd = C.cmul, C.cadd
+        for (i,), x in a:
             for j, y in b:
                 t = cmul(x, y)
-                cur = get(i + j)
+                cur = acc[i + j]
                 acc[i + j] = t if cur is None else cadd(cur, t)
-        return self._reduce(C, acc)
+        return self._fold(C, acc)
 
-    def _reduce(self, C: _CoeffRing, acc: dict) -> dict:
-        """acc mod g, one pass from the top degree down; consumes acc."""
-        deg = self.degree
-        top = max(acc, default=-1)
-        if top >= deg:
-            tail = [(j, c) for j, c in enumerate(self.modulus[:deg]) if any(c)]
-            get, cmul, cneg, csub = acc.get, C.cmul, C.cneg, C.csub
-            for k in range(top, deg - 1, -1):
-                c = acc.pop(k, None)
-                if c is None or not any(c):
-                    continue
-                for j, mj in tail:
-                    kk = k - deg + j
-                    t = cmul(c, mj)
-                    cur = get(kk)
-                    acc[kk] = cneg(t) if cur is None else csub(cur, t)
-        return _nonzero(acc)
+    def _reduce(self, C: _CoeffRing, d: dict) -> dict:
+        """d mod g, for keys of any degree: long division on a list below
+        16 deg g, past it (where that costs more, measured at deg g = 2-11)
+        each T^n by square-and-multiply, so no list grows with n."""
+        top = max(d, default=(0,))[0]
+        if top < 16 * self.degree:
+            acc = [None] * (top + 1)
+            for (i,), c in d.items():
+                acc[i] = c
+            return self._fold(C, acc)
+        t, out = self._reduce(C, {(1,): C.one()}), {}
+        mul = lambda a, b: self._kmul(C, a.items(), b.items())
+        for (i,), c in d.items():
+            tn = _power(mul, t, i, {(0,): C.one()})
+            out = _kadd(C, out, [(k, C.cmul(c, v)) for k, v in tn.items()])
+        return _nonzero(out)
+
+    def _fold(self, C: _CoeffRing, acc: list) -> dict:
+        """The term dict of acc (coefficients by degree, None where there is
+        none) mod g, one pass from the top degree down; consumes acc."""
+        deg, tail = self.degree, self._tail
+        cmul, cneg, csub = C.cmul, C.cneg, C.csub
+        for k in range(len(acc) - 1, deg - 1, -1):
+            c = acc[k]
+            if c is None or not any(c):
+                continue
+            for j, mj in tail:
+                kk = k - deg + j
+                t = cmul(c, mj)
+                cur = acc[kk]
+                acc[kk] = cneg(t) if cur is None else csub(cur, t)
+        return {(i,): c for i, c in zip(range(deg), acc) if c is not None and any(c)}
 
 
 Ring = FiniteFieldSpec | FracLaurentRing | UnivariateQuotient
@@ -528,8 +566,8 @@ def _kdiv_p(C: _CoeffRing, a, i: int) -> dict:
 # ---------------------------------------------------------------------------
 # elements
 
-# exponent keys: () for field constants, a tuple of integer numerators over
-# lattice_b for FracLaurent, plain int (T-degree) for UnivariateQuotient.
+# exponent keys: tuples of integer numerators over lattice_b, one per
+# variable: () for field constants, (n,) for T^n in a UnivariateQuotient.
 
 
 @dataclass(frozen=True)
@@ -579,7 +617,8 @@ def _term(ring: Ring, key, c: FieldCoeff) -> RingElement:
 
 
 def _frac_term(ring: _Monomials, exps, c: FieldCoeff) -> RingElement:
-    """c * x^exps for rational exponents: the one way from exponents to a key."""
+    """c * x^exps for rational exponents: the one way from exponents to a
+    key, which the ring then reduces."""
     b = ring.lattice_b
     key = []
     for ex in map(Fraction, exps):
@@ -589,22 +628,17 @@ def _frac_term(ring: _Monomials, exps, c: FieldCoeff) -> RingElement:
         if not ring.laurent and ex < 0:
             raise LatticeError(f"negative exponent {ex} in a non-Laurent ring")
         key.append(ex.numerator * (b // ex.denominator))
-    key = tuple(key)
-    if ring._killed(key):
-        return zero(ring)
-    return _term(ring, key, c)
+    return _mk(ring, ring._reduce(ring.base, {tuple(key): c}))
 
 
 def _uq_elt(ring: UnivariateQuotient, f: RingElement) -> RingElement:
     """The class in F_q[T]/(g) of f in F_q[T]: the one way into a uq ring."""
-    return _mk(ring, ring._reduce(ring.base, {k: c for (k,), c in f.terms}))
+    return _mk(ring, ring._reduce(ring.base, dict(f.terms)))
 
 
 def _as_poly(x: RingElement) -> RingElement:
     """The representative of x in F_q[T]/(g) as an element of F_q[T]."""
-    ring = x.ring
-    return RingElement(_poly_ring(ring.base, ring.var),
-                       tuple(((k,), c) for k, c in x.terms))
+    return RingElement(_poly_ring(x.ring.base, x.ring.var), x.terms)
 
 
 def zero(ring: Ring) -> RingElement:
@@ -635,10 +669,8 @@ def coerce(ring: Ring, v) -> RingElement:
 
 def variable(ring: Ring, name: str) -> RingElement:
     F = ring.base
-    if isinstance(ring, FracLaurentRing) and name in ring.variables:
+    if name in ring.variables:
         return _frac_term(ring, [int(v == name) for v in ring.variables], F.one())
-    if isinstance(ring, UnivariateQuotient) and name == ring.var:
-        return _uq_elt(ring, variable(_poly_ring(F, name), name))
     if name == F.gen_name and F.e > 1:
         return from_coeff(ring, F.gen())
     raise SpecParseError(f"unknown symbol {name!r} in this ring")
@@ -725,63 +757,54 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
 
 
 def frobenius(x: RingElement, k: int) -> RingElement:
-    """k-fold Frobenius y -> y^(p^k); k < 0 walks the partial inverse, which
-    is exact on a ``UnivariateQuotient`` (``_uq_root``)."""
-    if isinstance(x.ring, UnivariateQuotient):
-        return _uq_root(x, -k) if k < 0 else pow_int(x, x.ring.base.p ** k)
-    step = 1 if k > 0 else -1
-    for _ in range(abs(k)):
-        x = _frob_once(x, step)
-    return x
-
-
-def _frob_once(x: RingElement, step: int) -> RingElement:
-    """One Frobenius step (step = 1) or inverse step (step = -1) on the
-    monomial keys of an ff or frac ring."""
-    ring = x.ring
-    F = ring.base
-    p, quo = F.p, ring.quotient
-    terms = []
-    if step > 0:
+    """k-fold Frobenius y -> y^(p^k), one map of the keys: k >= 0 scales
+    them by p^k and the ring reduces; for k < 0, |k| passes divide them by p,
+    and where p does not divide one, a frac ring raises DepthExhausted and a
+    uq ring decides exactly (``_uq_root``)."""
+    ring, F = x.ring, x.ring.base
+    p, uq = F.p, isinstance(ring, UnivariateQuotient)
+    if k >= 0:
+        q, quo, terms = p ** k, ring.quotient, []
         for key, c in x.terms:
-            key = tuple([e * p for e in key])
+            key = tuple([e * q for e in key])
             if not (quo and ring._killed(key)):
-                terms.append((key, F.cfrob(c, 1)))
-    else:
-        for key, c in x.terms:
+                terms.append((key, F.cfrob(c, k)))
+        if uq:
+            return _mk(ring, ring._reduce(F, dict(terms)))
+        # scaling every key by p^k keeps their order
+        return RingElement(ring, tuple(terms))
+    y = x
+    for _ in range(-k):
+        terms = []
+        for key, c in y.terms:
             for n in key:
                 if n % p:
+                    if uq:
+                        return _uq_root(x, -k, n)
                     b = ring.lattice_b
                     e = Fraction(n, b * p)
                     raise DepthExhausted(
                         f"p-th root of exponent {e * p} leaves the lattice "
                         f"(denominator {e.denominator} does not divide {b})")
             terms.append((tuple([n // p for n in key]), F.cfrob(c, -1)))
-    # scaling every key by p, or dividing every key by p, keeps their order
-    return RingElement(ring, tuple(terms))
+        # dividing every key by p keeps their order
+        y = RingElement(ring, tuple(terms))
+    return y
 
 
-def _uq_root(x: RingElement, k: int) -> RingElement:
+def _uq_root(x: RingElement, k: int, bad: int) -> RingElement:
     """The y with y^(p^k) = x in F_q[T]/(g); NoRoot when there is none.
 
-    Dilation comes first: while every exponent of the representative is
-    divisible by p, divide them by p and take p-th roots of the coefficients.
-    Where it refuses, one F_p-linear solve of y^(p^k) = x decides (iterated
-    p-th roots would not: on a non-reduced ring the p-th root found first can
-    fail to be a p^(k-1)-th power while another one is).  On g = T^m the
-    refusal is already exact: the p^k-th powers there are the elements whose
-    exponents p^k divides.
+    ``frobenius`` first divides the exponents of the representative by p,
+    one pass per step, and comes here where a pass meets the T-exponent bad
+    that p does not divide.  On g = T^m that refusal is already exact: the
+    p^k-th powers there are the elements whose exponents p^k divides.
+    Otherwise one F_p-linear solve of y^(p^k) = x decides (iterated p-th
+    roots would not: on a non-reduced ring the p-th root found first can fail
+    to be a p^(k-1)-th power while another one is).
     """
     ring, F = x.ring, x.ring.base
-    y = x
-    for _ in range(k):
-        bad = next((e for e, _ in y.terms if e % F.p), None)
-        if bad is not None:
-            break
-        y = _mk(ring, {e // F.p: F.cfrob(c, -1) for e, c in y.terms})
-    else:
-        return y
-    if not any(map(any, ring.modulus[:-1])):  # g = T^m
+    if not ring._tail:  # g = T^m
         raise NoRoot("canonical representative is not a p-th power "
                      f"(T-exponent {bad} not divisible by {F.p})")
     y = _root_solver(ring, k)(x)
@@ -805,12 +828,12 @@ def _root_solver(ring: UnivariateQuotient, k: int):
 
     def vec(z: RingElement) -> list[int]:
         out = [0] * dim
-        for i, c in z.terms:
+        for (i,), c in z.terms:
             out[i * e:(i + 1) * e] = c
         return out
 
     unit = [tuple(int(a == b) for b in range(e)) for a in range(e)]
-    cols = [vec(pow_int(_term(ring, i, unit[a]), pk))
+    cols = [vec(pow_int(_term(ring, (i,), unit[a]), pk))
             for i in range(ring.degree) for a in range(e)]
     aug = [[col[r] for col in cols] + [int(j == r) for j in range(dim)]
            for r in range(dim)]
@@ -835,7 +858,7 @@ def _root_solver(ring: UnivariateQuotient, k: int):
         out = [0] * dim
         for c, row in pivots:
             out[c] = sum(row[j] * v for j, v in t) % p
-        y = _mk(ring, _nonzero({i: tuple(out[i * e:(i + 1) * e])
+        y = _mk(ring, _nonzero({(i,): tuple(out[i * e:(i + 1) * e])
                                 for i in range(ring.degree)}))
         return y if pow_int(y, pk) == x else None
 
@@ -1415,15 +1438,10 @@ def format_element(x: RingElement) -> str:
     F = ring.base
     if not x.terms:
         return "0"
-    parts = []
+    parts, b = [], ring.lattice_b
     for key, c in x.terms:
-        if isinstance(ring, UnivariateQuotient):
-            mono = "" if key == 0 else _format_exp(ring.var, key)
-        elif key:
-            mono = "*".join([_format_exp(v, Fraction(n, ring.lattice_b))
-                             for v, n in zip(ring.variables, key) if n])
-        else:  # the key () of a field constant
-            mono = ""
+        mono = "*".join([_format_exp(v, Fraction(n, b))
+                         for v, n in zip(ring.variables, key) if n])
         cs = format_coeff(F, c)
         if not mono:
             parts.append(cs)
@@ -1472,7 +1490,7 @@ def random_element(ring: Ring, rng, max_terms: int = 3, exp_bound: int = 3,
     for _ in range(nterms):
         if isinstance(ring, UnivariateQuotient):
             k = rng.randrange(ring.degree)
-            t = _term(ring, k, random_coeff(F, rng))
+            t = _term(ring, (k,), random_coeff(F, rng))
         else:
             exps = []
             for _ in ring.variables:

@@ -94,13 +94,9 @@ def _verified_frobenius_root(x: RingElement, k: int) -> RingElement | None:
 
 def _probe_elements(ring: Ring, samples: int, seed: int) -> list[RingElement]:
     rng = random.Random(seed)
-    out = []
-    if isinstance(ring, FracLaurentRing):
-        out.extend(br.variable(ring, v) for v in ring.variables)
-    elif isinstance(ring, UnivariateQuotient):
-        out.append(br.variable(ring, ring.var))
-    elif isinstance(ring, FiniteFieldSpec) and ring.e > 1:
-        out.append(br.from_coeff(ring, ring.gen()))
+    out = [br.variable(ring, v) for v in ring.variables]
+    if not out and ring.base.e > 1:  # a field: its generator
+        out.append(br.from_coeff(ring, ring.base.gen()))
     for _ in range(samples):
         out.append(br.random_element(ring, rng, max_terms=2, exp_bound=3,
                                      denom_depth=0, allow_zero=False))
@@ -192,7 +188,7 @@ def _kernel_generated_by(ring: UnivariateQuotient, gen: RingElement,
     rng = random.Random(seed + 1)
     found = []
     for i in range(ring.degree):
-        h = br._term(ring, i, F.one())
+        h = br._term(ring, (i,), F.one())
         if br.pow_int(h, F.p).is_zero():
             found.append(h)
     for _ in range(samples):
@@ -249,7 +245,7 @@ def _stage_lift(dst: UnivariateQuotient, x: RingElement,
                 dilate: int = 1) -> RingElement:
     """x(u^dilate) in dst, for x in a lower tower stage; dilate <= p keeps
     every exponent below the degree of dst, so nothing is reduced."""
-    return br._mk(dst, {k * dilate: c for k, c in x.terms})
+    return br._mk(dst, {(k * dilate,): c for (k,), c in x.terms})
 
 
 def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
@@ -287,7 +283,7 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
     distinct = set()
     inj = True
     for i in range(stage.degree):
-        b = br._term(stage, i, stage.base.one())
+        b = br._term(stage, (i,), stage.base.one())
         img = br.pow_int(_stage_lift(ring, b), p)
         phi[i] = img
         inj = inj and not img.is_zero()
@@ -302,7 +298,7 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
         hom = hom and f(d1 + d2) == f(d1) + f(d2) and f(d1 * d2) == f(d1) * f(d2)
         # phi(x mod pi) = x^p for x in the big model: onto the image
         x = br.random_element(ring, rng, max_terms=3, exp_bound=ring.degree - 1)
-        xmod = _truncate_mod_pi(stage, x)
+        xmod = br._uq_elt(stage, br._as_poly(x))  # x mod pi = u^D
         onto = onto and f(xmod) == br.pow_int(x, p)
     items.append(("residue-iso", inj and hom and onto,
                   "basis images distinct, homomorphism, phi(x mod pi) = x^p"))
@@ -321,11 +317,6 @@ def semiperfect_tower_check(p: int, depth: int, samples: int = 8,
                   "u -> u^p is a homomorphism; images acquire verified roots"))
 
     return TowerReport(p, depth, tuple(items))
-
-
-def _truncate_mod_pi(stage: UnivariateQuotient, x: RingElement) -> RingElement:
-    """x mod pi read in the stage ring F_p[u]/(u^D), where pi = u^D."""
-    return br._mk(stage, {k: c for k, c in x.terms if k < stage.degree})
 
 
 # ---------------------------------------------------------------------------

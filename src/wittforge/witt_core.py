@@ -55,12 +55,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import base_rings as br
-from .base_rings import (
-    FracLaurentRing,
-    Ring,
-    RingElement,
-    UnivariateQuotient,
-)
+from .base_rings import Ring, RingElement, UnivariateQuotient
 from .errors import (
     DepthExhausted,
     IntegralityViolation,
@@ -827,20 +822,17 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
         Fp = br.make_field(Fs.p, 1)
         _check_relation(br._poly_elt(Fp, gname, map(Fp.from_int, Fs.modulus)), dst,
                         resolved, "field generator image violates the modulus")
-    if isinstance(src, FracLaurentRing):
-        for v in src.variables:
-            if v not in resolved:
-                raise RelationViolated(f"variable {v!r} has no image")
-        _generator_images(src, dst, resolved)
-        free = replace(src, quotient=())  # where the quotient monomials are nonzero
-        for gen in src.quotient:
-            _check_relation(br._term(free, gen, Fs.one()), dst, resolved,
-                            "quotient monomial does not map to zero")
-    elif isinstance(src, UnivariateQuotient):
-        if src.var not in resolved:
-            raise RelationViolated(f"variable {src.var!r} has no image")
+    for v in src.variables:
+        if v not in resolved:
+            raise RelationViolated(f"variable {v!r} has no image")
+    _generator_images(src, dst, resolved)
+    if isinstance(src, UnivariateQuotient):
         _check_relation(br._poly_elt(Fs, src.var, src.modulus), dst, resolved,
                         "quotient variable image violates the modulus")
+    for gen in src.quotient:
+        # read in the ring without the quotient, where the monomial is nonzero
+        _check_relation(br._term(replace(src, quotient=()), gen, Fs.one()), dst,
+                        resolved, "quotient monomial does not map to zero")
     return RingMap(src, dst, tuple(sorted(resolved.items())))
 
 
@@ -852,16 +844,14 @@ def _check_relation(rel: RingElement, dst: Ring, resolved: dict, message: str) -
 
 def _generator_images(src: Ring, dst: Ring, resolved: dict) -> tuple[list, list]:
     """The powers g^0..g^(e-1) of the field generator's image, and the image
-    of each key exponent's generator: T's image on a uq ring, on a frac ring
-    the root of x's image for x^(1/B), by the exact inverse Frobenius and
-    then a fractional power for the 2-part.  Refusals go variable by
+    of each key exponent's generator: the root of x's image for x^(1/B), by
+    the exact inverse Frobenius and then a fractional power for the 2-part
+    (B = 1 on a uq ring, so T's image itself).  Refusals go variable by
     variable: a missing root, then (Laurent) a root that is not a unit."""
     F = src.base
     gpows = [br.one(dst)]
     for _ in range(1, F.e):
         gpows.append(br.mul(gpows[-1], resolved[F.gen_name]))
-    if isinstance(src, UnivariateQuotient):
-        return gpows, [resolved[src.var]]
     roots = []
     for v in src.variables:
         try:
@@ -894,7 +884,7 @@ def apply_ring_map(phi: RingMap, x: RingElement) -> RingElement:
         for a, g in zip(c[1:], gpows[1:]):
             if a:
                 term = br.add(term, br.mul(br.from_int(dst, a), g))
-        for g, n in zip(gens, key if isinstance(key, tuple) else (key,)):
+        for g, n in zip(gens, key):
             if n:
                 term = br.mul(term, br.pow_int(g, n))
         acc = br.add(acc, term)

@@ -406,6 +406,49 @@ class TestKernel:
             assert x - x == br.zero(ring) and x * br.one(ring) == x
 
 
+class TestUnivariateQuotientThroughTheMonomialKernel:
+    def test_no_hidden_knob(self):
+        # the monomial-ring constants are class attributes, not fields
+        assert [fd.name for fd in dataclasses.fields(br.UnivariateQuotient)] == [
+            "base", "var", "modulus"]
+        F3, g = F(3), ((1,), (0,), (1,))
+        a = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^2+1")
+        b = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^2+1")
+        assert br.pow_int(br.variable(a, "T"), 3) == br.evaluate(a, "2*T")
+        assert a is not b and a == b == br.UnivariateQuotient(F3, "T", g)
+        assert hash(a) == hash(b) == hash((F3, "T", g))
+        assert br.canonical_descriptor(a) == "uq base=(ff p=3 e=1) var=T modulus=T^2+1"
+        names = {fd.name for fd in dataclasses.fields(a)}
+        for attr in ("variables", "quotient", "laurent", "depth_p", "depth_2"):
+            assert attr not in names
+        assert (a.variables, a.quotient, a.laurent, a.depth_p, a.depth_2) == (
+            ("T",), (), False, 0, 0)
+
+    @pytest.mark.parametrize("desc", [
+        "uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1",
+        "uq base=(ff p=2 e=1) var=T modulus=T^4+T^2",
+        "uq base=(ff p=5 e=2) var=T modulus=T+u",
+        "uq base=(ff p=2 e=1) var=T modulus=T^5",
+    ])
+    def test_far_keys_reduce_by_square_and_multiply(self, desc):
+        # one-term powers and Frobenius scale keys far past deg g; the
+        # reference is square-and-multiply on the public product
+        ring = br.make_ring(desc)
+        t, one, rng = br.variable(ring, "T"), br.one(ring), random.Random(5)
+        for n in (10 ** 12, 3 ** 25 + 1):
+            assert br.pow_int(t, n) == br._power(br.mul, t, n, one)
+        for _ in range(5):
+            x = br.random_element(ring, rng, max_terms=3)
+            assert br.frobenius(x, 40) == br._power(br.mul, x, ring.base.p ** 40, one)
+
+    def test_keys_are_one_tuples(self):
+        ring = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T+1")
+        # a degree-1 modulus reduces T itself: T = 1
+        assert br.variable(ring, "T").terms == (((0,), (1,)),)
+        ring = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1")
+        assert br.evaluate(ring, "T^4+2").terms == (((2,), (1,)), ((1,), (2,)), ((0,), (2,)))
+
+
 class TestKernelAboveK1:
     """The kernel over (Z/p^K)[u]/(M~) at K in {2, 3, 5}, as the lift route
     runs it: ring laws of _kmul / _kadd, _kpow against repeated products,
@@ -421,6 +464,10 @@ class TestKernelAboveK1:
         ("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1", {"max_terms": 6}),
     ]
     EXAMPLES = 40
+    # a field constant, a Laurent key, keys that x^2 and x*y^(3/2) kill at
+    # the second and third power (B = 2), and T^4, past deg g from T^8 on
+    ONE_TERM = dict(zip([desc for desc, _ in RINGS],
+                        [[()], [(-2,)], [(3, 0), (1, 1)], [(4,)]]))
 
     @staticmethod
     def operands(desc, kw, K, seed, count):
@@ -460,10 +507,20 @@ class TestKernelAboveK1:
     @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
     def test_power_is_repeated_product(self, desc, kw, K, seed, n):
         ring, C, (a,) = self.operands(desc, kw, K, seed, 1)
-        acc = {ring._unit_key: C.one()}
-        for _ in range(n):
-            acc = ring._kmul(C, acc.items(), a.items())
-        assert ring._kpow(C, dict(a), n) == acc
+        rng = random.Random(seed)
+        # a unit or a multiple of p, whose powers can vanish mod p^K
+        c = tuple(rng.randrange(C.pk) * rng.choice((1, C.p)) % C.pk
+                  for _ in range(C.e))
+        c = c if any(c) else C.one()
+        # the operand, then one-term operands, which take the short path:
+        # its own terms and the ring's ONE_TERM keys
+        for op in [a] + [{k: v} for k, v in a.items()] + [
+                {key: c} for key in self.ONE_TERM[desc]]:
+            acc = {ring._unit_key: C.one()}
+            for _ in range(n):
+                acc = ring._kmul(C, acc.items(), op.items())
+            assert ring._kpow(C, dict(op), n) == acc
+            assert ring._kpow(C, dict(op), 0) == {ring._unit_key: C.one()}
 
     @pytest.mark.parametrize("desc,kw", RINGS)
     @given(K=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2 ** 32))
@@ -550,6 +607,60 @@ class TestFrobenius:
             b = br.random_element(ring, rng)
             assert br.frobenius(a + b, 1) == br.frobenius(a, 1) + br.frobenius(b, 1)
             assert br.frobenius(a * b, 1) == br.frobenius(a, 1) * br.frobenius(b, 1)
+
+
+class TestFrobeniusAgainstSteps:
+    """frobenius(x, k) maps keys; pow_int(x, p^k) multiplies x out, so it is
+    an independent reference for k >= 0.  An inverse of k steps must equal k
+    single steps, or raise the same error.  On uq rings that holds where
+    roots are unique (reduced g) or read off the exponents (g = T^m); on
+    other non-reduced rings the p^k-th root can exist where a p-th root of a
+    p-th root does not (TestPthRootSolver).  EXAMPLES derandomized examples
+    per ring and property."""
+
+    RINGS = [
+        ("ff p=2 e=2", {}),
+        ("ff p=3 e=2", {}),
+        ("frac base=(ff p=3 e=1) vars=x,y depth_p=1 depth_2=1 laurent=true",
+         {"max_terms": 3, "denom_depth": 1}),
+        ("frac base=(ff p=2 e=1) vars=x,y depth_p=1 depth_2=0 laurent=false mod=x^2,x*y^(3/2)",
+         {"max_terms": 4, "denom_depth": 1}),
+        ("uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1", {"max_terms": 3}),  # F_27
+        ("uq base=(ff p=2 e=1) var=T modulus=T^6", {"max_terms": 4}),
+        ("uq base=(ff p=3 e=1) var=T modulus=T+2", {}),  # degree 1: T = 1
+        ("uq base=(ff p=2 e=2) var=T modulus=T^3+u*T+1", {"max_terms": 3}),
+    ]
+    EXAMPLES = 30
+
+    @pytest.mark.parametrize("desc,kw", RINGS)
+    @given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 3))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_forward_is_the_p_power(self, desc, kw, seed, k):
+        ring = br.make_ring(desc)
+        x = br.random_element(ring, random.Random(seed), **kw)
+        assert br.frobenius(x, k) == br.pow_int(x, ring.base.p ** k)
+
+    @pytest.mark.parametrize("desc,kw", [r for r in RINGS if not r[0].startswith("ff")])
+    @given(seed=st.integers(0, 2 ** 32), j=st.integers(0, 3), k=st.integers(1, 3))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_inverse_is_single_steps(self, desc, kw, seed, j, k):
+        ring = br.make_ring(desc)
+        # a j-th Frobenius image, so that some of the k steps succeed
+        x = br.frobenius(br.random_element(ring, random.Random(seed), **kw), j)
+
+        def outcome(f):
+            try:
+                return f()
+            except (DepthExhausted, NoRoot) as exc:
+                return type(exc), str(exc)
+
+        def steps():
+            y = x
+            for _ in range(k):
+                y = br.frobenius(y, -1)
+            return y
+
+        assert outcome(lambda: br.frobenius(x, -k)) == outcome(steps)
 
 
 def fq_t(p, text):

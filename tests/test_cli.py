@@ -658,6 +658,125 @@ def test_uq_field_twist_golden():
     assert rw.rw_equal(rw.frobenius_pi(rw.frobenius_pi(a, -1), 1), a)
 
 
+# Univariate quotients: witt frob (forward and inverse), witt divp, eval and
+# frob report on F_3[T]/(T^3-T) (reduced, split), F_2[T]/(T^4+T^2) (not
+# reduced), F_3[T]/(T^3+2T+1) = F_27, F_4[T]/(T+1) (degree 1, e = 2), plus
+# inverse Frobenius on F_3[u]/(u^9), where dilation alone decides.
+# Recorded from the CLI: command -> (exit code, stdout, "error:" line of
+# stderr or "").
+UQ_GOLDEN = {
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{T;T^2+1;2*T}' --k -2":
+        (0, 'W{T;T^2+1;2*T}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{T;T^2+1;2*T}' --k -1":
+        (0, 'W{T;T^2+1;2*T}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{T;T^2+1;2*T}' --k 1":
+        (0, 'W{T;T^2+1;2*T}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{T;T^2+1;2*T}' --k 2":
+        (0, 'W{T;T^2+1;2*T}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{T^2+1;T;0}' --k -2":
+        (0, 'W{T^2+1;T;0}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{T^2+1;T;0}' --k -1":
+        (0, 'W{T^2+1;T;0}\n', ''),
+    "witt divp --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 3 --x 'W{0;T+1;T^2}'":
+        (0, 'W{T+1;T^2}\n', ''),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --expr 'T^-1'":
+        (2, '', 'error: representative shares a factor with the modulus'),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --expr 'T^(1/2)'":
+        (2, '', 'error: fractional powers need an exponent lattice'),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --expr '(T+1)^-1'":
+        (2, '', 'error: representative shares a factor with the modulus'),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --expr 'T^7+2*T^5+T'":
+        (0, 'T\n', ''),
+    "frob report --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --budget 3 --samples 6 --seed 5":
+        (0, 'KIND: perfection\nRING: uq base=(ff p=3 e=1) var=T modulus=T^3+2*T\nBUDGET: 3\nINJECTIVE_UP_TO: unbounded-within-budget\nSURJECTIVE_UP_TO: unbounded-within-budget\nKERNEL_GENERATORS: none\nNOTE: squarefree modulus: Frobenius kernel is trivial\nVERDICT: PASS\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{T^2;T^3+1;T}' --k -2":
+        (2, '', 'error: not a p^2-th power, p = 2 (decided by an F_2-linear solve)'),
+    "witt frob --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{T^2;T^3+1;T}' --k -1":
+        (2, '', 'error: not a p^1-th power, p = 2 (decided by an F_2-linear solve)'),
+    "witt frob --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{T^2;T^3+1;T}' --k 1":
+        (0, 'W{T^2;T^2+1;T^2}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{T^2;T^3+1;T}' --k 2":
+        (0, 'W{T^2;T^2+1;T^2}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{T^2;1;0}' --k -2":
+        (0, 'W{T;1;0}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{T^2;1;0}' --k -1":
+        (0, 'W{T;1;0}\n', ''),
+    "witt divp --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --n 3 --x 'W{0;T^2;T}'":
+        (3, '', 'error: p-th root unavailable: not a p^1-th power, p = 2 (decided by an F_2-linear solve)'),
+    "eval --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --expr 'T^-1'":
+        (2, '', 'error: representative shares a factor with the modulus'),
+    "eval --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --expr 'T^(1/2)'":
+        (2, '', 'error: fractional powers need an exponent lattice'),
+    "eval --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --expr '(T+1)^-1'":
+        (2, '', 'error: representative shares a factor with the modulus'),
+    "eval --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --expr 'T^7+2*T^5+T'":
+        (0, 'T^3+T\n', ''),
+    "frob report --ring 'uq base=(ff p=2 e=1) var=T modulus=T^4+T^2' --budget 3 --samples 6 --seed 5":
+        (0, 'KIND: perfection\nRING: uq base=(ff p=2 e=1) var=T modulus=T^4+T^2\nBUDGET: 3\nINJECTIVE_UP_TO: 0\nSURJECTIVE_UP_TO: 0\nKERNEL_GENERATORS: T^2+T\nWITNESS: injectivity T^2+T (kernel generator, p-th power vanishes)\nWITNESS: surjectivity T (no p^1-th root (exact F_p-linear solve))\nVERDICT: PASS\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{T;T^2+1;2*T}' --k -2":
+        (0, 'W{T+2;T^2+T+2;2*T+1}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{T;T^2+1;2*T}' --k -1":
+        (0, 'W{T+1;T^2+2*T+2;2*T+2}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{T;T^2+1;2*T}' --k 1":
+        (0, 'W{T+2;T^2+T+2;2*T+1}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{T;T^2+1;2*T}' --k 2":
+        (0, 'W{T+1;T^2+2*T+2;2*T+2}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{T^2+2;0;T}' --k -2":
+        (0, 'W{T^2+T;0;T+2}\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{T^2+2;0;T}' --k -1":
+        (0, 'W{T^2+2*T;0;T+1}\n', ''),
+    "witt divp --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --n 3 --x 'W{0;T;T^2+1}'":
+        (0, 'W{T+1;T^2+2*T+2}\n', ''),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --expr 'T^-1'":
+        (0, '2*T^2+1\n', ''),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --expr 'T^(1/2)'":
+        (2, '', 'error: fractional powers need an exponent lattice'),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --expr '(T+1)^-1'":
+        (0, '2*T^2+T\n', ''),
+    "eval --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --expr 'T^7+2*T^5+T'":
+        (0, '2*T^2+2*T\n', ''),
+    "frob report --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1' --budget 3 --samples 6 --seed 5":
+        (0, 'KIND: perfection\nRING: uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1\nBUDGET: 3\nINJECTIVE_UP_TO: unbounded-within-budget\nSURJECTIVE_UP_TO: unbounded-within-budget\nKERNEL_GENERATORS: none\nNOTE: squarefree modulus: Frobenius kernel is trivial\nVERDICT: PASS\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{u*T;u+1;T}' --k -2":
+        (0, 'W{u;u+1;1}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{u*T;u+1;T}' --k -1":
+        (0, 'W{u+1;u;1}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{u*T;u+1;T}' --k 1":
+        (0, 'W{u+1;u;1}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{u*T;u+1;T}' --k 2":
+        (0, 'W{u;u+1;1}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{u;0;u}' --k -2":
+        (0, 'W{u;0;u}\n', ''),
+    "witt frob --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{u;0;u}' --k -1":
+        (0, 'W{u+1;0;u+1}\n', ''),
+    "witt divp --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --n 3 --x 'W{0;u;u+1}'":
+        (0, 'W{u+1;u}\n', ''),
+    "eval --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --expr 'T^-1'":
+        (0, '1\n', ''),
+    "eval --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --expr 'T^(1/2)'":
+        (2, '', 'error: fractional powers need an exponent lattice'),
+    "eval --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --expr '(T+1)^-1'":
+        (2, '', 'error: zero is not invertible'),
+    "eval --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --expr 'T^7+2*T^5+T'":
+        (0, '0\n', ''),
+    "frob report --ring 'uq base=(ff p=2 e=2) var=T modulus=T+1' --budget 3 --samples 6 --seed 5":
+        (0, 'KIND: perfection\nRING: uq base=(ff p=2 e=2 modulus=u^2+u+1) var=T modulus=T+1\nBUDGET: 3\nINJECTIVE_UP_TO: unbounded-within-budget\nSURJECTIVE_UP_TO: unbounded-within-budget\nKERNEL_GENERATORS: none\nNOTE: squarefree modulus: Frobenius kernel is trivial\nVERDICT: PASS\n', ''),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=u modulus=u^9' --n 2 --x 'W{u^3+u;0}' --k -1":
+        (2, '', 'error: canonical representative is not a p-th power (T-exponent 1 not divisible by 3)'),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=u modulus=u^9' --n 2 --x 'W{u^3;u^6}' --k -2":
+        (2, '', 'error: canonical representative is not a p-th power (T-exponent 1 not divisible by 3)'),
+    "witt frob --ring 'uq base=(ff p=3 e=1) var=u modulus=u^9' --n 2 --x 'W{u^6+2;u^3}' --k -1":
+        (0, 'W{u^2+2;u}\n', ''),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(UQ_GOLDEN))
+def test_uq_golden(cmd):
+    code, out, err = run_cli(*shlex.split(cmd))
+    line = next((s for s in err.splitlines() if s.startswith("error:")), "")
+    assert (code, out, line) == UQ_GOLDEN[cmd]
+
+
 @pytest.mark.parametrize("argv,code,message", [
     (("--p", "2", "--level", "7", "--kind", "negation"), 3, "level 7 above cap 6"),
     (("--p", "2", "--level", "7", "--kind", "sum"), 3, "level 7 above cap 6"),

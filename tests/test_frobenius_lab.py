@@ -96,7 +96,7 @@ def _root(x, k=1):
 
 def _all_elements(U):
     F = U.base
-    return [br._mk(U, br._nonzero(dict(enumerate(cs))))
+    return [br._mk(U, br._nonzero({(i,): c for i, c in enumerate(cs)}))
             for cs in itertools.product(list(F.iter_elements()), repeat=U.degree)]
 
 
