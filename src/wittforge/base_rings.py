@@ -372,8 +372,10 @@ def _poly_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree e over F_p."""
+    """Lexicographically smallest monic irreducible of degree e over F_p,
+    searched for once per (p, e)."""
     if e == 1:
         return (0, 1)
     for idx in range(p ** e):

@@ -745,10 +745,9 @@ def render_verify(results, filter_text, seed, out, err) -> int:
 
 def _cmd_ring(ns, out, err) -> int:
     ring = br.make_ring(ns.ring)
-    kind = {br.FiniteFieldSpec: "ff", br.FracLaurentRing: "frac",
-            br.UnivariateQuotient: "uq"}[type(ring)]
-    out.write(f"KIND: {kind}\n")
-    out.write(f"DESCRIPTOR: {br.canonical_descriptor(ring)}\n")
+    descriptor = br.canonical_descriptor(ring)
+    out.write(f"KIND: {descriptor.split()[0]}\n")
+    out.write(f"DESCRIPTOR: {descriptor}\n")
     out.write(f"CHAR: {br.ring_char(ring)}\n")
     out.write("VERDICT: PASS\n")
     return 0
@@ -768,11 +767,9 @@ def _cmd_witt(ns, out, err) -> int:
         out.write(format_witt(wc.teichmuller(a, ns.n)) + "\n")
         return 0
     x = parse_witt(ring, ns.x, ns.n)
-    if op in ("add", "mul"):
-        y = parse_witt(ring, ns.y, ns.n)
-        res = wc.witt_add(x, y) if op == "add" else wc.witt_mul(x, y)
-    elif op == "neg":
-        res = wc.witt_neg(x)
+    if op in ("add", "mul", "neg"):
+        y = getattr(ns, "y", None)  # neg takes no --y
+        res = wc.witt_arith(op, x, None if y is None else parse_witt(ring, y, ns.n))
     elif op == "frob":
         res = wc.frobenius_map(x, ns.k)
     elif op == "versch":
@@ -910,16 +907,49 @@ def _cmd_bench(ns, out, err) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: (flag, add_argument keywords) pairs, each option declared
+# once; a command group maps each op to the flags it takes after the group's
+# common head, in --help order
 
-def _add_ring(p):
-    p.add_argument("--ring", required=True, help="ring descriptor")
+_RING = ("--ring", dict(required=True, help="ring descriptor"))
+_BASE = ("--base", dict(
+    required=True, help="ramified base, e.g. \"rw p=3 e=1 eis=(X^2-3) prec=8\""))
+_X = ("--x", dict(required=True))
+_Y = ("--y", dict(required=True))
+_K = ("--k", dict(type=int, default=1))
+_P = ("--p", dict(type=int, required=True))
+_LEVEL = ("--level", dict(type=int, required=True))
+_SEED = ("--seed", dict(type=int, default=0))
+_EXPR = ("--expr", dict(required=True))
+_KINDS = ("sum", "product", "negation")
 
-
-def _add_base(p):
-    p.add_argument("--base", required=True,
-                   help="ramified base, e.g. \"rw p=3 e=1 eis=(X^2-3) prec=8\"")
-    _add_ring(p)
+_WITT_OPS = {
+    "add": [_X, _Y], "mul": [_X, _Y], "neg": [_X], "frob": [_X, _K],
+    "versch": [_X], "teich": [("--a", dict(required=True, help="element expression"))],
+    "project": [_X], "divp": [_X]}
+_POLY_OPS = {"gen": [("--out", dict(default=None, help="table directory"))],
+             "dump": []}
+_RW_OPS = {
+    "add": [_X, _Y], "mul": [_X, _Y], "inv": [_X], "frobpi": [_X, _K],
+    "reduce": [_X], "divpi": [_X],
+    "expand": [_X, ("--digits", dict(type=int, default=None))],
+    "assemble": [("--digits", dict(required=True, help="DIGITS[..]{..} literal"))],
+    "embed": [_EXPR, ("--prec", dict(type=int, default=None))],
+    "twist": [_EXPR, ("--n", dict(type=int, required=True))]}
+_FROB_OPS = {
+    "report": [_RING, ("--budget", dict(type=int, default=4)),
+               ("--samples", dict(type=int, default=10)), _SEED],
+    "tower": [_P, ("--depth", dict(type=int, required=True)),
+              ("--samples", dict(type=int, default=8)), _SEED]}
+_FONTAINE_OPS = {
+    "make": [("--seq", dict(required=True, help="FONT{..} literal"))],
+    "add": [_X, _Y], "mul": [_X, _Y],
+    "shift": [_X, ("--dir", dict(required=True, choices=("fwd", "bwd")))]}
+_HENSEL_OPS = {"lift": [("--poly", dict(required=True, help="polynomial in X")),
+                        ("--seed-digit", dict(required=True, dest="seed_digit")),
+                        ("--prec", dict(type=int, required=True))]}
+_BENCH_OPS = {"poly": [_P, _LEVEL,
+                       ("--kind", dict(default="product", choices=_KINDS))]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -928,126 +958,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="truncated and ramified Witt vector arithmetic")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    ring = sub.add_parser("ring", help="ring descriptor utilities")
-    ringsub = ring.add_subparsers(dest="ring_op", required=True)
-    rc = ringsub.add_parser("check", help="validate a ring descriptor")
-    _add_ring(rc)
-    rc.set_defaults(handler=_cmd_ring)
+    def command(parent, name, handler, flags, **kw):
+        cmd = parent.add_parser(name, **kw)
+        for flag, opts in flags:
+            cmd.add_argument(flag, **opts)
+        cmd.set_defaults(handler=handler)
 
-    ev = sub.add_parser("eval", help="evaluate an element expression")
-    _add_ring(ev)
-    ev.add_argument("--expr", required=True)
-    ev.set_defaults(handler=_cmd_eval)
+    def group(name, help, handler, ops, head=()):
+        ops_sub = sub.add_parser(name, help=help).add_subparsers(
+            dest=f"{name}_op", required=True)
+        for op, flags in ops.items():
+            command(ops_sub, op, handler, [*head, *flags])
+        return ops_sub
 
-    witt = sub.add_parser("witt", help="truncated Witt vector operations")
-    wsub = witt.add_subparsers(dest="witt_op", required=True)
-    for opname in ("add", "mul", "neg", "frob", "versch", "teich",
-                   "project", "divp"):
-        wp = wsub.add_parser(opname)
-        _add_ring(wp)
-        wp.add_argument("--n", type=int, required=True, help="length")
-        if opname in ("add", "mul"):
-            wp.add_argument("--x", required=True)
-            wp.add_argument("--y", required=True)
-        elif opname == "teich":
-            wp.add_argument("--a", required=True, help="element expression")
-        else:
-            wp.add_argument("--x", required=True)
-        if opname == "frob":
-            wp.add_argument("--k", type=int, default=1)
-        wp.set_defaults(handler=_cmd_witt)
-
-    poly = sub.add_parser("poly", help="structural polynomial tables")
-    psub = poly.add_subparsers(dest="poly_op", required=True)
-    for opname in ("gen", "dump"):
-        pp = psub.add_parser(opname)
-        pp.add_argument("--p", type=int, required=True)
-        pp.add_argument("--kind", required=True,
-                        choices=("sum", "product", "negation"))
-        pp.add_argument("--level", type=int, required=True)
-        if opname == "gen":
-            pp.add_argument("--out", default=None, help="table directory")
-        pp.set_defaults(handler=_cmd_poly)
-
-    rwp = sub.add_parser("rw", help="ramified Witt vector operations")
-    rsub = rwp.add_subparsers(dest="rw_op", required=True)
-    for opname in ("add", "mul", "inv", "frobpi", "reduce", "divpi",
-                   "expand", "assemble", "embed", "twist"):
-        rp = rsub.add_parser(opname)
-        _add_base(rp)
-        if opname in ("add", "mul"):
-            rp.add_argument("--x", required=True)
-            rp.add_argument("--y", required=True)
-        elif opname in ("inv", "frobpi", "reduce", "divpi", "expand"):
-            rp.add_argument("--x", required=True)
-        if opname == "frobpi":
-            rp.add_argument("--k", type=int, default=1)
-        if opname == "expand":
-            rp.add_argument("--digits", type=int, default=None)
-        if opname == "assemble":
-            rp.add_argument("--digits", required=True,
-                            help="DIGITS[..]{..} literal")
-        if opname in ("embed", "twist"):
-            rp.add_argument("--expr", required=True)
-        if opname == "embed":
-            rp.add_argument("--prec", type=int, default=None)
-        if opname == "twist":
-            rp.add_argument("--n", type=int, required=True)
-        rp.set_defaults(handler=_cmd_rw)
-
-    frob = sub.add_parser("frob", help="perfection reports")
-    fsub = frob.add_subparsers(dest="frob_op", required=True)
-    fr = fsub.add_parser("report")
-    _add_ring(fr)
-    fr.add_argument("--budget", type=int, default=4)
-    fr.add_argument("--samples", type=int, default=10)
-    fr.add_argument("--seed", type=int, default=0)
-    fr.set_defaults(handler=_cmd_frob)
-    ft = fsub.add_parser("tower")
-    ft.add_argument("--p", type=int, required=True)
-    ft.add_argument("--depth", type=int, required=True)
-    ft.add_argument("--samples", type=int, default=8)
-    ft.add_argument("--seed", type=int, default=0)
-    ft.set_defaults(handler=_cmd_frob)
-
-    font = sub.add_parser("fontaine", help="compatible p-power sequences")
-    fosub = font.add_subparsers(dest="fontaine_op", required=True)
-    for opname in ("make", "add", "mul", "shift"):
-        fo = fosub.add_parser(opname)
-        _add_ring(fo)
-        if opname == "make":
-            fo.add_argument("--seq", required=True, help="FONT{..} literal")
-        elif opname == "shift":
-            fo.add_argument("--x", required=True)
-            fo.add_argument("--dir", required=True, choices=("fwd", "bwd"))
-        else:
-            fo.add_argument("--x", required=True)
-            fo.add_argument("--y", required=True)
-        fo.set_defaults(handler=_cmd_fontaine)
-
-    hen = sub.add_parser("hensel", help="certified Newton lifting")
-    hsub = hen.add_subparsers(dest="hensel_op", required=True)
-    hl = hsub.add_parser("lift")
-    _add_base(hl)
-    hl.add_argument("--poly", required=True, help="polynomial in X")
-    hl.add_argument("--seed-digit", required=True, dest="seed_digit")
-    hl.add_argument("--prec", type=int, required=True)
-    hl.set_defaults(handler=_cmd_hensel)
-
-    ver = sub.add_parser("verify", help="run the named-example suite")
-    ver.add_argument("suite", choices=("paper-examples",))
-    ver.add_argument("--filter", default=None)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.set_defaults(handler=_cmd_verify)
-
-    ben = sub.add_parser("bench", help="generation benchmarks")
-    bsub = ben.add_subparsers(dest="bench_op", required=True)
-    bp = bsub.add_parser("poly")
-    bp.add_argument("--p", type=int, required=True)
-    bp.add_argument("--level", type=int, required=True)
-    bp.add_argument("--kind", default="product",
-                    choices=("sum", "product", "negation"))
-    bp.set_defaults(handler=_cmd_bench)
+    command(group("ring", "ring descriptor utilities", None, {}), "check",
+            _cmd_ring, [_RING], help="validate a ring descriptor")
+    command(sub, "eval", _cmd_eval, [_RING, _EXPR],
+            help="evaluate an element expression")
+    group("witt", "truncated Witt vector operations", _cmd_witt, _WITT_OPS,
+          [_RING, ("--n", dict(type=int, required=True, help="length"))])
+    group("poly", "structural polynomial tables", _cmd_poly, _POLY_OPS,
+          [_P, ("--kind", dict(required=True, choices=_KINDS)), _LEVEL])
+    group("rw", "ramified Witt vector operations", _cmd_rw, _RW_OPS, [_BASE, _RING])
+    group("frob", "perfection reports", _cmd_frob, _FROB_OPS)
+    group("fontaine", "compatible p-power sequences", _cmd_fontaine,
+          _FONTAINE_OPS, [_RING])
+    group("hensel", "certified Newton lifting", _cmd_hensel, _HENSEL_OPS,
+          [_BASE, _RING])
+    command(sub, "verify", _cmd_verify,
+            [("suite", dict(choices=("paper-examples",))),
+             ("--filter", dict(default=None)),
+             ("--seed", dict(type=int, default=DEFAULT_SEED))],
+            help="run the named-example suite")
+    group("bench", "generation benchmarks", _cmd_bench, _BENCH_OPS)
     return top
 
 

@@ -18,10 +18,12 @@ Three arithmetic routes are kept alive on purpose:
 The default route first answers what needs no arithmetic.  Every x in W_n(A)
 is sum_i V^i[x_i] (Serre, Local Fields, II.6), so when no index i has x_i
 and y_i both nonzero, x + y is the coordinatewise union of x and y; a zero
-operand is the commonest case.  The negation of zero is zero, and a product
-with one operand of at most one nonzero coordinate is V^k(F^k(x) * [b]).
-These shortcuts belong to route="auto" only: route="lift" and route="table"
-always run their full computation, so each stays an independent oracle.
+operand is the commonest case.  For odd p negation is coordinatewise, the
+negation of zero is zero, and a product with one operand of at most one
+nonzero coordinate is V^k(F^k(x) * [b]).  These shortcuts belong to
+route="auto" only: route="lift" and route="table" always run their full
+computation, so each stays an independent oracle.  Any other route is
+refused before any work.
 
 Every division by p in the Z_q and lift routes is checked for exactness; a
 failure is a bug, not an input condition.  The table route is exact but its
@@ -535,6 +537,8 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
     """Ring operation on Witt vectors; op in {add, mul, neg}."""
     if op not in ("add", "mul", "neg"):
         raise SpecParseError(f"unknown op {op!r}")
+    if route not in ("auto", "lift", "table"):
+        raise SpecParseError(f"unknown route {route!r}")
     if op == "neg":
         y = None
     elif y is None:
@@ -544,14 +548,13 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
             raise MismatchError("Witt vectors over different rings")
         if x.length != y.length:
             raise MismatchError("Witt vectors of different lengths")
-    p = br.ring_char(x.ring)
-    if op == "neg" and p != 2:
-        # iota_i = -X_i for odd p (route-checked in the test suite)
-        return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
     if route == "auto":
         # Z_q over finite fields, the lift route elsewhere: both work at
         # every length; the table route is opt-in since its term counts
         # explode with level
+        if op == "neg" and br.ring_char(x.ring) != 2:
+            # iota_i = -X_i for odd p, against both oracles in the test suite
+            return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
         if op == "add":
             for a, b in zip(x.coords, y.coords):
                 if a.terms and b.terms:
@@ -569,11 +572,7 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
         if isinstance(x.ring, br.FiniteFieldSpec):
             return _witt_op_zq(op, x, y)
         route = "lift"
-    if route == "table":
-        return _witt_op_table(op, x, y)
-    if route == "lift":
-        return _witt_op_lift(op, x, y)
-    raise SpecParseError(f"unknown route {route!r}")
+    return (_witt_op_table if route == "table" else _witt_op_lift)(op, x, y)
 
 
 def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:

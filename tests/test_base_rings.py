@@ -61,6 +61,18 @@ class TestFiniteField:
         assert F(2, 2).modulus == F(2, 2).modulus
         assert F(3, 2).modulus == (1, 0, 1)  # u^2 + 1 irreducible over F_3
 
+    def test_default_modulus_is_searched_once(self, monkeypatch):
+        # every ff descriptor with e > 1 and no modulus= reaches make_field;
+        # the search for its modulus runs on the first call only
+        br._default_modulus.cache_clear()
+        first = F(1009, 2)
+        calls = []
+        search = br._poly_is_irreducible
+        monkeypatch.setattr(br, "_poly_is_irreducible",
+                            lambda *a: calls.append(a) or search(*a))
+        assert F(1009, 2) == first and calls == []
+        assert br._default_modulus.cache_info().maxsize == 64
+
     def test_bad_p_rejected(self):
         with pytest.raises(SpecParseError):
             F(4)

@@ -1,5 +1,6 @@
 """CLI surface: literal codecs, command output, exit codes, determinism."""
 
+import argparse
 import os
 import random
 import re
@@ -322,6 +323,23 @@ class TestHenselCommand:
         assert steps[0] == "STEP 0: window=2 ord>=2 dord=0"
         assert steps[-1].endswith("dord=0")
 
+    def test_square_root_of_x_plus_pi_golden(self):
+        # the residual's order is certified exactly (ord=1, 2, 4) until the
+        # window reaches the requested precision, and only bounded after it
+        code, out, _ = run_cli("hensel", "lift", *self.ARGS,
+                               "--poly", "X^2-(x+pi)",
+                               "--seed-digit", "x^(1/2)", "--prec", "8")
+        assert (code, out) == (0, (
+            "DIGITS[8]{x^(1/2);2*x^(-1/2);x^(-3/2);2*x^(-1/2)+x^(-5/2);"
+            "2*x^(-7/2);2*x^(-1/2)+2*x^(-7/6)+x^(-11/6)+x^(-5/2)+x^(-9/2);"
+            "x^(-3/2)+x^(-7/2);2*x^(-1/2)+x^(-17/18)+2*x^(-11/6)+x^(-41/18)"
+            "+x^(-49/18)+x^(-53/18)+x^(-61/18)+2*x^(-65/18)+2*x^(-23/6)"
+            "+x^(-9/2)}\n"
+            "STEP 0: window=2 ord=1 dord=0\n"
+            "STEP 1: window=4 ord=2 dord=0\n"
+            "STEP 2: window=8 ord=4 dord=0\n"
+            "STEP 3: window=8 ord>=8 dord=0\n"))
+
     def test_vanishing_derivative_is_input_error(self):
         code, _, err = run_cli("hensel", "lift", *self.ARGS,
                                "--poly", "X^3-x",
@@ -384,6 +402,33 @@ class TestReportCommands:
         code, out, _ = run_cli("frob", "tower", "--p", "2", "--depth", "3")
         assert code == 0
         assert "ITEM kernel-principal: PASS" in out
+
+    def test_quotient_without_monomial_kernel_golden(self):
+        # mod=x kills x itself: the one kernel candidate x^ceil(1/p) = x is
+        # zero in the ring, so the report takes the "no monomial kernel" arm
+        code, out, _ = run_cli(
+            "frob", "report", "--ring",
+            "frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 laurent=false mod=x")
+        assert (code, out) == (0, (
+            "KIND: perfection\n"
+            "RING: frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 laurent=false mod=x\n"
+            "BUDGET: 4\n"
+            "INJECTIVE_UP_TO: unbounded-within-budget\n"
+            "SURJECTIVE_UP_TO: unbounded-within-budget\n"
+            "KERNEL_GENERATORS: none\n"
+            "NOTE: no monomial kernel below the quotient exponents\n"
+            "VERDICT: PASS\n"))
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("report", "--ring", "ff p=3 e=1", "--budget", "-1"), "budget"),
+        (("report", "--ring", "ff p=3 e=1", "--samples", "-2"), "samples"),
+        (("tower", "--p", "2", "--depth", "2", "--samples", "-3"), "samples"),
+    ])
+    def test_negative_probe_counts_are_input_errors(self, argv, flag):
+        # a negative count probes nothing, so a verdict over it says nothing
+        code, out, err = run_cli("frob", *argv)
+        assert (code, out) == (2, "")
+        assert f"error: {flag} must be >= 0" in err
 
 
 class TestFontaineCommands:
@@ -501,6 +546,39 @@ class TestExitCodeMapping:
         assert er.NoConvergence("x").exit_code == 1
         assert er.NoRoot("x").exit_code == 2
         assert er.SpecParseError("x").exit_code == 2
+
+
+def _parser_structure(parser, path=("wittforge",)):
+    """One line per parser path (depth first, in declaration order) and one
+    per action below it: option strings (the dest for a positional), dest,
+    type name, default, required, choices and help; a subcommand action
+    lists its dest, required and op names with their help.  argparse wraps
+    --help to the terminal width, so the structure is pinned, not the text."""
+    handler = parser._defaults.get("handler")
+    lines = [" ".join(path) + f": description={parser.description!r} "
+             f"handler={getattr(handler, '__name__', None)}"]
+    subs = []
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            helps = {c.dest: c.help for c in a._choices_actions}
+            ops = ", ".join(f"{name}={helps.get(name)!r}" for name in a.choices)
+            lines.append(f"  SUBCOMMANDS dest={a.dest} required={a.required}: {ops}")
+            subs += [(path + (name,), sub) for name, sub in a.choices.items()]
+        else:
+            lines.append("  " + repr((a.option_strings or a.dest, a.dest,
+                                      getattr(a.type, "__name__", a.type),
+                                      a.default, a.required, a.choices, a.help)))
+    for sub_path, sub in subs:
+        lines += _parser_structure(sub, sub_path)
+    return lines
+
+
+def test_parser_structure_golden():
+    # recorded from the parser as it was declared branch by branch per op
+    golden = Path(__file__).with_name("cli_parser_structure.txt")
+    got = _parser_structure(cli.build_parser())
+    assert got == golden.read_text().splitlines()
+    assert sum(not line.startswith(" ") for line in got) == 40
 
 
 # Commands that no other test runs: rw add / mul / frobpi / divpi / twist over

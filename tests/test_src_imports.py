@@ -1,14 +1,17 @@
-"""The library stays independent of the benchmark that checks it.
+"""The library stays independent of the benchmark that checks it, and of
+everything outside the standard library.
 
 perfbench/oracles.py re-derives Witt arithmetic apart from src/; if a module
 of src/ imported perfbench, the benchmark's checks would stop being
-independent of the code they check.  In the other direction, the benchmark's
-tracer wraps library functions by name and skips a missing one silently, so
-the names it lists are checked here.
+independent of the code they check.  The README promises no runtime
+dependencies beyond the standard library.  In the other direction, the
+benchmark's tracer wraps library functions by name and skips a missing one
+silently, so the names it lists are checked here.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,11 +19,13 @@ SRC = ROOT / "src" / "wittforge"
 
 
 def _imported_modules(tree):
+    """The absolute module names a module imports, dynamic imports included;
+    a relative import stays inside the package."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.module or ""
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
         elif (isinstance(node, ast.Call) and node.args
               and isinstance(node.args[0], ast.Constant)
               and isinstance(node.args[0].value, str)
@@ -29,12 +34,22 @@ def _imported_modules(tree):
             yield node.args[0].value
 
 
-def test_no_src_module_imports_perfbench():
+def _src_imports():
+    """(file name, top-level module) for every absolute import in src."""
     paths = sorted(SRC.glob("*.py"))
     assert paths
-    bad = [f"{path.name}: {name}" for path in paths
-           for name in _imported_modules(ast.parse(path.read_text(), str(path)))
-           if name.split(".")[0] == "perfbench"]
+    return [(path.name, name.split(".")[0]) for path in paths
+            for name in _imported_modules(ast.parse(path.read_text(), str(path)))]
+
+
+def test_no_src_module_imports_perfbench():
+    bad = [f"{fname}: {top}" for fname, top in _src_imports() if top == "perfbench"]
+    assert not bad
+
+
+def test_src_imports_only_the_standard_library():
+    bad = [f"{fname}: {top}" for fname, top in _src_imports()
+           if top not in sys.stdlib_module_names]
     assert not bad
 
 

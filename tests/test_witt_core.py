@@ -17,6 +17,7 @@ from wittforge.errors import (
     NotDivisible,
     NotInGhostImage,
     RelationViolated,
+    SpecParseError,
 )
 
 F2 = br.make_ring("ff p=2 e=1")
@@ -277,10 +278,24 @@ class TestWittArithmetic:
             assert wc.witt_add(x, y).coords == (a + b,)
             assert wc.witt_mul(x, y).coords == (a * b,)
 
+    @pytest.mark.parametrize("ring", [F3, LAUR3, UQ5], ids=["F3", "frac", "uq"])
+    def test_operators_match_the_named_functions(self, ring):
+        # +, -, * and unary - on WittVector are witt_add, witt_sub, witt_mul
+        # and witt_neg
+        rng = random.Random(11)
+        for n in (1, 2, 3):
+            for _ in range(4):
+                x, y = rand_witt(ring, rng, n), rand_witt(ring, rng, n)
+                assert x + y == wc.witt_add(x, y)
+                assert x - y == wc.witt_sub(x, y)
+                assert x * y == wc.witt_mul(x, y)
+                assert -x == wc.witt_neg(x)
+
     @pytest.mark.parametrize("ring", [F2, F3, F4, UQ9, PERF3, LAUR9, QUOT2, UQ5])
     def test_route_equality(self, ring):
         # the lift route runs the ring kernel at K = n+1, the table route
-        # only at K = 1; LAUR9 and QUOT2 also draw exponents over p
+        # only at K = 1, both for odd-p neg too; LAUR9 and QUOT2 also draw
+        # exponents over p
         kw = {"denom_depth": 1} if ring in (LAUR9, QUOT2) else {}
         rng = random.Random(7)
         for _ in range(8):
@@ -295,8 +310,8 @@ class TestWittArithmetic:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_lift_route_equals_table_route(self, ring, data):
         """add, mul and neg agree on both routes at lengths 1..3, over
-        Hypothesis-drawn coordinates: 60 derandomized examples per ring.  For
-        odd p, neg is coordinatewise before any route is chosen."""
+        Hypothesis-drawn coordinates: 60 derandomized examples per ring.  Odd-p
+        neg runs each route in full; only route="auto" takes it coordinatewise."""
         F = ring.base
         n = data.draw(st.integers(1, 3))
         coord = st.tuples(*[st.integers(0, F.p - 1)] * F.e).map(
@@ -592,6 +607,29 @@ class TestOperators:
             calls.clear()
             wc.witt_arith("add", x, y, route="lift")
             assert set(calls) == {"_lift_ghost", "_lift_solve"}
+
+    @pytest.mark.parametrize("ring", [F3, F5], ids=["F3", "F5"])
+    def test_odd_negation_runs_each_oracle_in_full(self, ring, monkeypatch):
+        # route="lift" and route="table" are independent oracles for odd-p
+        # negation too: neither takes the coordinatewise shortcut of "auto"
+        calls = record_lift_calls(monkeypatch)
+        x = rand_witt(ring, random.Random(23), 3, allow_zero=False)
+        neg = wc.witt_arith("neg", x)
+        assert calls == []
+        assert wc.witt_arith("neg", x, route="lift") == neg
+        assert set(calls) == {"_lift_ghost", "_lift_solve"}
+        tables = []
+        structural_polys = wc.structural_polys
+        monkeypatch.setattr(wc, "structural_polys",
+                            lambda *a: tables.append(a) or structural_polys(*a))
+        assert wc.witt_arith("neg", x, route="table") == neg
+        assert tables == [(ring.p, 2, "negation")]
+
+    @pytest.mark.parametrize("op", ["add", "mul", "neg"])
+    def test_unknown_route_is_refused_for_every_op(self, op):
+        x = wc.make_witt(F3, [1, 2, 0])
+        with pytest.raises(SpecParseError, match="unknown route 'bogus'"):
+            wc.witt_arith(op, x, x, route="bogus")
 
     def test_inv_unit(self):
         rng = random.Random(16)
