@@ -124,6 +124,11 @@ class TestDigitAndSequenceLiterals:
         back = cli.parse_digits(BASE, F3, str(d))
         assert back.digits == d.digits
 
+    def test_zero_digits_round_trip(self):
+        d = rw.digit_expand(rw.rw_from_int(7, BASE, F3), 0)
+        assert str(d) == "DIGITS[0]{}"
+        assert cli.parse_digits(BASE, F3, str(d)).digits == d.digits == ()
+
     def test_digit_count_mismatch(self):
         with pytest.raises(SpecParseError, match="digits"):
             cli.parse_digits(BASE, F3, "DIGITS[3]{1;0}")
@@ -258,6 +263,16 @@ class TestRwCommands:
         code3, out3, _ = run_cli("rw", "expand", "--base", self.BASE_TXT,
                                  "--ring", "ff p=3 e=1", "--x", out2.strip())
         assert (code3, out3) == (0, out)
+
+    def test_zero_digits_expand_assemble_round_trip(self):
+        args = ("--base", self.BASE_TXT, "--ring", "ff p=3 e=1")
+        code, out, _ = run_cli("rw", "expand", *args,
+                               "--x", "RW[base=b0, N=6]"
+                               "{ W{1;0;0;0} | W{1;0;0;0} }",
+                               "--digits", "0")
+        assert (code, out) == (0, "DIGITS[0]{}\n")
+        code, out2, _ = run_cli("rw", "assemble", *args, "--digits", out.strip())
+        assert (code, out2) == (0, "RW[base=b0, N=0]{ W{0;0;0;0} | W{0;0;0;0} }\n")
 
     def test_uncertified_precision_is_input_error(self):
         # E = X^2 - 3 at prec=4 certifies 4 digits: 28 and 1 differ at pi^6
@@ -423,12 +438,15 @@ class TestReportCommands:
         (("report", "--ring", "ff p=3 e=1", "--budget", "-1"), "budget"),
         (("report", "--ring", "ff p=3 e=1", "--samples", "-2"), "samples"),
         (("tower", "--p", "2", "--depth", "2", "--samples", "-3"), "samples"),
+        (("tower", "--p", "2", "--depth", "2", "--samples", "0"), "samples"),
     ])
     def test_negative_probe_counts_are_input_errors(self, argv, flag):
-        # a negative count probes nothing, so a verdict over it says nothing
+        # a negative count probes nothing, so a verdict over it says nothing;
+        # the tower's cross-level-roots item is sampled only, so it needs one
         code, out, err = run_cli("frob", *argv)
         assert (code, out) == (2, "")
-        assert f"error: {flag} must be >= 0" in err
+        least = 1 if argv[0] == "tower" else 0
+        assert f"error: {flag} must be >= {least}" in err
 
 
 class TestFontaineCommands:
@@ -479,6 +497,52 @@ class TestVerifyCommand:
                                "--filter", "zz-nothing", "--seed", "7")
         assert code == 0
         assert out.splitlines()[0] == "SEED: 7"
+
+    def test_broken_addition_fails_with_its_first_witness(self, monkeypatch):
+        add = wc.witt_add
+
+        def broken_add(x, y):  # zero on W_3(F_5) only
+            if br.ring_char(x.ring) == 5 and x.length == 3:
+                return wc.witt_zero(x.ring, 3)
+            return add(x, y)
+
+        monkeypatch.setattr(wc, "witt_add", broken_add)
+        code, out, _ = run_cli("verify", "paper-examples",
+                               "--filter", "small-witt-rings")
+        assert (code, out) == (1, (
+            "SEED: 1729\n"
+            "CHECK small-witt-rings [2]: FAIL\n"
+            "  WITNESS: unit order below 125 at (p=5, n=3)\n"
+            "  REPRO: wittforge verify paper-examples "
+            "--filter small-witt-rings --seed 1729\n"
+            "VERDICT: FAIL\n"))
+
+    def test_raising_check_is_one_raised_witness(self, monkeypatch):
+        def crashes(cfg):
+            raise ValueError("boom")
+            yield
+
+        monkeypatch.setattr(cli, "CHECKS", (("crashes", "t", crashes),))
+        [res] = cli.run_verify_suite()
+        assert (res.ok, res.witnesses) == (False, ("raised ValueError: boom",))
+        code, out, _ = run_cli("verify", "paper-examples")
+        assert code == 1
+        assert "CHECK crashes [t]: FAIL\n  WITNESS: raised ValueError: boom\n" in out
+
+    def test_check_stops_at_its_first_witness(self, monkeypatch):
+        resumed = []
+
+        def twice(cfg):
+            yield "first"
+            resumed.append(True)
+            yield "second"
+
+        monkeypatch.setattr(cli, "CHECKS", (("twice", "t", twice),))
+        code, out, _ = run_cli("verify", "paper-examples")
+        assert code == 1
+        assert [ln for ln in out.splitlines() if "WITNESS" in ln] == [
+            "  WITNESS: first"]
+        assert not resumed
 
     def test_registry_names_are_unique(self):
         names = [name for name, _, _ in cli.CHECKS]

@@ -53,6 +53,14 @@ def test_src_imports_only_the_standard_library():
     assert not bad
 
 
+def test_src_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; reject newer syntax
+    # (except*, PEP 695 type parameters) even when the tests run on a newer
+    # interpreter
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def _assigned_constant(path, name):
     """The literal value assigned to a module-level name, read without import."""
     for node in ast.parse(path.read_text(), str(path)).body:
