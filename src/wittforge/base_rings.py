@@ -27,25 +27,30 @@ The kernel ops (``_kadd``, ``_kneg``, ``_kscale``, ``_kdiv_p``, the two
 ``_kmul`` and the one ``_kpow``) take the coefficient ring as an argument,
 read their operands as (key, coefficient) pairs (an element's ``terms`` or a
 dict's ``items()``; ``_kpow`` takes a dict), return term dicts and keep no
-zero coefficients.  Exponents are
-checked for the lattice (and, outside Laurent rings, for sign) where they
-enter a ring, never in products of keys already in it.
+zero coefficients.  The monomial ``_kmul`` loops over pairs of terms, except
+for dense products in one variable over Z/p^K (e = 1, no monomial quotient,
+at least 16 pairs): each of those is one packed big-integer product
+(``_kmul_packed``, Kronecker substitution), and ``_kpow`` and the Witt lift
+route reach it unchanged.  Exponents are checked for the lattice (and,
+outside Laurent rings, for sign) where they enter a ring, never in products
+of keys already in it.
 
 Elements are immutable: a ``RingElement`` holds a sorted tuple of
 (exponent key, field coefficient) pairs, so equal elements have identical
 representations and hash equal.  All operations return new elements.
 
-Frobenius F^k scales every key by p^k.  Its inverse divides them by p, one
-pass per step, and is partial: on a ``FracLaurentRing`` it fails with
-``DepthExhausted`` once an exponent denominator would leave the lattice.  On a
-``UnivariateQuotient`` it is exact: where a pass refuses, one F_p-linear solve
-decides y^(p^k) = x, so ``NoRoot`` means that no p^k-th root exists.
+Frobenius F^k scales every key by p^k.  Its inverse divides them by p^k, in
+one pass, and is partial: on a ``FracLaurentRing`` it fails with
+``DepthExhausted`` where an exponent denominator would leave the lattice.  On a
+``UnivariateQuotient`` it is exact: where the division refuses, one F_p-linear
+solve decides y^(p^k) = x, so ``NoRoot`` means that no p^k-th root exists.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -207,8 +212,15 @@ class _Monomials:
                 if any(c) and not (quo and self._killed(k))}
 
     def _kmul(self, C: _CoeffRing, a, b) -> dict:
+        """One packed product for dense one-variable products over Z/p^K
+        (``_kmul_packed``), the loop over pairs of terms otherwise."""
         if len(a) > len(b):
             a, b = b, a
+        if (C.e == 1 and len(a) * len(b) >= _PACK_PAIRS
+                and len(self.variables) == 1 and not self.quotient):
+            out = _kmul_packed(C.pk, a, b)
+            if out is not None:
+                return out
         out: dict = {}
         get, cmul, cadd = out.get, C.cmul, C.cadd
         plus, quo = operator.add, self.quotient
@@ -565,6 +577,68 @@ def _kdiv_p(C: _CoeffRing, a, i: int) -> dict:
     return out
 
 
+# packed products: Kronecker substitution (Harvey, J. Symbolic Comput. 44,
+# 2009).  Slots of w bytes hold a polynomial with coefficients in
+# [0, 2^(8w)) as the integer sum c_i 2^(8wi), so one big-integer product,
+# done in C, is the product polynomial wherever no coefficient of that
+# overflows its slot.  Slots of 1, 2, 4 or 8 bytes go through ``struct`` in
+# one call each way; wider ones take one ``int`` method call per slot.
+
+_PACK_PAIRS = 16  # the fewest pairs of terms a product is packed for
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by slot width
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for values in [0, bound], with one spare bit, rounded
+    up to 1, 2, 4 or 8 where that holds them."""
+    w = (bound.bit_length() + 8) // 8
+    return 1 << (w - 1).bit_length() if w <= 8 else w
+
+
+def _pack(slots: list, w: int) -> int:
+    """sum slots[i] * 2^(8wi), for slot values in [0, 2^(8w))."""
+    code = _SLOT_CODES.get(w)
+    raw = (struct.pack(f"<{len(slots)}{code}", *slots) if code
+           else b"".join([c.to_bytes(w, "little") for c in slots]))
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(n: int, count: int, w: int) -> list:
+    """The count slots of w bytes of n >= 0, lowest first: ``_pack``'s inverse."""
+    raw = n.to_bytes(count * w, "little")
+    code = _SLOT_CODES.get(w)
+    if code:
+        return list(struct.unpack(f"<{count}{code}", raw))
+    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+
+
+def _kmul_packed(pk: int, a, b) -> dict | None:
+    """The product of one-variable term dicts over Z/p^K as one packed
+    product, or None where the product is not dense.
+
+    Keys are shifted by their minimum and divided by g, the gcd of all
+    offsets of both operands.  A product slot sums at most min(len a, len b)
+    products of residues below p^K, which bounds the slot width.  A product
+    with as many slots as pairs or more goes to the pair loop: x + x^(10^8)
+    would pack into a 100 MB integer."""
+    ka, kb = [n for (n,), _ in a], [n for (n,), _ in b]
+    lo_a, lo_b = min(ka), min(kb)
+    g = gcd(*[n - lo_a for n in ka], *[n - lo_b for n in kb])
+    span_a, span_b = (max(ka) - lo_a) // g, (max(kb) - lo_b) // g
+    if span_a + span_b >= len(ka) * len(kb):
+        return None
+    w = _slot_width(min(len(ka), len(kb)) * (pk - 1) ** 2)
+    prod = 1
+    for x, lo, span in ((a, lo_a, span_a), (b, lo_b, span_b)):
+        slots = [0] * (span + 1)
+        for (n,), (c,) in x:
+            slots[(n - lo) // g] = c
+        prod *= _pack(slots, w)
+    lo = lo_a + lo_b
+    return {(lo + g * i,): (c,)
+            for i, v in enumerate(_unpack(prod, span_a + span_b + 1, w)) if (c := v % pk)}
+
+
 # ---------------------------------------------------------------------------
 # elements
 
@@ -760,9 +834,9 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
 
 def frobenius(x: RingElement, k: int) -> RingElement:
     """k-fold Frobenius y -> y^(p^k), one map of the keys: k >= 0 scales
-    them by p^k and the ring reduces; for k < 0, |k| passes divide them by p,
-    and where p does not divide one, a frac ring raises DepthExhausted and a
-    uq ring decides exactly (``_uq_root``)."""
+    them by p^k and the ring reduces; k < 0 divides them by p^|k|, and where
+    p^|k| does not divide one, a frac ring raises DepthExhausted and a uq
+    ring decides exactly (``_uq_root``)."""
     ring, F = x.ring, x.ring.base
     p, uq = F.p, isinstance(ring, UnivariateQuotient)
     if k >= 0:
@@ -775,32 +849,35 @@ def frobenius(x: RingElement, k: int) -> RingElement:
             return _mk(ring, ring._reduce(F, dict(terms)))
         # scaling every key by p^k keeps their order
         return RingElement(ring, tuple(terms))
-    y = x
-    for _ in range(-k):
-        terms = []
-        for key, c in y.terms:
-            for n in key:
-                if n % p:
-                    if uq:
-                        return _uq_root(x, -k, n)
-                    b = ring.lattice_b
-                    e = Fraction(n, b * p)
-                    raise DepthExhausted(
-                        f"p-th root of exponent {e * p} leaves the lattice "
-                        f"(denominator {e.denominator} does not divide {b})")
-            terms.append((tuple([n // p for n in key]), F.cfrob(c, -1)))
-        # dividing every key by p keeps their order
-        y = RingElement(ring, tuple(terms))
-    return y
+    q, terms = p ** -k, []
+    for key, c in x.terms:
+        if any(n % q for n in key):
+            # name the exponent where single p-th roots stop: after the s
+            # roots that every exponent admits, the first that p^(s+1) misses
+            ns, s = [n for ks, _ in x.terms for n in ks], 0
+            while all(n % p ** (s + 1) == 0 for n in ns):
+                s += 1
+            bad = next(n for n in ns if n % p ** (s + 1)) // p ** s
+            if uq:
+                return _uq_root(x, -k, bad)
+            b = ring.lattice_b
+            e = Fraction(bad, b * p)
+            raise DepthExhausted(
+                f"p-th root of exponent {e * p} leaves the lattice "
+                f"(denominator {e.denominator} does not divide {b})")
+        terms.append((tuple([n // q for n in key]), F.cfrob(c, k)))
+    # dividing every key by p^|k| keeps their order
+    return RingElement(ring, tuple(terms))
 
 
 def _uq_root(x: RingElement, k: int, bad: int) -> RingElement:
     """The y with y^(p^k) = x in F_q[T]/(g); NoRoot when there is none.
 
-    ``frobenius`` first divides the exponents of the representative by p,
-    one pass per step, and comes here where a pass meets the T-exponent bad
-    that p does not divide.  On g = T^m that refusal is already exact: the
-    p^k-th powers there are the elements whose exponents p^k divides.
+    ``frobenius`` first divides the exponents of the representative by p^k,
+    and comes here where p^k does not divide one; bad is the T-exponent at
+    which p-th roots taken one at a time would stop.  On g = T^m that
+    refusal is already exact: the p^k-th powers there are the elements
+    whose exponents p^k divides.
     Otherwise one F_p-linear solve of y^(p^k) = x decides (iterated p-th
     roots would not: on a non-reduced ring the p-th root found first can fail
     to be a p^(k-1)-th power while another one is).

@@ -786,6 +786,11 @@ class RingMap:
     dst: Ring
     images: tuple  # tuple of (generator name, RingElement in dst)
 
+    @cached_property
+    def generator_images(self) -> tuple[list, list]:
+        """``_generator_images`` of the map, computed on first use and kept."""
+        return _generator_images(self.src, self.dst, dict(self.images))
+
 
 def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
     """Build a coefficient-ring homomorphism from generator assignments.
@@ -824,7 +829,8 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
     for v in src.variables:
         if v not in resolved:
             raise RelationViolated(f"variable {v!r} has no image")
-    _generator_images(src, dst, resolved)
+    phi = RingMap(src, dst, tuple(sorted(resolved.items())))
+    phi.generator_images  # refuses here, before any relation is mapped
     if isinstance(src, UnivariateQuotient):
         _check_relation(br._poly_elt(Fs, src.var, src.modulus), dst, resolved,
                         "quotient variable image violates the modulus")
@@ -832,7 +838,7 @@ def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
         # read in the ring without the quotient, where the monomial is nonzero
         _check_relation(br._term(replace(src, quotient=()), gen, Fs.one()), dst,
                         resolved, "quotient monomial does not map to zero")
-    return RingMap(src, dst, tuple(sorted(resolved.items())))
+    return phi
 
 
 def _check_relation(rel: RingElement, dst: Ring, resolved: dict, message: str) -> None:
@@ -876,7 +882,7 @@ def apply_ring_map(phi: RingMap, x: RingElement) -> RingElement:
     if x.ring != phi.src:
         raise MismatchError("element not in the map's source ring")
     dst = phi.dst
-    gpows, gens = _generator_images(phi.src, dst, dict(phi.images))
+    gpows, gens = phi.generator_images
     acc = br.zero(dst)
     for key, c in x.terms:
         term = br.from_int(dst, c[0])

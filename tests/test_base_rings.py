@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -548,6 +549,100 @@ class TestKernelAboveK1:
         assert reduce(ring._kmul(C, a.items(), b.items())) == dict(want.terms)
 
 
+def loop_product(ring, C, a, b):
+    """ring._kmul with packing off: the pair loop, the packed product's
+    reference."""
+    saved, br._PACK_PAIRS = br._PACK_PAIRS, float("inf")
+    try:
+        return ring._kmul(C, a.items(), b.items())
+    finally:
+        br._PACK_PAIRS = saved
+
+
+class TestPackedProduct:
+    """The packed one-variable product (``_kmul_packed``) against the pair
+    loop: Laurent keys, gcd 1 and gcd > 1, coefficients at p^K - 1, operands
+    at 15 and 16 pairs, depth_2 > 0 and K from 1 to 9 (n + 1 for n up to 8),
+    EXAMPLES derandomized examples per ring.  p = 31 at K >= 7 needs slots
+    wider than 8 bytes."""
+
+    RINGS = [
+        "frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true",
+        "frac base=(ff p=2 e=1) vars=x depth_p=10 depth_2=0 laurent=true",
+        "frac base=(ff p=5 e=1) vars=x depth_p=1 depth_2=1 laurent=false",
+        "frac base=(ff p=31 e=1) vars=x depth_p=0 depth_2=0 laurent=true",
+    ]
+    EXAMPLES = 60
+
+    @staticmethod
+    def operand(rng, pk, lo, g, count, room):
+        """count terms at keys lo + g*i, i < room, each coefficient p^K - 1
+        or a random residue."""
+        return {(lo + g * i,): (rng.choice((pk - 1, rng.randrange(1, pk))),)
+                for i in rng.sample(range(room), count)}
+
+    @pytest.mark.parametrize("desc", RINGS)
+    @given(K=st.integers(1, 9), g=st.sampled_from([1, 2, 3, 9]),
+           sizes=st.sampled_from([(3, 5), (4, 4), (1, 16), (5, 9), (12, 30)]),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_equals_the_pair_loop(self, desc, K, g, sizes, seed):
+        ring = br.make_ring(desc)
+        C, rng = br._CoeffRing(ring.base, K), random.Random(seed)
+        lows = range(-40, 41) if ring.laurent else range(0, 41)
+        # the room keeps most products dense; a room past 16 pairs can leave
+        # a few to the density guard
+        a, b = (self.operand(rng, C.pk, rng.choice(lows), g, n, rng.randint(n, 2 * n + 4))
+                for n in sizes)
+        want = loop_product(ring, C, a, b)
+        assert ring._kmul(C, a.items(), b.items()) == want
+        assert ring._kmul(C, b.items(), a.items()) == want
+        packed = br._kmul_packed(C.pk, a.items(), b.items())
+        assert packed is None or packed == want
+
+    def test_public_product_packs_at_k1(self):
+        ring = br.make_ring(self.RINGS[2])
+        x = br.evaluate(ring, "+".join(f"{1 + i % 4}*x^({i}/10)" for i in range(0, 40, 2)))
+        y = br.evaluate(ring, "+".join(f"4*x^{i}" for i in range(8)))
+        assert br._kmul_packed(5, x.terms, y.terms) is not None
+        assert dict((x * y).terms) == loop_product(ring, ring.base, dict(x.terms),
+                                                   dict(y.terms))
+
+    def test_packs_from_sixteen_pairs(self, monkeypatch):
+        ring = br.make_ring(self.RINGS[0])
+        C = br._CoeffRing(ring.base, 3)
+        calls, packed = [], br._kmul_packed
+
+        def spy(pk, a, b):
+            calls.append(len(a) * len(b))
+            return packed(pk, a, b)
+
+        monkeypatch.setattr(br, "_kmul_packed", spy)
+        for m in (3, 4):
+            a = {(i,): (1,) for i in range(m)}
+            b = {(i,): (2,) for i in range(5 if m == 3 else 4)}
+            assert ring._kmul(C, a.items(), b.items()) == loop_product(ring, C, a, b)
+        assert calls == [16]
+
+    def test_density_guard_refuses_a_sparse_product(self):
+        # x + x^(10^8) times a 16-term operand would pack into a 100 MB
+        # integer; the guard sends it to the pair loop
+        ring = br.make_ring(self.RINGS[0])
+        C = br._CoeffRing(ring.base, 5)
+        a = {(0,): (1,), (10 ** 8,): (C.pk - 1,)}
+        b = {(i,): (C.pk - 1 - i,) for i in range(16)}
+        assert br._kmul_packed(C.pk, a.items(), b.items()) is None
+        start = time.perf_counter()
+        got = ring._kmul(C, a.items(), b.items())
+        assert time.perf_counter() - start < 0.5
+        assert got == loop_product(ring, C, a, b) and len(got) == 32
+
+    @pytest.mark.parametrize("w", range(1, 11))
+    def test_pack_roundtrip(self, w):
+        slots = [0, 1, 2 ** (8 * w) - 1, 2 ** (8 * w - 1), 7]
+        assert br._unpack(br._pack(slots, w), len(slots), w) == slots
+
+
 class TestFrobenius:
     def test_positive_on_sums(self):
         ring = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=false")
@@ -572,6 +667,29 @@ class TestFrobenius:
             ring = br.make_ring(spec)
             with pytest.raises(DepthExhausted, match=msg):
                 br.frobenius(br.evaluate(ring, x), -1)
+
+    def test_one_pass_names_the_step_that_refuses(self):
+        # the refusal names the exponent where single steps stop: the least
+        # p-adic valuation, not the first key p^k misses (x^(1/3) below)
+        frac = br.make_ring("frac base=(ff p=3 e=1) vars=x,y depth_p=2 depth_2=0 laurent=false")
+        uq = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^16")
+        for ring, x, k, err, msg in [
+            (frac, "x^(1/3)+y^(1/9)", -2, DepthExhausted,
+             "p-th root of exponent 1/9 leaves the lattice (denominator 27 does not divide 9)"),
+            (frac, "x^3+x^(1/3)*y", -3, DepthExhausted,
+             "p-th root of exponent 1/9 leaves the lattice (denominator 27 does not divide 9)"),
+            (uq, "T^8+T^6+T^4", -3, NoRoot,
+             "canonical representative is not a p-th power (T-exponent 3 not divisible by 2)"),
+            (uq, "T^12+T^2", -2, NoRoot,
+             "canonical representative is not a p-th power (T-exponent 1 not divisible by 2)"),
+        ]:
+            with pytest.raises(err) as info:
+                br.frobenius(br.evaluate(ring, x), k)
+            assert str(info.value) == msg
+        # F^3 = id on F_8, so F^-100 = F^2
+        f8 = br.make_ring("ff p=2 e=3")
+        u1 = br.evaluate(f8, "u+1")
+        assert br.frobenius(u1, -100) == br.frobenius(u1, 2) == br.pow_int(u1, 4)
 
     def test_field_coefficients_get_rooted(self):
         ring = br.make_ring("frac base=(ff p=2 e=2) vars=x depth_p=1 depth_2=0 laurent=false")
@@ -652,8 +770,9 @@ class TestFrobeniusAgainstSteps:
         x = br.random_element(ring, random.Random(seed), **kw)
         assert br.frobenius(x, k) == br.pow_int(x, ring.base.p ** k)
 
-    @pytest.mark.parametrize("desc,kw", [r for r in RINGS if not r[0].startswith("ff")])
-    @given(seed=st.integers(0, 2 ** 32), j=st.integers(0, 3), k=st.integers(1, 3))
+    # ff rings last, after the rings this test first ran on
+    @pytest.mark.parametrize("desc,kw", sorted(RINGS, key=lambda r: r[0].startswith("ff")))
+    @given(seed=st.integers(0, 2 ** 32), j=st.integers(0, 3), k=st.integers(1, 4))
     @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
     def test_inverse_is_single_steps(self, desc, kw, seed, j, k):
         ring = br.make_ring(desc)

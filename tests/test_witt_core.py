@@ -702,6 +702,21 @@ class TestFunctor:
                     == wc.witt_mul(wc.witt_functor(phi, a), wc.witt_functor(phi, b)))
             assert wc.project(wc.witt_functor(phi, a)) == wc.apply_ring_map(phi, wc.project(a))
 
+    def test_generator_images_are_computed_once(self, monkeypatch):
+        # the roots behind x^(1/10) are taken when the map is made, and kept
+        ring = br.make_ring("frac base=(ff p=5 e=1) vars=x depth_p=1 depth_2=1 laurent=false")
+        calls, images = [], wc._generator_images
+        monkeypatch.setattr(wc, "_generator_images",
+                            lambda *a: calls.append(a[:2]) or images(*a))
+        phi = wc.make_ring_map(ring, ring, {"x": "4*x^2"})
+        assert calls == [(ring, ring)]
+        x = wc.make_witt(ring, [br.evaluate(ring, s)
+                                for s in ("x^(1/10)", "1+x", "0", "3*x^(3/2)")])
+        fx = wc.witt_functor(phi, x)
+        assert calls == [(ring, ring)]
+        assert fx == wc.make_witt(ring, [br.evaluate(ring, s)
+                                         for s in ("2*x^(1/5)", "1+4*x^2", "0", "4*x^3")])
+
     def test_relation_violations(self):
         uq = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^2+T+1")
         dst = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false")
