@@ -1022,11 +1022,6 @@ def fq_multiplicity_layers(g: RingElement) -> list[tuple[int, RingElement]]:
     return sorted(layers, key=_KEY)
 
 
-def fq_radical(g: RingElement) -> RingElement:
-    """Squarefree radical of g in F_q[T]: the product of its layers."""
-    return reduce(mul, (a for _, a in fq_multiplicity_layers(g)), one(g.ring))
-
-
 # ---------------------------------------------------------------------------
 # reducedness certificate (squarefree layers, nilpotent witness on failure)
 
@@ -1142,6 +1137,11 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return out
 
 
+def _shown(v: str | None) -> str:
+    """A token value as a parse error quotes it; None is the end of input."""
+    return "end of input" if v is None else repr(v)
+
+
 class _Tokens:
     def __init__(self, toks):
         self.toks = toks
@@ -1158,7 +1158,7 @@ class _Tokens:
     def expect(self, kind, val=None):
         k, v = self.next()
         if k != kind or (val is not None and v != val):
-            raise SpecParseError(f"expected {val or kind}, got {v!r}")
+            raise SpecParseError(f"expected {val or kind}, got {_shown(v)}")
         return v
 
     def at_end(self):
@@ -1169,7 +1169,7 @@ def _expect_key(ts: _Tokens, key: str, need: str | None = None) -> None:
     """Consume ``key =``; a missing key raises need (or a generic message)."""
     k, v = ts.next()
     if (k, v) != ("ident", key):
-        raise SpecParseError(need or f"expected {key}=..., got {v!r}")
+        raise SpecParseError(need or f"expected {key}=..., got {_shown(v)}")
     ts.expect("sym", "=")
 
 
@@ -1381,6 +1381,8 @@ def _parse_atom(ts: _Tokens, alg):
         inner = parse_expression(ts, alg)
         ts.expect("sym", ")")
         return inner
+    if v is None:
+        raise SpecParseError("unexpected end of input in expression")
     raise SpecParseError(f"unexpected token {v!r} in expression")
 
 

@@ -55,10 +55,6 @@ class NotEisenstein(WittforgeError):
     """Proposed polynomial fails the Eisenstein checks."""
 
 
-class RelationViolated(WittforgeError):
-    """A generator assignment does not respect the presented relations."""
-
-
 class DerivativeNotUnit(WittforgeError):
     """Newton lifting requires the derivative at the seed to be a unit."""
 

@@ -52,24 +52,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import base_rings as br
-from .base_rings import Ring, RingElement, UnivariateQuotient
+from .base_rings import Ring, RingElement
 from .errors import (
     DepthExhausted,
     IntegralityViolation,
-    LatticeError,
     LevelTooLarge,
     MismatchError,
     NoConvergence,
     NoRoot,
-    NotAUnit,
     NotDivisible,
     NotInGhostImage,
-    RelationViolated,
     SpecParseError,
 )
 
@@ -775,129 +771,3 @@ def witt_inv_unit(x: WittVector) -> WittVector:
         y = witt_mul(y, witt_add(one, err))
     raise NoConvergence("unit inversion failed to stabilize")
 
-
-# ---------------------------------------------------------------------------
-# functoriality
-
-
-@dataclass(frozen=True)
-class RingMap:
-    src: Ring
-    dst: Ring
-    images: tuple  # tuple of (generator name, RingElement in dst)
-
-    @cached_property
-    def generator_images(self) -> tuple[list, list]:
-        """``_generator_images`` of the map, computed on first use and kept."""
-        return _generator_images(self.src, self.dst, dict(self.images))
-
-
-def make_ring_map(src: Ring, dst: Ring, images: dict | None = None) -> RingMap:
-    """Build a coefficient-ring homomorphism from generator assignments.
-
-    Each frac variable's image has its B-th root taken once, and x^(n/B)
-    maps to that root's n-th power, so the map is a homomorphism by
-    construction.  Every relation of the source presentation is mapped to
-    dst by ``apply_ring_map`` and must vanish there; a violation raises
-    RelationViolated.  Field coefficients map along the canonical embedding
-    when src and dst share (p, e, modulus), otherwise the field generator
-    needs an explicit image satisfying the modulus.
-    """
-    images = dict(images or {})
-    resolved: dict[str, RingElement] = {}
-    for name, img in images.items():
-        if isinstance(img, str):
-            img = br.evaluate(dst, img)
-        if img.ring != dst:
-            raise MismatchError("image lives in the wrong ring")
-        resolved[name] = img
-    Fs = src.base
-    Fd = dst.base
-    if Fs.p != Fd.p:
-        raise RelationViolated("characteristics differ")
-    if Fs.e > 1:
-        gname = Fs.gen_name
-        if gname not in resolved:
-            if (Fd.e, Fd.modulus) == (Fs.e, Fs.modulus):
-                resolved[gname] = br.from_coeff(dst, Fs.gen())
-            else:
-                raise RelationViolated(
-                    f"field generator {gname!r} needs an explicit image")
-        Fp = br.make_field(Fs.p, 1)
-        _check_relation(br._poly_elt(Fp, gname, map(Fp.from_int, Fs.modulus)), dst,
-                        resolved, "field generator image violates the modulus")
-    for v in src.variables:
-        if v not in resolved:
-            raise RelationViolated(f"variable {v!r} has no image")
-    phi = RingMap(src, dst, tuple(sorted(resolved.items())))
-    phi.generator_images  # refuses here, before any relation is mapped
-    if isinstance(src, UnivariateQuotient):
-        _check_relation(br._poly_elt(Fs, src.var, src.modulus), dst, resolved,
-                        "quotient variable image violates the modulus")
-    for gen in src.quotient:
-        # read in the ring without the quotient, where the monomial is nonzero
-        _check_relation(br._term(replace(src, quotient=()), gen, Fs.one()), dst,
-                        resolved, "quotient monomial does not map to zero")
-    return phi
-
-
-def _check_relation(rel: RingElement, dst: Ring, resolved: dict, message: str) -> None:
-    """RelationViolated(message) unless rel, read in its own ring, maps to 0."""
-    if not apply_ring_map(RingMap(rel.ring, dst, tuple(resolved.items())), rel).is_zero():
-        raise RelationViolated(message)
-
-
-def _generator_images(src: Ring, dst: Ring, resolved: dict) -> tuple[list, list]:
-    """The powers g^0..g^(e-1) of the field generator's image, and the image
-    of each key exponent's generator: the root of x's image for x^(1/B), by
-    the exact inverse Frobenius and then a fractional power for the 2-part
-    (B = 1 on a uq ring, so T's image itself).  Refusals go variable by
-    variable: a missing root, then (Laurent) a root that is not a unit."""
-    F = src.base
-    gpows = [br.one(dst)]
-    for _ in range(1, F.e):
-        gpows.append(br.mul(gpows[-1], resolved[F.gen_name]))
-    roots = []
-    for v in src.variables:
-        try:
-            r = br.frobenius(resolved[v], -src.depth_p)
-            if src.depth_2:
-                r = br.pow_fraction(r, Fraction(1, 2 ** src.depth_2))
-        except (DepthExhausted, LatticeError, NoRoot) as exc:
-            raise RelationViolated(
-                f"image of {v!r} admits no 1/{src.lattice_b} power: {exc}") from exc
-        if src.laurent:
-            try:
-                br.invert(r)
-            except NotAUnit as exc:
-                raise RelationViolated(
-                    f"image of Laurent variable {v!r} not invertible: {exc}") from exc
-        roots.append(r)
-    return gpows, roots
-
-
-def apply_ring_map(phi: RingMap, x: RingElement) -> RingElement:
-    """phi(x): each term maps to its coefficient's image times integer
-    powers of the generator images."""
-    if x.ring != phi.src:
-        raise MismatchError("element not in the map's source ring")
-    dst = phi.dst
-    gpows, gens = phi.generator_images
-    acc = br.zero(dst)
-    for key, c in x.terms:
-        term = br.from_int(dst, c[0])
-        for a, g in zip(c[1:], gpows[1:]):
-            if a:
-                term = br.add(term, br.mul(br.from_int(dst, a), g))
-        for g, n in zip(gens, key):
-            if n:
-                term = br.mul(term, br.pow_int(g, n))
-        acc = br.add(acc, term)
-    return acc
-
-
-def witt_functor(phi: RingMap, x: WittVector) -> WittVector:
-    """W_n(phi): apply the coefficient map coordinatewise."""
-    if x.ring != phi.src:
-        raise MismatchError("Witt vector not over the map's source ring")
-    return WittVector(phi.dst, tuple(apply_ring_map(phi, c) for c in x.coords))

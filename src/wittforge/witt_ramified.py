@@ -234,6 +234,8 @@ def _match(x: RamifiedWitt, y: RamifiedWitt) -> None:
 
 def rw_arith(op: str, x: RamifiedWitt, y: RamifiedWitt | None = None) -> RamifiedWitt:
     """Ring operation; op in {add, mul, neg, inv}.  Precision: min of inputs."""
+    if op not in ("add", "mul", "neg", "inv"):
+        raise SpecParseError(f"unknown op {op!r}")
     if op == "neg":
         return RamifiedWitt(x.base, x.ring,
                             tuple(wc.witt_neg(r) for r in x.coords), x.precision)
@@ -246,9 +248,7 @@ def rw_arith(op: str, x: RamifiedWitt, y: RamifiedWitt | None = None) -> Ramifie
     if op == "add":
         coords = tuple(wc.witt_add(a, b) for a, b in zip(x.coords, y.coords))
         return RamifiedWitt(x.base, x.ring, coords, prec)
-    if op == "mul":
-        return _rw_mul(x, y, prec)
-    raise SpecParseError(f"unknown op {op!r}")
+    return _rw_mul(x, y, prec)
 
 
 def rw_add(x, y):

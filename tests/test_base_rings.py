@@ -364,6 +364,76 @@ class TestElements:
         with pytest.raises(NotAUnit):
             br.invert(br.evaluate(ring, "1+x"))
 
+    def test_fractional_powers_of_zero(self):
+        zero = br.zero(br.make_ring(
+            "frac base=(ff p=2 e=1) vars=x depth_p=1 depth_2=0 laurent=false"))
+        assert br.pow_fraction(zero, Fraction(3, 2)) == zero
+        with pytest.raises(NotAUnit):
+            br.pow_fraction(zero, Fraction(-1, 2))
+
+    @pytest.mark.parametrize("desc,op,text,err,msg", [
+        ("frac base=(ff p=5 e=1) vars=x depth_p=0 depth_2=1 laurent=false",
+         "eval", "(x+1)^(1/2)", NoRoot, "fractional power of a non-monomial"),
+        ("ff p=5 e=1", "eval", "2^(1/2)", NoRoot, "no 2-th root in F_5"),
+        ("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true",
+         "eval", "x^(1/9)", LatticeError,
+         "exponent 1/9 outside lattice (denominator must divide 3)"),
+        ("uq base=(ff p=3 e=1) var=T modulus=T^2+1", "eval", "T^(1/2)", LatticeError,
+         "fractional powers need an exponent lattice"),
+        ("frac base=(ff p=5 e=1) vars=x depth_p=0 depth_2=1 laurent=false",
+         "invert", "x", NotAUnit, "non-constant monomial in a non-Laurent ring"),
+        ("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true",
+         "eval", "(x+1)^(-1)", NotAUnit, "only monomials are invertible here"),
+        ("uq base=(ff p=2 e=1) var=T modulus=T^2", "invert", "T", NotAUnit,
+         "representative shares a factor with the modulus"),
+        ("ff p=3 e=1", "invert", "0", NotAUnit, "zero is not invertible"),
+    ], ids=["non-monomial-root", "no-root-in-field", "outside-lattice", "uq-fraction",
+            "non-laurent-monomial", "non-monomial-inverse", "uq-shared-factor", "zero"])
+    def test_root_and_inverse_refusal_messages(self, desc, op, text, err, msg):
+        ring = br.make_ring(desc)
+        with pytest.raises(err) as info:
+            if op == "invert":
+                br.invert(br.evaluate(ring, text))
+            else:
+                br.evaluate(ring, text)
+        assert str(info.value) == msg
+
+    @pytest.mark.parametrize("desc,text,root", [
+        ("ff p=5 e=1", "4^(1/2)", "2"),  # the smaller of the square roots 2 and 3
+        ("ff p=3 e=1", "2^(1/3)", "2"),
+        ("ff p=3 e=2", "u^(1/2)", "2*u+1"),
+        ("frac base=(ff p=5 e=1) vars=x depth_p=0 depth_2=1 laurent=false",
+         "(4*x^3)^(3/2)", "2*x^(9/2)"),
+    ], ids=["F5-square", "F3-cube", "F9-square", "frac-monomial"])
+    def test_fractional_power_roots_the_coefficient(self, desc, text, root):
+        ring = br.make_ring(desc)
+        assert br.evaluate(ring, text) == br.evaluate(ring, root)
+
+    # (ring, monomials m, exponents k): m^(k/B) is a B-th root of m^k
+    LATTICE_ROOTS = [
+        ("frac base=(ff p=5 e=1) vars=x depth_p=0 depth_2=1 laurent=false",
+         [f"{c}*x^{j}" for c in (1, 4) for j in (1, 2, 3, 4)], range(1, 9)),
+        ("frac base=(ff p=3 e=2) vars=x depth_p=0 depth_2=1 laurent=true",
+         [f"{c}*x^({j})" for c in ("1", "2", "u", "2*u") for j in (1, -1)],
+         [-4, -3, -2, -1, 1, 2, 3, 4]),
+        ("frac base=(ff p=7 e=1) vars=x depth_p=1 depth_2=2 laurent=false",
+         [f"{c}*x^{j}" for c in (1, 2, 4) for j in (1, 2, 3)], range(1, 9)),
+    ]
+
+    @pytest.mark.parametrize("desc,monomials,ks", LATTICE_ROOTS,
+                             ids=["F5-B2", "F9-laurent-B2", "F7-B28"])
+    def test_fractional_powers_are_roots_of_powers(self, desc, monomials, ks):
+        ring = br.make_ring(desc)
+        b = ring.lattice_b
+        x_root = br.evaluate(ring, f"x^(1/{b})")
+        for k in ks:
+            assert br.evaluate(ring, f"x^({k}/{b})") == br.pow_int(x_root, k)
+        for text in monomials:
+            m = br.evaluate(ring, text)
+            for k in ks:
+                r = br.pow_fraction(m, Fraction(k, b))
+                assert br.pow_int(r, b) == br.pow_int(m, k), (text, k)
+
     def test_uq_inverse(self):
         ring = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
         t = br.evaluate(ring, "T")
@@ -453,6 +523,18 @@ class TestUnivariateQuotientThroughTheMonomialKernel:
         for _ in range(5):
             x = br.random_element(ring, rng, max_terms=3)
             assert br.frobenius(x, 40) == br._power(br.mul, x, ring.base.p ** 40, one)
+
+    def test_irreducible_quadratic_over_f2_is_f4(self):
+        # F_2[T]/(T^2+T+1) and F_4 (modulus u^2+u+1) match under T -> u
+        uq = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^2+T+1")
+        f4 = br.make_ring("ff p=2 e=2")
+        assert f4.modulus == (1, 1, 1)
+        texts = ["0", "1", "T", "T+1"]
+        as_f4 = {br.evaluate(uq, t): br.evaluate(f4, t.replace("T", "u")) for t in texts}
+        for a in as_f4:
+            for b in as_f4:
+                assert as_f4[a * b] == as_f4[a] * as_f4[b]
+                assert as_f4[a + b] == as_f4[a] + as_f4[b]
 
     def test_keys_are_one_tuples(self):
         ring = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T+1")
@@ -801,13 +883,18 @@ def fq_t(p, text):
 
 class TestRadicalMachinery:
     def test_radical_strips_multiplicity(self):
-        # g = T^2 (T+1)^3 ; radical = T(T+1)
-        rad = br.fq_radical(fq_t(3, "T^2*(T+1)^3"))
-        assert rad == fq_t(3, "T*(T+1)")
+        # g = T^2 (T+1)^3 ; the nilpotent witness is its radical T(T+1)
+        ring = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^2*(T+1)^3")
+        rep = br.is_reduced_univariate(ring)
+        assert rep.witness == br.evaluate(ring, "T*(T+1)")
+        assert rep.nilpotency == 3
 
     def test_radical_of_pth_power(self):
         # g = T^8 over F_2: derivative vanishes identically
-        assert br.fq_radical(fq_t(2, "T^8")) == fq_t(2, "T")
+        ring = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^8")
+        rep = br.is_reduced_univariate(ring)
+        assert rep.witness == br.evaluate(ring, "T")
+        assert rep.nilpotency == 8
 
     def test_multiplicity_layers(self):
         layers = dict(br.fq_multiplicity_layers(fq_t(3, "T*(T+1)^3*(T+2)^3")))
@@ -870,7 +957,6 @@ class TestFactorizationProperties:
             radical = one
             for _, a in layers:
                 radical = radical * a
-            assert br.fq_radical(g) == radical
             ring = br.make_ring(f"uq base=(ff p={p} e={e}) var=T modulus={g}")
             rep = br.is_reduced_univariate(ring)
             assert rep.reduced == (ks == [1])

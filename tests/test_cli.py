@@ -355,6 +355,21 @@ class TestHenselCommand:
             "STEP 2: window=8 ord=4 dord=0\n"
             "STEP 3: window=8 ord>=8 dord=0\n"))
 
+    def test_seed_with_residual_order_two_golden(self):
+        # the residual at the seed already has pi-order 2, so a correction
+        # by an inverse of f'(r) that is right mod pi only would gain one
+        # order, not two, and the doubling check would refuse
+        code, out, _ = run_cli("hensel", "lift",
+                               "--base", "rw p=3 e=1 eis=(X^2-3) prec=8",
+                               "--ring", "ff p=3 e=1",
+                               "--poly", "X^2+pi*X-(1+pi+p)",
+                               "--seed-digit", "1", "--prec", "8")
+        assert (code, out) == (0, (
+            "DIGITS[8]{1;0;2;2;2;0;2;1}\n"
+            "STEP 0: window=2 ord>=2 dord=0\n"
+            "STEP 1: window=4 ord>=4 dord=0\n"
+            "STEP 2: window=8 ord>=8 dord=0\n"))
+
     def test_vanishing_derivative_is_input_error(self):
         code, _, err = run_cli("hensel", "lift", *self.ARGS,
                                "--poly", "X^3-x",
@@ -583,6 +598,18 @@ class TestExitCodeMapping:
         code, _, err = run_cli("eval", "--ring", "ff p=4 e=1", "--expr", "1")
         assert code == 2
         assert "prime" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("eval", "--ring", "ff p=3 e=1", "--expr", "(1+"),
+         "unexpected end of input in expression"),
+        (("eval", "--ring", "ff p=3 e=1", "--expr", "(1"),
+         "expected ), got end of input"),
+        (("ring", "check", "--ring", "ff p=3"), "expected e=..., got end of input"),
+    ], ids=["operand", "paren", "key"])
+    def test_parse_errors_name_the_end_of_input(self, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert message in err and "None" not in err
 
     def test_missing_argument(self):
         code, _, _ = run_cli("witt", "mul", "--ring", "ff p=2 e=1",

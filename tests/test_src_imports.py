@@ -1,17 +1,21 @@
 """The library stays independent of the benchmark that checks it, and of
-everything outside the standard library.
+everything outside the standard library, and holds nothing that neither it
+nor the benchmark reaches.
 
 perfbench/oracles.py re-derives Witt arithmetic apart from src/; if a module
 of src/ imported perfbench, the benchmark's checks would stop being
 independent of the code they check.  The README promises no runtime
 dependencies beyond the standard library.  In the other direction, the
 benchmark's tracer wraps library functions by name and skips a missing one
-silently, so the names it lists are checked here.
+silently, so the names it lists are checked here.  Every public module-level
+function and class of src/ is named somewhere in src/ or perfbench/ outside
+its own definition: code that only the tests call is dead code.
 """
 
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +82,47 @@ def test_every_traced_function_exists():
                                        fname, None))]
     assert not missing
     importlib.import_module("wittforge.frobenius_lab")  # the lab's one span
+
+
+def _names(tree):
+    """Each name a tree mentions: identifiers, attributes, import aliases and
+    string constants (the tracer's SPANS name functions by strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name, node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _unreached(src_dir, bench_dir):
+    """module.name for every public module-level def or class of src_dir
+    that no code in src_dir or bench_dir names outside its own definition."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(src_dir.glob("*.py")) + sorted(bench_dir.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    return [f"{path.stem}.{node.name}"
+            for path, tree in trees.items() if path.parent == src_dir
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and named[node.name] == Counter(_names(node))[node.name]]
+
+
+def test_every_public_definition_is_reached():
+    assert _unreached(SRC, ROOT / "perfbench") == []
+
+
+def test_a_definition_named_only_by_itself_is_unreached(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "m.py").write_text(
+        "def loop(n):\n    return loop(n - 1) if n else used()\n\n\n"
+        "def used():\n    return 0\n\n\ndef traced():\n    pass\n\n\n"
+        "class Orphan:\n    pass\n\n\ndef _private():\n    pass\n")
+    (bench / "b.py").write_text('SPANS = (("m", "traced", None),)\n')
+    assert _unreached(src, bench) == ["m.loop", "m.Orphan"]

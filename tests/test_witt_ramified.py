@@ -129,6 +129,15 @@ class TestArithmetic:
                 assert rw.rw_equal(rw.rw_mul(x, one), x)
                 assert rw.rw_is_zero(rw.rw_sub(x, x))
 
+    def test_unknown_op_is_refused_before_any_work(self):
+        rng = random.Random(6)
+        x, y = rand_rw(B_SQ3, F3, rng), rand_rw(B_CB2, F2, rng)
+        with pytest.raises(SpecParseError, match="^unknown op 'frob'$"):
+            rw.rw_arith("frob", x)
+        # y lives over another base, which only a known op would notice
+        with pytest.raises(SpecParseError, match="^unknown op 'sub'$"):
+            rw.rw_arith("sub", x, y)
+
     def test_operator_sugar(self):
         pi = rw.rw_pi(B_SQ3, F3)
         one = rw.rw_one(B_SQ3, F3)
