@@ -370,6 +370,24 @@ class TestHenselCommand:
             "STEP 1: window=4 ord>=4 dord=0\n"
             "STEP 2: window=8 ord>=8 dord=0\n"))
 
+    @pytest.mark.parametrize("base,ring,poly,digits", [
+        ("rw p=3 e=1 eis=(X^2-3) prec=6",
+         "uq base=(ff p=3 e=1) var=T modulus=T^2+1", "X^2-(p+T^2)",
+         "DIGITS[6]{T;0;T;0;2*T;0}"),
+        ("rw p=2 e=1 eis=(X^2-2) prec=6",
+         "uq base=(ff p=2 e=1) var=T modulus=T^4", "X^2+X-(p+T^2+T)",
+         "DIGITS[6]{T;0;1;0;1;0}"),
+    ])
+    def test_lift_over_a_uq_ring_golden(self, base, ring, poly, digits):
+        code, out, _ = run_cli("hensel", "lift", "--base", base,
+                               "--ring", ring, "--poly", poly,
+                               "--seed-digit", "T", "--prec", "6")
+        assert (code, out) == (0, (
+            f"{digits}\n"
+            "STEP 0: window=2 ord>=2 dord=0\n"
+            "STEP 1: window=4 ord>=4 dord=0\n"
+            "STEP 2: window=6 ord>=6 dord=0\n"))
+
     def test_vanishing_derivative_is_input_error(self):
         code, _, err = run_cli("hensel", "lift", *self.ARGS,
                                "--poly", "X^3-x",

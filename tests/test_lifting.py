@@ -1,11 +1,13 @@
 import pytest
 
 from wittforge import base_rings as br
+from wittforge import cli_io as cli
 from wittforge import lifting as lf
 from wittforge import witt_ramified as rw
 from wittforge.errors import (
     DerivativeNotUnit,
     MismatchError,
+    NoConvergence,
     NoRoot,
     SpecParseError,
 )
@@ -19,8 +21,8 @@ F2 = br.make_field(2, 1)
 
 # rational-function coefficients with enough p-depth for digit extraction and
 # one 2-depth for half-integral exponents
-R3 = br.make_ring(
-    "frac base=(ff p=3 e=1) vars=x depth_p=10 depth_2=1 laurent=true")
+R3_SPEC = "frac base=(ff p=3 e=1) vars=x depth_p=10 depth_2=1 laurent=true"
+R3 = br.make_ring(R3_SPEC)
 
 
 def linear_problem(c, precision=8):
@@ -158,3 +160,100 @@ class TestSquareRootLift:
         s = lf.hensel_lift(sqrt_prob("x", "x^(1/2)"))
         t, _ = lf.hensel_lift_verbose(sqrt_prob("x", "x^(1/2)"))
         assert rw.rw_equal(s, t, 8)
+
+
+def full_inverse_lift(prob):
+    """The Newton loop that inverts f'(r) from scratch on every step: the
+    reference the carried inverse of hensel_lift_verbose is checked against."""
+    N, coeffs = prob.target_precision, prob.coefficients
+    deriv = lf.poly_derivative(coeffs)
+    r, steps, window, prev_ord = prob.initial, [], 2, None
+    for index in range(64):
+        fr, dr = lf.poly_eval(coeffs, r), lf.poly_eval(deriv, r)
+        o, do = rw.rw_ord(fr, limit=window), rw.rw_ord(dr, limit=1)
+        steps.append(lf.LiftStep(index, window, o, do))
+        assert do == 0
+        if o is None and window >= N:
+            return rw.rw_truncate(r, N), tuple(steps)
+        assert o != 0 and (prev_ord is None or o is None
+                           or o >= min(2 * prev_ord, window))
+        prev_ord = window if o is None else o
+        r = rw.rw_sub(r, rw.rw_mul(fr, rw.rw_inv(dr)))
+        window = min(max(2 * window, 4), N)
+    raise AssertionError("step budget exhausted")
+
+
+def cli_problem(base, ring, poly, seed, precision):
+    base, ring = cli.parse_base(base), br.make_ring(ring)
+    return lf.make_hensel_problem(cli.parse_poly_x(base, ring, poly),
+                                  rw.embed_expr(base, ring, seed), precision)
+
+
+R2 = "frac base=(ff p=2 e=1) vars=x depth_p=10 depth_2=0 laurent=true"
+UQ3 = "uq base=(ff p=3 e=1) var=T modulus=T^2+1"
+UQ2 = "uq base=(ff p=2 e=1) var=T modulus=T^4"
+E3 = "rw p=3 e=1 eis=(X^2-3) prec=8"
+E2 = "rw p=2 e=1 eis=(X^2-2) prec=6"
+E2_CUBE = "rw p=2 e=1 eis=(X^3-2) prec=6"
+
+# (base, ring, polynomial, seed digit, N, residual order at the seed);
+# order 2 is at least the first window, so its first step reads ord>=2
+DIFFERENTIAL_CASES = [
+    (E3, "ff p=3 e=1", "X^2-(1+pi)", "1", 8, 1),
+    (E3, "ff p=3 e=1", "X^2+pi*X-(1+pi+p)", "1", 8, 2),
+    (E3, "ff p=3 e=1", "X^3-X-pi^3", "1", 8, 3),
+    (E3, R3_SPEC, "X^2-(x+pi)", "x^(1/2)", 8, 1),
+    (E3, R3_SPEC, "X^2-(p+x)", "x^(1/2)", 6, 2),
+    (E2, R2, "X^3-(pi+x^3)", "x", 6, 1),
+    (E2_CUBE, R2, "X^3-(p*x+x^(-3))", "x^(-1)", 6, 3),
+    (E3, UQ3, "X^2-(pi+T^2)", "T", 6, 1),
+    (E3, UQ3, "X^2-(p+T^2)", "T", 6, 2),
+    (E2, UQ2, "X^2+X-(pi+T^2+T)", "T", 6, 1),
+    (E2, UQ2, "X^2+X-(p+T^2+T)", "T", 6, 2),
+]
+
+
+class TestCarriedInverse:
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES,
+                             ids=lambda c: f"{c[1].split()[0]}:{c[2]}")
+    def test_matches_the_full_inverse_loop(self, case):
+        *spec, order = case
+        prob = cli_problem(*spec)
+        N = prob.target_precision
+        assert rw.rw_ord(lf.poly_eval(prob.coefficients, prob.initial)) == order
+        root, steps = lf.hensel_lift_verbose(prob)
+        ref_root, ref_steps = full_inverse_lift(prob)
+        assert steps == ref_steps
+        assert root.precision == ref_root.precision == N
+        # roots compare by value: their literals may differ in coordinates
+        # that no certified digit reads
+        assert rw.rw_equal(root, ref_root, N)
+        assert str(rw.digit_expand(root, N)) == str(rw.digit_expand(ref_root, N))
+
+    def test_no_step_inverts_from_scratch(self, monkeypatch):
+        prob = sqrt_prob("x", "x^(1/2)")
+        want = str(rw.digit_expand(full_inverse_lift(prob)[0], 8))
+
+        def refuse(x):
+            raise AssertionError("rw_inv called inside the Newton loop")
+
+        monkeypatch.setattr(rw, "rw_inv", refuse)
+        monkeypatch.setattr(rw, "_rw_inv", refuse)
+        root, _ = lf.hensel_lift_verbose(prob)
+        assert str(rw.digit_expand(root, 8)) == want
+
+    def test_double_root_raises_derivative_not_unit(self):
+        # X^2 at pi, built without make_hensel_problem's seed check: the
+        # residue of f'(r) is 0, and the loop refuses before it inverts it
+        zero, one = rw.rw_zero(B, F3), rw.rw_one(B, F3)
+        prob = lf.HenselProblem((zero, zero, one), rw.rw_pi(B, F3), 8)
+        with pytest.raises(DerivativeNotUnit, match="root not simple"):
+            lf.hensel_lift_verbose(prob)
+
+    def test_non_root_seed_raises_no_convergence(self):
+        # X - (1+pi) at 0: f(0) is a unit, so the seed is no root mod pi
+        c = rw.rw_add(rw.rw_one(B, F3), rw.rw_pi(B, F3))
+        prob = lf.HenselProblem((rw.rw_neg(c), rw.rw_one(B, F3)),
+                                rw.rw_zero(B, F3), 8)
+        with pytest.raises(NoConvergence, match=r"f\(r\) is a unit"):
+            lf.hensel_lift_verbose(prob)
