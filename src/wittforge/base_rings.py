@@ -351,9 +351,6 @@ class FiniteFieldSpec(_Monomials, _CoeffRing):
         """A primitive d-th root of unity, for d dividing q-1."""
         return self.cpow(_multiplicative_generator(self), (self.q - 1) // d)
 
-    def iter_elements(self):
-        return (_digits(idx, self.p, self.e) for idx in range(self.q))
-
 
 @lru_cache(maxsize=64)
 def _multiplicative_generator(F: FiniteFieldSpec) -> FieldCoeff:
@@ -823,8 +820,7 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
         raise NoRoot("fractional power of a non-monomial")
     F = ring.base
     key, c = x.terms[0]
-    croot = F.nth_root(F.cpow(c, r.numerator) if r.numerator >= 0 else
-                       F.cpow(F.cinv(c), -r.numerator), r.denominator)
+    croot = F.nth_root(F.cpow(c, r.numerator), r.denominator)
     return _frac_term(ring, [Fraction(n, ring.lattice_b) * r for n in key], croot)
 
 

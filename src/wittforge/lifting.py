@@ -11,11 +11,12 @@ precision).
 Cost control: the order walks are capped at a window that doubles along
 with the expected convergence, so early steps never pay full-precision
 digit extraction; the caps are visible in the step telemetry.  No step
-inverts f'(r) from scratch.  s ~ 1/f'(r) is seeded once with the
-Teichmueller lift of the residue's inverse and carried across steps: while
-err = 1 - f'(r)*s does not vanish to the residual's certified order,
-s <- s + s*err, which squares err.  The correction r <- r - f(r)*s then
-doubles the residual's order just as the exact inverse would.
+inverts f'(r) from scratch: s ~ 1/f'(r) is carried across steps, and
+witt_ramified.refine_inverse seeds it once (the Teichmueller lift of the
+residue's inverse) and refines it, s <- s + s*err with err = 1 - f'(r)*s,
+until err vanishes to the residual's certified order.  The correction
+r <- r - f(r)*s then doubles the residual's order just as the exact
+inverse would.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ def hensel_lift_verbose(prob: HenselProblem):
     deriv = poly_derivative(coeffs)
     r = prob.initial
     steps: list[LiftStep] = []
-    one = rw.rw_one(r.base, r.ring)
     s = None  # carried approximation of 1/f'(r)
     window = 2
     prev_ord: int | None = None
@@ -133,15 +133,7 @@ def hensel_lift_verbose(prob: HenselProblem):
             prev_ord = o
         else:
             prev_ord = window
-        if s is None:
-            s = rw.teich_embed(br.invert(rw.reduce_mod_pi(dr)), r.base)
-        for _ in range(40):
-            err = rw.rw_sub(one, rw.rw_mul(dr, s))
-            if rw.rw_ord(err, limit=prev_ord) is None:
-                break
-            s = rw.rw_add(s, rw.rw_mul(s, err))
-        else:
-            raise NoConvergence("inverse of f'(r) failed to stabilize")
+        s = rw.refine_inverse(dr, s, prev_ord)
         r = rw.rw_sub(r, rw.rw_mul(fr, s))
         window = min(max(2 * window, 4), N)
     raise NoConvergence("step budget exhausted")

@@ -62,7 +62,6 @@ from .errors import (
     IntegralityViolation,
     LevelTooLarge,
     MismatchError,
-    NoConvergence,
     NoRoot,
     NotDivisible,
     NotInGhostImage,
@@ -743,31 +742,7 @@ def divide_by_p(x: WittVector) -> WittVector:
     return WittVector(x.ring, tuple(out))
 
 
-def divide_by_p_fixed(x: WittVector) -> WittVector:
-    """Division by p at fixed length; the new top coordinate is an untrusted 0.
-
-    The caller owns the precision bookkeeping: only the bottom n-1 coordinates
-    of the result carry information.
-    """
-    shortened = divide_by_p(x)
-    return WittVector(x.ring, shortened.coords + (br.zero(x.ring),))
-
-
 def int_to_witt(m: int, ring: Ring, n: int) -> WittVector:
     """The image of the integer m in W_n(A), via its exact Z-Witt coordinates."""
     coords = from_ghost((m,) * n, br.ring_char(ring))
     return WittVector(ring, tuple(br.from_int(ring, c) for c in coords))
-
-
-def witt_inv_unit(x: WittVector) -> WittVector:
-    """Inverse of a unit (zeroth coordinate invertible) by Newton iteration."""
-    a0 = x.coords[0]
-    y = teichmuller(br.invert(a0), x.length)
-    one = witt_one(x.ring, x.length)
-    for _ in range(x.length + 2):
-        err = witt_sub(one, witt_mul(x, y))
-        if all(c.is_zero() for c in err.coords):
-            return y
-        y = witt_mul(y, witt_add(one, err))
-    raise NoConvergence("unit inversion failed to stabilize")
-

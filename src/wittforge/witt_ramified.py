@@ -46,8 +46,7 @@ class RamifiedBase:
     level: int  # internal Witt length n of every coordinate
     field: FiniteFieldSpec  # F_q, q = p^e
     eis: tuple  # e_0..e_{f-1}, WittVectors over field, length = level
-    # e_0/p over field; its top coordinate is exact only for an integer e_0
-    unit: wc.WittVector = dataclasses.field(repr=False)
+    unit: int = dataclasses.field(repr=False)  # e_0/p mod p^level
     # c in F_q^* when E = X^f - p*[c], else None; derived from eis
     c: RingElement | None = dataclasses.field(default=None, compare=False,
                                               repr=False)
@@ -67,9 +66,9 @@ class RamifiedBase:
 def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBase:
     """Validated Eisenstein base for E(X) = X^f + sum coeffs[i] X^i.
 
-    Each coefficient may be an int (mapped through W_n(F_q)), or a WittVector
-    over F_q of length `level`.  Raises NotEisenstein when a coefficient is
-    not divisible by p or the constant term is not p times a unit.
+    Each coefficient is an int, mapped through W_n(F_q).  Raises
+    NotEisenstein when a coefficient is not divisible by p or the constant
+    term is not p times a unit.
     """
     if f < 1:
         raise NotEisenstein("degree f must be >= 1")
@@ -80,24 +79,17 @@ def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBa
     field = br.make_field(p, e)
     eis = []
     for i, c in enumerate(coeffs):
-        if isinstance(c, int):
-            v = wc.int_to_witt(c, field, level)
-        elif isinstance(c, wc.WittVector):
-            if c.ring != field or c.length != level:
-                raise MismatchError(f"coefficient e_{i} has the wrong ring or length")
-            v = c
-        else:
+        if not isinstance(c, int):
             raise SpecParseError(f"bad Eisenstein coefficient {c!r}")
+        v = wc.int_to_witt(c, field, level)
         if not v.coords[0].is_zero():
             raise NotEisenstein(f"coefficient e_{i} is not divisible by p")
         eis.append(v)
     if eis[0].coords[1].is_zero():
         raise NotEisenstein(
             "constant term lies in the square of the maximal ideal")
-    unit = (wc.int_to_witt(coeffs[0] // p, field, level)
-            if isinstance(coeffs[0], int) else wc.divide_by_p_fixed(eis[0]))
-    return RamifiedBase(p, e, f, level, field, tuple(eis), unit,
-                        _teichmuller_unit(eis))
+    return RamifiedBase(p, e, f, level, field, tuple(eis),
+                        coeffs[0] // p % p ** level, _teichmuller_unit(eis))
 
 
 def _teichmuller_unit(eis) -> RingElement | None:
@@ -193,9 +185,8 @@ def _ctx(base: RamifiedBase, ring: Ring):
             br.from_coeff(ring, c.terms[0][1]) if c.terms else br.zero(ring)
             for c in w.coords))
 
-    eis = tuple(map_witt(v) for v in base.eis)
-    neg_inv_u = wc.witt_neg(wc.witt_inv_unit(base.unit))
-    return eis, map_witt(neg_inv_u)
+    inv_u = pow(base.unit, -1, base.p ** base.level)
+    return tuple(map_witt(v) for v in base.eis), wc.int_to_witt(-inv_u, ring, base.level)
 
 
 def _from_witt(base: RamifiedBase, ring: Ring, w: wc.WittVector) -> RamifiedWitt:
@@ -305,23 +296,33 @@ def rw_mul_pi(x: RamifiedWitt) -> RamifiedWitt:
 
 
 def _rw_inv(x: RamifiedWitt) -> RamifiedWitt:
-    a0 = reduce_mod_pi(x)
-    try:
-        seed = br.invert(a0)
-    except NotAUnit as exc:
-        raise NotAUnit(f"not a unit mod pi: {exc}") from exc
-    y = teich_embed(seed, x.base)
-    two = rw_from_int(2, x.base, x.ring)
-    steps = 1
-    target = max(x.precision, 1)
-    correct = 1  # Teichmueller seed is correct mod pi
-    while correct < target:
-        y = rw_mul(y, rw_sub(two, rw_mul(x, y)))
-        correct *= 2
-        steps += 1
-        if steps > 40:
-            raise NoConvergence("inversion failed to stabilize")
-    return rw_truncate(y, x.precision)
+    return rw_truncate(refine_inverse(x, None, x.precision), x.precision)
+
+
+def refine_inverse(x: RamifiedWitt, s: RamifiedWitt | None, bound: int) -> RamifiedWitt:
+    """s with x*s = 1 mod pi^bound, refined from s (from the Teichmueller lift
+    of the residue's inverse when s is None) by s <- s + s*err, err = 1 - x*s.
+
+    Each round squares err, which lies in the kernel (pi, V) of the residue
+    map, nilpotent in W_n(A)[pi]/(E).  An order walk that finds no p-th root
+    (off a perfect ring, err = V[a] has residue 0 but is no multiple of pi)
+    certifies nothing, so s is refined on.
+    """
+    if s is None:
+        try:
+            s = teich_embed(br.invert(reduce_mod_pi(x)), x.base)
+        except NotAUnit as exc:
+            raise NotAUnit(f"not a unit mod pi: {exc}") from exc
+    one = rw_one(x.base, x.ring)
+    for _ in range(40):
+        err = rw_sub(one, rw_mul(x, s))
+        try:
+            if rw_ord(err, limit=bound) is None:
+                return s
+        except DepthExhausted:
+            pass
+        s = rw_add(s, rw_mul(s, err))
+    raise NoConvergence("inversion failed to stabilize")
 
 
 def frobenius_pi(x: RamifiedWitt, k: int = 1) -> RamifiedWitt:

@@ -699,7 +699,9 @@ def test_parser_structure_golden():
 # the certified digits are the same.  The divpi and twist lines marked
 # "was (3, '')" or "was (2, '')" refused while the uq inverse Frobenius only
 # dilated exponents; the two rw expand lines marked so, over non-reduced
-# rings, refused on a guard coordinate that no certified digit reads.
+# rings, refused on a guard coordinate that no certified digit reads.  The
+# rw inv line marked "was" differs from the counted Newton loop's inverse
+# only at digit 2*3 + 2 = 8 >= N.
 CLI_GOLDEN = {
     "rw add --base 'rw p=3 e=1 eis=(X^2-3) prec=4' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=4]{ W{1;2;0} | W{0;1;1} }' --y 'RW[base=b0, N=3]{ W{2;2;1} | W{1;0;2} }'":
         (0, 'RW[base=b0, N=3]{ W{0;1;0} | W{1;1;0} }\n'),
@@ -791,6 +793,10 @@ CLI_GOLDEN = {
         (0, 'DIGITS[5]{0;T;0;0;0}\n'),  # was (3, '')
     "rw expand --base 'rw p=2 e=1 eis=(X^2-2) prec=6' --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T^2' --x 'RW[base=b0, N=5]{ W{0;0;0;0} | W{T;0;0;0} }'":
         (0, 'DIGITS[5]{0;T;0;0;0}\n'),
+    "rw inv --base 'rw p=3 e=1 eis=(X^2-3) prec=6' --ring 'ff p=3 e=1' --x 'RW[base=b0, N=6]{ W{1;0;0;0} | W{1;0;0;0} }'":
+        (0, 'RW[base=b0, N=6]{ W{1;1;1;1} | W{2;2;2;2} }\n'),
+    "rw inv --base 'rw p=2 e=1 eis=(X^3-2) prec=6' --ring 'ff p=2 e=1' --x 'RW[base=b0, N=6]{ W{1;1;0} | W{0;1;1} | W{1;0;1} }'":
+        (0, 'RW[base=b0, N=6]{ W{1;1;1} | W{0;0;0} | W{1;1;0} }\n'),  # was W{1;1;1}
     "witt frob --ring 'ff p=3 e=2' --n 3 --x 'W{u;1;2*u}'":
         (0, 'W{2*u;1;u}\n'),
     "witt frob --ring 'ff p=3 e=2' --n 3 --x 'W{u;1;2*u}' --k -1":
@@ -832,6 +838,22 @@ def test_uq_field_divpi_goldens_multiply_back(cmd):
     base, ring, opts = _golden_operands(cmd)
     y = cli.parse_rw(base, ring, CLI_GOLDEN[cmd][1].strip())
     assert rw.rw_equal(rw.rw_mul_pi(y), cli.parse_rw(base, ring, opts["--x"]))
+
+
+# digits of each rw inv golden, as the counted Newton loop's inverse expands
+INV_DIGITS = {"rw p=3 e=1 eis=(X^2-3) prec=6": "DIGITS[6]{1;2;1;2;1;2}\n",
+              "rw p=2 e=1 eis=(X^3-2) prec=6": "DIGITS[6]{1;0;1;1;0;1}\n"}
+
+
+@pytest.mark.parametrize("cmd", [c for c in sorted(CLI_GOLDEN) if c.startswith("rw inv")])
+def test_inv_goldens_keep_their_digits(cmd):
+    base, ring, opts = _golden_operands(cmd)
+    code, out, _ = run_cli("rw", "expand", "--base", opts["--base"], "--ring", opts["--ring"],
+                           "--x", CLI_GOLDEN[cmd][1].strip())
+    assert (code, out) == (0, INV_DIGITS[opts["--base"]])
+    y = cli.parse_rw(base, ring, CLI_GOLDEN[cmd][1].strip())
+    assert rw.rw_equal(rw.rw_mul(y, cli.parse_rw(base, ring, opts["--x"])),
+                       rw.rw_one(base, ring))
 
 
 def test_uq_field_twist_golden():

@@ -96,8 +96,9 @@ def _root(x, k=1):
 
 def _all_elements(U):
     F = U.base
+    coeffs = [br._digits(i, F.p, F.e) for i in range(F.q)]
     return [br._mk(U, br._nonzero({(i,): c for i, c in enumerate(cs)}))
-            for cs in itertools.product(list(F.iter_elements()), repeat=U.degree)]
+            for cs in itertools.product(coeffs, repeat=U.degree)]
 
 
 class TestPthRootSolver:

@@ -7,8 +7,8 @@ of src/ imported perfbench, the benchmark's checks would stop being
 independent of the code they check.  The README promises no runtime
 dependencies beyond the standard library.  In the other direction, the
 benchmark's tracer wraps library functions by name and skips a missing one
-silently, so the names it lists are checked here.  Every public module-level
-function and class of src/ is named somewhere in src/ or perfbench/ outside
+silently, so the names it lists are checked here.  Every public function,
+class and method of src/ is named somewhere in src/ or perfbench/ outside
 its own definition: code that only the tests call is dead code.
 """
 
@@ -98,17 +98,27 @@ def _names(tree):
             yield node.value
 
 
+def _definitions(body, prefix):
+    """(dotted name, node) for each def or class of body, and for each def
+    or class in the body of a class."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, f"{prefix}.{node.name}")
+
+
 def _unreached(src_dir, bench_dir):
-    """module.name for every public module-level def or class of src_dir
-    that no code in src_dir or bench_dir names outside its own definition."""
+    """module.name (module.Class.name for a method) for every public
+    definition of src_dir, module-level or in a class, that no code in
+    src_dir or bench_dir names outside its own definition.  A name starting
+    with _ is skipped: private, or a dunder that the language calls."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in sorted(src_dir.glob("*.py")) + sorted(bench_dir.glob("*.py"))}
     named = Counter(name for tree in trees.values() for name in _names(tree))
-    return [f"{path.stem}.{node.name}"
-            for path, tree in trees.items() if path.parent == src_dir
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
+    return [dotted for path, tree in trees.items() if path.parent == src_dir
+            for dotted, node in _definitions(tree.body, path.stem)
+            if not node.name.startswith("_")
             and named[node.name] == Counter(_names(node))[node.name]]
 
 
@@ -123,6 +133,10 @@ def test_a_definition_named_only_by_itself_is_unreached(tmp_path):
     (src / "m.py").write_text(
         "def loop(n):\n    return loop(n - 1) if n else used()\n\n\n"
         "def used():\n    return 0\n\n\ndef traced():\n    pass\n\n\n"
-        "class Orphan:\n    pass\n\n\ndef _private():\n    pass\n")
+        "class Orphan:\n    pass\n\n\ndef _private():\n    pass\n\n\n"
+        "class Kept:\n    def __str__(self):\n        return self.shown()\n\n"
+        "    def shown(self):\n        return ''\n\n"
+        "    def recurse(self):\n        return self.recurse()\n\n"
+        "    def _helper(self):\n        pass\n\n\nprint(Kept())\n")
     (bench / "b.py").write_text('SPANS = (("m", "traced", None),)\n')
-    assert _unreached(src, bench) == ["m.loop", "m.Orphan"]
+    assert _unreached(src, bench) == ["m.loop", "m.Orphan", "m.Kept.recurse"]

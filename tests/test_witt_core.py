@@ -12,7 +12,6 @@ from wittforge.errors import (
     DepthExhausted,
     LevelTooLarge,
     MismatchError,
-    NotAUnit,
     NotDivisible,
     NotInGhostImage,
     SpecParseError,
@@ -409,7 +408,6 @@ class TestZqRoute:
         for ring in self.FIELDS:
             x, y = rand_witt(ring, rng, 5), rand_witt(ring, rng, 5)
             wc.witt_add(x, y), wc.witt_mul(x, y), wc.witt_sub(x, y), wc.witt_neg(x)
-            wc.witt_inv_unit(wc.witt_add(wc.witt_one(ring, 5), wc.verschiebung(x)))
         assert calls == []
         for ring in (UQ9, PERF3):
             x = rand_witt(ring, rng, 3, allow_zero=False)
@@ -539,14 +537,6 @@ class TestOperators:
         with pytest.raises(DepthExhausted):
             wc.divide_by_p(x)
 
-    def test_divide_fixed_keeps_length(self):
-        a = br.from_int(F3, 2)
-        x = wc.witt_pmul(wc.teichmuller(a, 3))
-        d = wc.divide_by_p_fixed(x)
-        assert d.length == 3
-        assert d.coords[:2] == wc.teichmuller(a, 2).coords
-        assert d.coords[2].is_zero()
-
     def test_int_to_witt_matches_repeated_addition(self):
         for ring, p in ((F2, 2), (F3, 3)):
             one = wc.witt_one(ring, 3)
@@ -653,18 +643,6 @@ class TestOperators:
         x = wc.make_witt(F3, [1, 2, 0])
         with pytest.raises(SpecParseError, match="unknown route 'bogus'"):
             wc.witt_arith(op, x, x, route="bogus")
-
-    def test_inv_unit(self):
-        rng = random.Random(16)
-        for ring in (F3, UQ9):
-            for _ in range(8):
-                n = rng.randint(1, 5)
-                coords = [br.random_element(ring, rng) for _ in range(n)]
-                coords[0] = br.one(ring)
-                x = wc.WittVector(ring, tuple(coords))
-                assert wc.witt_mul(x, wc.witt_inv_unit(x)) == wc.witt_one(ring, n)
-        with pytest.raises(NotAUnit):
-            wc.witt_inv_unit(wc.witt_zero(F3, 2))
 
     def test_witt_ord(self):
         x = wc.make_witt(F3, [0, 0, 2])

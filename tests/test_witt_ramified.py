@@ -20,6 +20,7 @@ from wittforge.errors import (
 F2 = br.make_field(2, 1)
 F3 = br.make_field(3, 1)
 F4 = br.make_field(2, 2)
+F5 = br.make_field(5, 1)
 
 # E = X^2 - 3 over F_3, certified to 12 digits
 B_SQ3 = rw.make_ramified_base(3, 1, 2, [-3, 0], 7)
@@ -69,10 +70,32 @@ class TestEisensteinValidation:
         with pytest.raises(NotEisenstein, match="monic"):
             rw.parse_eisenstein("2*X^2-3")
 
-    def test_witt_vector_coefficients_accepted(self):
-        c = wc.int_to_witt(-3, F3, 7)
-        b = rw.make_ramified_base(3, 1, 2, [c, 0], 7)
-        assert b == B_SQ3
+    def test_coefficients_are_integers(self):
+        # parse_eisenstein reads integers; anything else, a Witt vector of
+        # the right ring and length included, is refused as input (exit 2)
+        for c in (wc.int_to_witt(-3, F3, 7), "-3", -3.0, None):
+            with pytest.raises(SpecParseError, match="bad Eisenstein coefficient") as info:
+                rw.make_ramified_base(3, 1, 2, [c, 0], 7)
+            assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("p,coeffs", [
+        (2, [-2, 0]), (2, [2, 0]), (2, [-2, -2]), (2, [-2, 0, 0]), (3, [-3, 0]),
+        (3, [3, 0]), (3, [-3, -3]), (3, [-3]), (5, [-35, 0]), (5, [10, 5]),
+    ])
+    def test_unit_is_the_integer_inverse(self, p, coeffs):
+        # _ctx holds -(e_0/p)^-1 from the integer e_0/p mod p^level: times
+        # -(e_0/p) it is 1 in W_n(A), over fields of degree 1 and 2 and over
+        # frac and uq rings
+        for ring in (f"ff p={p} e=1", f"ff p={p} e=2",
+                     f"frac base=(ff p={p} e=1) vars=x depth_p=1 depth_2=0 laurent=true",
+                     f"uq base=(ff p={p} e=2) var=T modulus=T^2"):
+            ring = br.make_ring(ring)
+            for level in (2, 4):
+                base = rw.make_ramified_base(p, ring.base.e, len(coeffs), coeffs, level)
+                assert base.unit == coeffs[0] // p % p ** level
+                neg_u = wc.int_to_witt(-(coeffs[0] // p), ring, level)
+                assert (wc.witt_mul(neg_u, rw._ctx(base, ring)[1])
+                        == wc.witt_one(ring, level))
 
 
 class TestUniformizer:
@@ -180,9 +203,8 @@ class TestArithmetic:
 
     def test_bases_built_apart_hash_equal(self):
         # a base keeps its hash after the first call; one built apart, here
-        # from Witt-vector coefficients, must hash the same and hit _ctx
-        twin = rw.make_ramified_base(
-            3, 1, 2, [wc.int_to_witt(-3, F3, 4), wc.witt_zero(F3, 4)], 4)
+        # from integers congruent mod 3^4, must hash the same and hit _ctx
+        twin = rw.make_ramified_base(3, 1, 2, [-3 - 3 ** 5, 3 ** 4], 4)
         assert twin is not B_SQ3E and twin == B_SQ3E
         assert hash(twin) == hash(B_SQ3E) == hash(B_SQ3E)
         assert rw._ctx(twin, F3) is rw._ctx(B_SQ3E, F3)
@@ -411,11 +433,6 @@ class TestWalkRefusals:
         assert str(info.value) == "requested 7 digits but only 6 are certified"
 
 
-F9 = br.make_field(3, 2)
-ZETA = br.from_coeff(F9, F9.gen())
-# E = X^2 - 3*[zeta] over F_9, its constant term given as a Witt vector
-B_ZETA = rw.make_ramified_base(
-    3, 2, 2, [wc.witt_mul(wc.int_to_witt(-3, F9, 4), wc.teichmuller(ZETA, 4)), 0], 4)
 B_PLUS3 = rw.make_ramified_base(3, 1, 2, [3, 0], 4)  # X^2 + 3: c = -1
 LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true")
 UQ3 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3+2*T+1")
@@ -427,7 +444,7 @@ UQ2_NIL = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^4")
 UQ2_MIX = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T^2")
 CLOSED_CASES = [
     (B_SQ3E, F3), (B_PLUS3, F3), (B_UNRAM, F3), (B_CB2, F2), (B_SQ4, F4),
-    (B_ZETA, F9), (B_PLUS3, LAUR3), (rw.make_ramified_base(3, 1, 2, [-3, 0], 3), LAUR3),
+    (B_PLUS3, LAUR3), (rw.make_ramified_base(3, 1, 2, [-3, 0], 3), LAUR3),
     (B_SQ3E, UQ3), (B_SQ2, UQ2_NIL), (B_SQ2, UQ2_MIX),
 ]
 EXAMPLES = 120
@@ -469,12 +486,14 @@ class TestClosedForm:
             assert base.c is not None
         assert B_SQ3.c == br.one(F3)
         assert B_PLUS3.c == br.from_int(F3, 2)
-        assert B_ZETA.c == ZETA
         # X^2 + 2 at p = 2: -e_0 = -2 = (0, 1, 1, ...) is p times a unit that is
         # not a Teichmueller lift; X^2 - 3X - 3 has a middle coefficient
         assert rw.make_ramified_base(2, 1, 2, [2, 0], 4).c is None
+        assert rw.make_ramified_base(2, 1, 2, [-2, -2], 4).c is None
         assert rw.make_ramified_base(3, 1, 2, [-3, -3], 4).c is None
-        assert "c=" not in repr(B_ZETA)
+        # X^2 - 35 at p = 5: 35 = 5*[2] mod 5^3, since [2] = 2^5 = 7 mod 25
+        assert rw.make_ramified_base(5, 1, 2, [-35, 0], 3).c == br.from_int(F5, 2)
+        assert "c=" not in repr(B_PLUS3)
 
     @given(st.integers(0, len(CLOSED_CASES) - 1), st.integers(0, 2 ** 32),
            st.integers(0, 40), st.integers(0, 40))
@@ -511,7 +530,7 @@ class TestClosedForm:
             raise AssertionError("walk taken")
         for name in ("_digit_walk", "_ord_walk", "_horner_assemble"):
             monkeypatch.setattr(rw, name, refuse)
-        x = rand_rw(B_ZETA, F9, random.Random(3))
+        x = rand_rw(B_PLUS3, F3, random.Random(3))
         d = rw.digit_expand(x)
         assert rw.rw_equal(rw.digits_assemble(d), x)
 
@@ -579,6 +598,83 @@ class TestClosedForm:
         assert str(rw.digit_expand(x)) == str(rw.digit_expand(x0)) == "DIGITS[5]{0;T;0;0;0}"
         assert rw._digit_walk(x, 5) == rw.digit_expand(x)
         assert rw.rw_equal(x, x0)
+
+
+def counted_inverse(x):
+    """The reference: a counted Newton inverse, ceil(log2 N) rounds of
+    y <- y*(2 - x*y) from the Teichmueller seed, with no order test."""
+    y = rw.teich_embed(br.invert(rw.reduce_mod_pi(x)), x.base)
+    two = rw.rw_from_int(2, x.base, x.ring)
+    correct = 1
+    while correct < max(x.precision, 1):
+        y = rw.rw_mul(y, rw.rw_sub(two, rw.rw_mul(x, y)))
+        correct *= 2
+    return rw.rw_truncate(y, x.precision)
+
+
+B_SQ3X = rw.make_ramified_base(3, 1, 2, [-3, -3], 4)  # X^2 - 3X - 3: c is None
+B_PLUS2 = rw.make_ramified_base(2, 1, 2, [2, 0], 4)  # X^2 + 2: c is None
+UQ8 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
+LAUR2 = br.make_ring("frac base=(ff p=2 e=1) vars=x depth_p=3 depth_2=0 laurent=true")
+INV_CASES = [(base, ring) for bases, rings in (
+    ((B_SQ3E, B_PLUS3, B_SQ3X), (F3, UQ3, LAUR3)),
+    ((B_SQ2, B_PLUS2), (F2, UQ8, LAUR2))) for base in bases for ring in rings]
+
+
+def _rand_unit(base, ring, rng):
+    """A unit with random digits below the full precision: digit 0 a nonzero
+    monomial, the rest random elements with integer exponents."""
+    while True:
+        digits = [br.random_element(ring, rng, max_terms=2, exp_bound=2)
+                  for _ in range(base.default_precision)]
+        if br.is_monomial(digits[0]):
+            return rw.digits_assemble(rw.DigitExpansion(base, ring, tuple(digits)))
+
+
+class TestSharedInverse:
+    """rw_inv runs refine_inverse, which stops when rw_ord certifies the
+    error, against the counted loop."""
+
+    @pytest.mark.parametrize("case", range(len(INV_CASES)))
+    def test_matches_the_counted_loop(self, case):
+        base, ring = INV_CASES[case]
+        f, rng = base.f, random.Random(case)
+        for _ in range(3):
+            x = _rand_unit(base, ring, rng)
+            for n in (0, 1, base.default_precision):
+                xn = rw.rw_truncate(x, n)
+                got, ref = rw.rw_inv(xn), counted_inverse(xn)
+                assert got.precision == ref.precision == n
+                assert rw.rw_equal(got, ref)
+                assert str(rw.digit_expand(got)) == str(rw.digit_expand(ref))
+                # a literal may differ only where no certified digit reads it
+                assert all(a.coords[i] == b.coords[i]
+                           for j, (a, b) in enumerate(zip(got.coords, ref.coords))
+                           for i in range(base.level) if f * i + j < n)
+                if n <= 1:
+                    seed = rw.teich_embed(br.invert(rw.reduce_mod_pi(x)), base)
+                    assert str(got) == str(rw.rw_truncate(seed, n))
+
+    def test_unit_whose_error_has_no_digits(self):
+        # [x] + V[x] over a frac ring with no p-th roots: err = 1 - x*[1/x]
+        # is -V[x^-2], residue 0 but no multiple of pi, so its order walk
+        # refuses; the refinement goes on and inverts x as the counted loop did
+        ring = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 "
+                            "laurent=true")
+        t, z = br.variable(ring, "x"), br.zero(ring)
+        x = rw.RamifiedWitt(B_SQ3X, ring, (wc.WittVector(ring, (t, t, z, z)),
+                                           wc.witt_zero(ring, 4)), 6)
+        err = rw.rw_sub(rw.rw_one(B_SQ3X, ring),
+                        rw.rw_mul(x, rw.teich_embed(br.invert(t), B_SQ3X)))
+        with pytest.raises(DepthExhausted):
+            rw.rw_ord(err)
+        y = rw.rw_inv(x)
+        assert str(y) == str(counted_inverse(x))
+        assert rw.rw_equal(rw.rw_mul(x, y), rw.rw_one(B_SQ3X, ring))
+
+    def test_non_unit_keeps_its_message(self):
+        with pytest.raises(NotAUnit, match="^not a unit mod pi: "):
+            rw.refine_inverse(rw.rw_pi(B_SQ3X, F3), None, 6)
 
 
 class TestFrobenius:
