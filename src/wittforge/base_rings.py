@@ -31,9 +31,9 @@ zero coefficients.  The monomial ``_kmul`` loops over pairs of terms, except
 for dense products in one variable over Z/p^K (e = 1, no monomial quotient,
 at least 16 pairs): each of those is one packed big-integer product
 (``_kmul_packed``, Kronecker substitution), and ``_kpow`` and the Witt lift
-route reach it unchanged.  Exponents are checked for the lattice (and,
-outside Laurent rings, for sign) where they enter a ring, never in products
-of keys already in it.
+and strict p-ring routes reach it unchanged.  Exponents are checked for the
+lattice (and, outside Laurent rings, for sign) where they enter a ring, never
+in products of keys already in it.
 
 Elements are immutable: a ``RingElement`` holds a sorted tuple of
 (exponent key, field coefficient) pairs, so equal elements have identical
@@ -196,6 +196,12 @@ class _Monomials:
     @property
     def lattice_b(self) -> int:
         return (2 ** self.depth_2) * (self.base.p ** self.depth_p)
+
+    @property
+    def monoid_algebra(self) -> bool:
+        """Whether A is F_q[M], a monoid algebra with no monomial quotient:
+        then W_n(A) lies in W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n."""
+        return not self.quotient
 
     @property
     def _unit_key(self) -> tuple[int, ...]:
@@ -447,7 +453,7 @@ class UnivariateQuotient(_Monomials):
 
     # class constants, not fields: equality, hash and descriptor ignore them
     quotient = ()
-    laurent = False
+    laurent = monoid_algebra = False
     depth_p = depth_2 = 0
     __hash__ = _hash_once
 

@@ -1,6 +1,7 @@
 """Truncated p-typical Witt vectors W_n(A) over characteristic-p rings.
 
-Three arithmetic routes are kept alive on purpose:
+Four arithmetic routes; the first two are the defaults on the rings they
+cover, the last two run on every ring and are kept alive on purpose:
 
 * Z_q (the default over a ``FiniteFieldSpec``): W_n(F_q) is the strict
   p-ring Z_q mod p^n, i.e. the coefficient ring (Z/p^n)[u]/(M~) at K = n.
@@ -8,10 +9,19 @@ Three arithmetic routes are kept alive on purpose:
   result comes back one Teichmueller digit at a time: t = z mod p gives
   x_i = t^(p^i), then z <- (z - [t]) / p.  [a] mod p^m is any lift of a
   raised to q^(m-1); those lifts are memoized.
-* route="lift" (the default over frac and uq rings): read the coordinates
-  over Z/p^K (K = n+1) with the base ring's own kernel, apply the ghost map
-  there, do the operation componentwise, and solve the triangular system
-  back.
+* the strict p-ring route (the default over a monoid algebra A = F_q[M],
+  i.e. a frac ring without a monomial quotient): W_n(A) lies in
+  W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n, where the Teichmueller lift of a
+  monomial is the monomial (Serre, Local Fields, II.5-6).  It is the Z_q
+  route with exponent keys scaled by p^(n-1), so that A's own kernel runs
+  it as A at depth_p + n - 1; a digit t comes back as x_i = F^i(t), keys
+  divided by p^(n-1-i).  A one-term [a] is a monomial times a Z_q lift, a
+  longer one any lift of a^(p^-(m-1)) raised to p^(m-1), memoized per
+  coordinate since results come back as operands.
+* route="lift" (the default over uq rings and frac rings with a quotient):
+  read the coordinates over Z/p^K (K = n+1) with the base ring's own
+  kernel, apply the ghost map there, do the operation componentwise, and
+  solve the triangular system back.
 * route="table": evaluate the universal structural polynomials (generated by
   the exact ghost recursion over Z, reduced mod p at evaluation time).
 
@@ -25,20 +35,23 @@ route="auto" only: route="lift" and route="table" always run their full
 computation, so each stays an independent oracle.  Any other route is
 refused before any work.
 
-Every division by p in the Z_q and lift routes is checked for exactness; a
-failure is a bug, not an input condition.  The table route is exact but its
-term counts explode combinatorially, so it only covers small (p, level)
-pairs; ``term_count_bound`` gives the a-priori monomial-count ceiling that
-the generation guard enforces.  route="lift" and route="table" run on every
-ring and stay as the oracles: cross-route agreement is part of the test
-suite, so no route can drift.
+Every division by p in the Z_q, strict p-ring and lift routes is checked
+for exactness; a failure is a bug, not an input condition.  The strict
+p-ring route also checks that each digit it reads back lies in A.  The
+table route is exact but its term counts explode combinatorially, so it
+only covers small (p, level) pairs; ``term_count_bound`` gives the a-priori
+monomial-count ceiling that the generation guard enforces.  route="lift"
+and route="table" run on every ring and stay as the oracles: cross-route
+agreement is part of the test suite, so no route can drift.
 
 The Z_q route needs no guard digit: Z_q/p^n is W_n(F_q) itself, not an
 approximation of it.  Sums and products there are exact mod p^n, and each
 step back subtracts the Teichmueller lift of the digit it reads, so its
 division by p is exact and leaves z mod p^(n-i-1), all that the n-i-1
-digits still to read depend on.  The lift route, by contrast, runs at
-K = n+1 with a digit to spare (its ledger follows).
+digits still to read depend on.  The strict p-ring route needs none for
+the same reason: Z_q[M^(1/p^inf)]/p^n is W_n(A^perf) itself, and
+W_n(A) -> W_n(A^perf) is an injective ring map.  The lift route, by
+contrast, runs at K = n+1 with a digit to spare (its ledger follows).
 
 Precision ledger for the lift route: with K = n+1, the solved coordinate r_i
 is correct mod p^(K-i).  Proof sketch: the subtracted term p^j r_j^(p^(i-j))
@@ -54,6 +67,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from . import base_rings as br
 from .base_rings import Ring, RingElement
@@ -544,9 +558,9 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
         if x.length != y.length:
             raise MismatchError("Witt vectors of different lengths")
     if route == "auto":
-        # Z_q over finite fields, the lift route elsewhere: both work at
-        # every length; the table route is opt-in since its term counts
-        # explode with level
+        # Z_q over finite fields, the strict p-ring route over monoid
+        # algebras, the lift route elsewhere: all work at every length; the
+        # table route is opt-in since its term counts explode with level
         if op == "neg" and br.ring_char(x.ring) != 2:
             # iota_i = -X_i for odd p, against both oracles in the test suite
             return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
@@ -566,6 +580,8 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
                 return fast
         if isinstance(x.ring, br.FiniteFieldSpec):
             return _witt_op_zq(op, x, y)
+        if x.ring.monoid_algebra:
+            return _witt_op_perf(op, x, y)
         route = "lift"
     return (_witt_op_table if route == "table" else _witt_op_lift)(op, x, y)
 
@@ -636,6 +652,92 @@ def _witt_op_zq(op: str, x: WittVector, y: WittVector | None) -> WittVector:
     else:
         z = C.cmul(z, _to_zq(y))
     return WittVector(x.ring, _from_zq(x.ring, z, x.length))
+
+
+# ---------------------------------------------------------------------------
+# the strict p-ring route: W_n(A) inside W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n
+# for a monoid algebra A = F_q[M].  Keys are A's keys times p^(n-1): that
+# monomial ring is A at depth_p + n - 1, so A's own kernel runs it unchanged.
+
+
+@lru_cache(maxsize=256)
+def _perf_teich(c: RingElement, i: int, n: int) -> MappingProxyType:
+    """[c^(p^-i)] mod p^(n-i), keys scaled by p^(n-1): one term lifts its
+    coefficient alone; more take any lift of c^(p^-(n-1)) (keys as in c,
+    coefficients twisted by F^-(n-1)) raised to p^(n-1-i).  Memoized, since
+    a result's digits come back as operands (one Hensel lift to N = 6 keeps
+    at most 34 lifts, 3 in 4 lookups hit), so it is shared and read-only."""
+    ring = c.ring
+    F = ring.base
+    s = F.p ** (n - 1 - i)
+    if len(c.terms) == 1:
+        ((k, a),) = c.terms
+        out = {tuple([e * s for e in k]): _teich(F, F.cfrob(a, -i), n - i)}
+    else:
+        root = {k: F.cfrob(a, 1 - n) for k, a in c.terms}
+        out = ring._kpow(br._CoeffRing(F, n - i), root, s)
+    return MappingProxyType(out)
+
+
+def _to_perf(x: WittVector) -> dict:
+    """x as sum_i p^i [x_i^(p^-i)] in Z_q[M^(1/p^inf)]/p^n, a term dict with
+    keys scaled by p^(n-1); digit i needs only p^(n-i)."""
+    n, p = x.length, x.ring.base.p
+    C, acc = br._CoeffRing(x.ring.base, n), {}
+    for i, c in enumerate(x.coords):
+        if c.terms:
+            pi = p ** i
+            acc = br._kadd(C, acc, [(k, tuple([pi * u for u in a]))
+                                    for k, a in _perf_teich(c, i, n).items()])
+    return acc
+
+
+def _from_perf(ring: Ring, z: dict, n: int) -> tuple:
+    """Witt coordinates of z in Z_q[M^(1/p^inf)]/p^n (keys scaled by
+    p^(n-1)), one Teichmueller digit t = z mod p at a time: x_i is F^i(t)
+    with keys divided by s = p^(n-1-i), and one pass sets z <- (z - [t]) / p
+    mod s and reads the next digit.  IntegralityViolation where a digit
+    leaves A or a division by p is inexact."""
+    F = ring.base
+    p, zero, coords = F.p, F.zero(), []
+    t = {k: d for k, c in z.items() if any(d := tuple([u % p for u in c]))}
+    for i in range(n):
+        s, x_i = p ** (n - 1 - i), {}
+        for k, d in t.items():
+            if any(e % s for e in k) or not ring.laurent and min(k, default=0) < 0:
+                raise IntegralityViolation(
+                    f"strict p-ring digit {i}: exponent key {k} over {s} "
+                    f"is not in the ring")
+            x_i[tuple([e // s for e in k])] = F.cfrob(d, i)
+        coords.append(x_i := br._mk(ring, x_i))
+        if s == 1:
+            break
+        T = _perf_teich(x_i, i, n) if t else {}
+        out, t = {}, {}
+        for k in z.keys() | T.keys():
+            d = [u - v for u, v in zip(z.get(k, zero), T.get(k, zero))]
+            if any(u % p for u in d):
+                raise IntegralityViolation(
+                    f"strict p-ring digit {i}: {d} is not divisible by {p}")
+            if any(c := tuple([u // p % s for u in d])):
+                out[k] = c
+                if any(r := tuple([u % p for u in c])):
+                    t[k] = r
+        z = out
+    return tuple(coords)
+
+
+def _witt_op_perf(op: str, x: WittVector, y: WittVector | None) -> WittVector:
+    ring, n = x.ring, x.length
+    C = br._CoeffRing(ring.base, n)
+    z = _to_perf(x)
+    if op == "neg":
+        z = br._kneg(C, z.items())
+    elif op == "add":
+        z = br._kadd(C, z, _to_perf(y).items())
+    else:
+        z = ring._kmul(C, z.items(), _to_perf(y).items())
+    return WittVector(ring, _from_perf(ring, z, n))
 
 
 def _witt_op_table(op: str, x: WittVector, y: WittVector | None) -> WittVector:

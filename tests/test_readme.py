@@ -110,24 +110,29 @@ def test_readme_command(command, tmp_path, monkeypatch):
 
 
 HENSEL = next(c for c in GOLDEN if c.startswith("hensel lift "))
-HENSEL_LIFT_SOLVES = 24  # ghost-lift solves of the README `hensel lift` example
+HENSEL_FULL_OPS = 24  # full Witt operations of the README `hensel lift` example
 
 
 def test_readme_hensel_lift_solve_count(monkeypatch):
     """The README `hensel lift` example prints its pinned stdout with at most
-    HENSEL_LIFT_SOLVES calls of the lift route's solve.  A count does not
-    flake as a timing does, and it catches a change that brings back Witt
-    arithmetic on zero or disjoint operands (94 solves before the union rule
-    of ``witt_core.witt_arith``)."""
+    HENSEL_FULL_OPS full Witt operations: calls of the strict p-ring route's
+    read-back, which its frac ring takes, or of the lift route's solve.  A
+    count does not flake as a timing does, and it catches a change that
+    brings back Witt arithmetic on zero or disjoint operands (94 lift solves
+    before the union rule of ``witt_core.witt_arith``)."""
     calls = []
-    solve = wc._lift_solve
 
-    def counting(*args):
-        calls.append(1)
-        return solve(*args)
+    def counting(name):
+        step = getattr(wc, name)
 
-    monkeypatch.setattr(wc, "_lift_solve", counting)
+        def counted(*args):
+            calls.append(name)
+            return step(*args)
+        return counted
+
+    for name in ("_from_perf", "_lift_solve"):
+        monkeypatch.setattr(wc, name, counting(name))
     out, err = StringIO(), StringIO()
     code = cli.main(shlex.split(HENSEL), stdout=out, stderr=err)
     assert (code, out.getvalue()) == GOLDEN[HENSEL], err.getvalue()
-    assert len(calls) <= HENSEL_LIFT_SOLVES
+    assert 0 < len(calls) <= HENSEL_FULL_OPS

@@ -10,6 +10,7 @@ from wittforge import base_rings as br
 from wittforge import witt_core as wc
 from wittforge.errors import (
     DepthExhausted,
+    IntegralityViolation,
     LevelTooLarge,
     MismatchError,
     NotDivisible,
@@ -35,8 +36,13 @@ UQ2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
 LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true")
 
 
-def record_lift_calls(monkeypatch) -> list:
-    """The names of the ghost-lift steps called from now on, in order."""
+LIFT = {"_lift_ghost", "_lift_solve"}
+STRICT = {"_to_perf", "_from_perf"}
+
+
+def record_route_calls(monkeypatch, names=LIFT) -> list:
+    """The names of the route steps called from now on, in order: the
+    ghost-lift steps unless other names are given."""
     calls = []
 
     def recording(name):
@@ -47,7 +53,7 @@ def record_lift_calls(monkeypatch) -> list:
             return orig(*args)
         return wrapped
 
-    for name in ("_lift_ghost", "_lift_solve"):
+    for name in names:
         monkeypatch.setattr(wc, name, recording(name))
     return calls
 
@@ -403,18 +409,20 @@ class TestZqRoute:
                 == wc.teichmuller(br.from_coeff(ring, a), n).coords)
 
     def test_auto_route_uses_the_ghost_lift_only_off_finite_fields(self, monkeypatch):
-        calls = record_lift_calls(monkeypatch)
+        # finite fields run Z_q; off them a frac ring without a quotient runs
+        # the strict p-ring route and a uq ring the ghost lift
+        calls = record_route_calls(monkeypatch, LIFT | STRICT)
         rng = random.Random(11)
         for ring in self.FIELDS:
             x, y = rand_witt(ring, rng, 5), rand_witt(ring, rng, 5)
             wc.witt_add(x, y), wc.witt_mul(x, y), wc.witt_sub(x, y), wc.witt_neg(x)
         assert calls == []
-        for ring in (UQ9, PERF3):
+        for ring, steps in ((UQ9, LIFT), (PERF3, STRICT)):
             x = rand_witt(ring, rng, 3, allow_zero=False)
             y = rand_witt(ring, rng, 3, allow_zero=False)
             calls.clear()
             wc.witt_add(x, y)
-            assert set(calls) == {"_lift_ghost", "_lift_solve"}
+            assert set(calls) == steps
 
     def test_teichmuller_memo_is_bounded(self):
         bound = wc._teich.cache_info().maxsize
@@ -423,6 +431,95 @@ class TestZqRoute:
         for a in range(bound + 1):
             wc._teich(F, (a,), 1)
         assert wc._teich.cache_info().currsize == bound
+
+
+# id: (descriptor, longest length drawn).  The lift oracle's cost grows
+# with p^(n-1), fastest in two variables and over F_(q^2): one p2e2xy
+# product at n = 6 took 35 s, and the p5 and p5laur tests one length longer
+# took 3-4 s each, so those rings stop short of 6
+STRICT_RINGS = {
+    "p2": ("frac base=(ff p=2 e=1) vars=x depth_p=0 depth_2=0 laurent=false", 6),
+    "p2e2xy": ("frac base=(ff p=2 e=2) vars=x,y depth_p=1 depth_2=1 laurent=true", 5),
+    "p3laur": ("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=1 laurent=true", 6),
+    "p3e2xy": ("frac base=(ff p=3 e=2) vars=x,y depth_p=1 depth_2=0 laurent=false", 3),
+    "p5": ("frac base=(ff p=5 e=1) vars=x depth_p=1 depth_2=0 laurent=false", 5),
+    "p5laur": ("frac base=(ff p=5 e=2) vars=x depth_p=0 depth_2=1 laurent=true", 3),
+}
+STRICT_CASES = {f"{key}-n{n}": (spec, n) for key, (spec, top) in STRICT_RINGS.items()
+                for n in range(1, top + 1)}
+
+
+def strict_operand(ring, n):
+    """Length-n vectors over a frac ring, each coordinate zero, one term or
+    two, exponents in [-1, 2] (in [0, 2] outside Laurent rings).  Both routes
+    raise a coordinate at index i to p^(n-1-i), about p^(n-1-i) terms for
+    two, so two terms are drawn only where that is at most 27."""
+    F, b = ring.base, ring.lattice_b
+    coeff = st.tuples(*[st.integers(0, F.p - 1)] * F.e).filter(any)
+    key = st.tuples(*[st.integers(-b if ring.laurent else 0, 2 * b)]
+                    * len(ring.variables))
+    coords = [st.dictionaries(key, coeff, max_size=2 if F.p ** (n - 1 - i) <= 27 else 1)
+              .map(partial(br._mk, ring)) for i in range(n)]
+    return st.tuples(*coords).map(partial(wc.WittVector, ring))
+
+
+class TestStrictRoute:
+    """W_n(A) inside W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n, the default route
+    over frac rings without a monomial quotient."""
+
+    @pytest.mark.parametrize(("spec", "n"), STRICT_CASES.values(),
+                             ids=STRICT_CASES.keys())
+    @given(data=st.data())
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    def test_matches_lift_route(self, spec, n, data):
+        """add, mul and neg (odd-p neg included) agree with route="lift" at
+        each length up to the ring's longest (6 for p2 and p3laur), and the
+        embedding reads back as the identity: 6 derandomized examples per
+        ring and length."""
+        ring = br.make_ring(spec)
+        x, y = data.draw(strict_operand(ring, n)), data.draw(strict_operand(ring, n))
+        assert wc._from_perf(ring, wc._to_perf(x), n) == x.coords
+        for op in ("add", "mul", "neg"):
+            got = wc._witt_op_perf(op, x, None if op == "neg" else y)
+            assert got == wc.witt_arith(op, x, y, route="lift")
+            assert got == wc.witt_arith(op, x, y)
+
+    def test_rings_with_relations_keep_the_lift_route(self, monkeypatch):
+        # uq rings and frac rings with a monomial quotient are no monoid
+        # algebras, so the frac kernel cannot run their perfection
+        calls = record_route_calls(monkeypatch, LIFT | STRICT)
+        rng = random.Random(29)
+        for ring in (UQ9, UQ2, UQ5, QUOT2):
+            assert not ring.monoid_algebra
+            x = rand_witt(ring, rng, 3, allow_zero=False)
+            y = rand_witt(ring, rng, 3, allow_zero=False)
+            for op in ("add", "mul"):
+                calls.clear()
+                got = wc.witt_arith(op, x, y)
+                assert set(calls) == LIFT
+                assert got == wc.witt_arith(op, x, y, route="table")
+        assert PERF3.monoid_algebra and LAUR9.monoid_algebra
+
+    def test_read_back_refuses_what_is_not_in_the_ring(self):
+        # planted elements of Z_2[x^(1/2^inf)]/2^n, keys scaled by 2^(n-1):
+        # at n = 2, x^(1/2) (key 1) and 1/x (key -2) are no digits of F_2[x];
+        # at n = 3, 2*x^(1/4) (key 1) is V[x^(1/2)], so digit 1 leaves it
+        for z, n in (({(1,): (1,)}, 2), ({(2,): (1,), (-2,): (1,)}, 2),
+                     ({(1,): (2,)}, 3)):
+            with pytest.raises(IntegralityViolation, match="not in the ring"):
+                wc._from_perf(PX2, z, n)
+        # x + 2*x^2 = [x] + V[x^4]
+        x = br.evaluate(PX2, "x")
+        assert (wc._from_perf(PX2, {(4,): (1,), (8,): (2,)}, 3)
+                == (x, x ** 4, br.zero(PX2)))
+
+    def test_read_back_checks_each_division_by_p(self, monkeypatch):
+        # a Teichmueller lift that is wrong mod p leaves z - [t] off p Z
+        x = wc.make_witt(PERF3, [br.evaluate(PERF3, "x + x^2"), 1])
+        z = wc._to_perf(x)
+        monkeypatch.setattr(wc, "_perf_teich", lambda c, i, n: {(9,): (2,)})
+        with pytest.raises(IntegralityViolation, match="not divisible by 3"):
+            wc._from_perf(PERF3, z, 2)
 
 
 class TestOperators:
@@ -600,11 +697,12 @@ class TestOperators:
                 assert wc.witt_neg(zero) == zero
 
     def test_disjoint_sum_runs_no_ghost_lift(self, monkeypatch):
-        # over frac and uq rings a disjoint sum calls neither _lift_ghost
-        # nor _lift_solve; an overlapping one still calls both
-        calls = record_lift_calls(monkeypatch)
+        # over frac and uq rings a disjoint sum runs no route at all; an
+        # overlapping one runs the strict p-ring route over LAUR3 and the
+        # ghost lift over the uq rings
+        calls = record_route_calls(monkeypatch, LIFT | STRICT)
         rng = random.Random(19)
-        for ring in (LAUR3, UQ2, UQ5):
+        for ring, steps in ((LAUR3, STRICT), (UQ2, LIFT), (UQ5, LIFT)):
             z = br.zero(ring)
             a = rand_witt(ring, rng, 4, allow_zero=False)
             b = rand_witt(ring, rng, 4, allow_zero=False)
@@ -615,17 +713,17 @@ class TestOperators:
             wc.witt_neg(wc.witt_zero(ring, 4))
             assert calls == []
             wc.witt_add(a, b)
-            assert set(calls) == {"_lift_ghost", "_lift_solve"}
+            assert set(calls) == steps
             # the explicit lift route stays a full oracle
             calls.clear()
             wc.witt_arith("add", x, y, route="lift")
-            assert set(calls) == {"_lift_ghost", "_lift_solve"}
+            assert set(calls) == LIFT
 
     @pytest.mark.parametrize("ring", [F3, F5], ids=["F3", "F5"])
     def test_odd_negation_runs_each_oracle_in_full(self, ring, monkeypatch):
         # route="lift" and route="table" are independent oracles for odd-p
         # negation too: neither takes the coordinatewise shortcut of "auto"
-        calls = record_lift_calls(monkeypatch)
+        calls = record_route_calls(monkeypatch)
         x = rand_witt(ring, random.Random(23), 3, allow_zero=False)
         neg = wc.witt_arith("neg", x)
         assert calls == []
