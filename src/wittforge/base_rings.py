@@ -204,6 +204,13 @@ class _Monomials:
         return not self.quotient
 
     @property
+    def field_factors(self) -> tuple[FiniteFieldSpec, ...] | None:
+        """The finite fields whose product A is, on the ring kinds where that
+        is known: (F_q,) for F_q itself, the fields F_p[u]/(g_i) for a
+        reduced F_p[T]/(g); None elsewhere."""
+        return None
+
+    @property
     def _unit_key(self) -> tuple[int, ...]:
         return (0,) * len(self.variables)
 
@@ -287,6 +294,10 @@ class FiniteFieldSpec(_Monomials, _CoeffRing):
     @property
     def q(self) -> int:
         return self.p ** self.e
+
+    @property
+    def field_factors(self) -> tuple[FiniteFieldSpec]:
+        return (self,)
 
     def from_int(self, n: int) -> FieldCoeff:
         return (n % self.p,) + (0,) * (self.e - 1)
@@ -464,6 +475,11 @@ class UnivariateQuotient(_Monomials):
     @property
     def degree(self) -> int:
         return len(self.modulus) - 1
+
+    @property
+    def field_factors(self) -> tuple[FiniteFieldSpec, ...] | None:
+        """Factored on first use, once per ring (``_field_factors``)."""
+        return _field_factors(self)
 
     @cached_property
     def _tail(self) -> list:  # the terms of g below its leading one
@@ -895,47 +911,62 @@ def _uq_root(x: RingElement, k: int, bad: int) -> RingElement:
     return y
 
 
+def _uq_vec(z: RingElement) -> list[int]:
+    """The F_p-coordinates of z in F_q[T]/(g): digit a of the coefficient of
+    T^i at index i*e + a."""
+    e = z.ring.base.e
+    out = [0] * (z.ring.degree * e)
+    for (i,), c in z.terms:
+        out[i * e:(i + 1) * e] = c
+    return out
+
+
+def _frobenius_matrix(ring: UnivariateQuotient, k: int) -> list[list[int]]:
+    """The rows of the F_p-linear map y -> y^(p^k) on ``_uq_vec`` coordinates."""
+    e, pk = ring.base.e, ring.base.p ** k
+    unit = [tuple(int(a == b) for b in range(e)) for a in range(e)]
+    cols = [_uq_vec(pow_int(_term(ring, (i,), unit[a]), pk))
+            for i in range(ring.degree) for a in range(e)]
+    return [list(row) for row in zip(*cols)]
+
+
+def _row_reduce(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan elimination over F_p on the first ncols columns, in
+    place; returns the pivot columns, the one of row r at index r."""
+    piv_cols = []
+    for c in range(ncols):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                m = rows[i][c]
+                rows[i] = [(v - m * w) % p for v, w in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+    return piv_cols
+
+
 @lru_cache(maxsize=64)
 def _root_solver(ring: UnivariateQuotient, k: int):
     """The solve of y^(p^k) = x in F_q[T]/(g): a function of x giving y or None.
 
-    y -> y^(p^k) is F_p-linear on the coordinates (digit a of the coefficient
-    of T^i at index i*e + a).  [M | I] is row-reduced once, so each solve is
-    one product with the reduced inverse; every candidate is verified.
+    y -> y^(p^k) is F_p-linear on the coordinates (``_uq_vec``).  [M | I] is
+    row-reduced once, so each solve is one product with the reduced inverse;
+    every candidate is verified.
     """
     F = ring.base
     p, e, pk = F.p, F.e, F.p ** k
     dim = ring.degree * e
-
-    def vec(z: RingElement) -> list[int]:
-        out = [0] * dim
-        for (i,), c in z.terms:
-            out[i * e:(i + 1) * e] = c
-        return out
-
-    unit = [tuple(int(a == b) for b in range(e)) for a in range(e)]
-    cols = [vec(pow_int(_term(ring, (i,), unit[a]), pk))
-            for i in range(ring.degree) for a in range(e)]
-    aug = [[col[r] for col in cols] + [int(j == r) for j in range(dim)]
-           for r in range(dim)]
-    piv_cols = []
-    for c in range(dim):
-        r = len(piv_cols)
-        piv = next((i for i in range(r, dim) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c]:
-                m = aug[i][c]
-                aug[i] = [(v - m * w) % p for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-    pivots = [(c, aug[r][dim:]) for r, c in enumerate(piv_cols)]
+    aug = [row + [int(j == r) for j in range(dim)]
+           for r, row in enumerate(_frobenius_matrix(ring, k))]
+    pivots = [(c, aug[r][dim:]) for r, c in enumerate(_row_reduce(aug, dim, p))]
 
     def solve(x: RingElement) -> RingElement | None:
-        t = [(j, v) for j, v in enumerate(vec(x)) if v]
+        t = [(j, v) for j, v in enumerate(_uq_vec(x)) if v]
         out = [0] * dim
         for c, row in pivots:
             out[c] = sum(row[j] * v for j, v in t) % p
@@ -944,6 +975,55 @@ def _root_solver(ring: UnivariateQuotient, k: int):
         return y if pow_int(y, pk) == x else None
 
     return solve
+
+
+@lru_cache(maxsize=64)
+def _field_factors(ring: UnivariateQuotient) -> tuple[FiniteFieldSpec, ...] | None:
+    """The fields F_p[u]/(g_i), g = prod g_i over distinct monic irreducible
+    g_i, of a reduced ring over F_p; None for base e > 1 or g not squarefree.
+
+    Berlekamp's algorithm (Knuth, TAOCP vol. 2, 4.6.2): the kernel of F - 1,
+    F the Frobenius matrix, is the subalgebra of the elements that are
+    constant mod every g_i, and each of its basis vectors splits g by gcds
+    (``_split_by``); together they separate every pair of factors.
+    """
+    F = ring.base
+    if F.e > 1 or not is_reduced_univariate(ring).reduced:
+        return None
+    p, dim, poly = F.p, ring.degree, _poly_ring(F, ring.var)
+    rows = [[v - (i == j) for j, v in enumerate(row)]
+            for i, row in enumerate(_frobenius_matrix(ring, 1))]
+    piv = _row_reduce(rows, dim, p)
+    parts = [_poly_elt(F, ring.var, ring.modulus)]
+    for free in (c for c in range(dim) if c not in piv):
+        v = {(free,): (1,)} | {(c,): (-rows[r][free] % p,)
+                               for r, c in enumerate(piv) if rows[r][free]}
+        parts = [h for f in parts for h in _split_by(f, _mk(poly, v))]
+    moduli = sorted((tuple(c for (c,) in _dense(h)) for h in parts), key=lambda m: (len(m), m))
+    return tuple(FiniteFieldSpec(p, len(m) - 1, m) for m in moduli)
+
+
+def _split_by(f: RingElement, w: RingElement) -> list[RingElement]:
+    """The monic factors of a squarefree f in F_p[T] on each of which w is
+    constant, for a w with w^p = w mod f, i.e. with a value s_i in F_p mod
+    each irreducible factor.  Where w is not constant mod f, let x be w + c
+    (p <= 3) or its quadratic character (w + c)^((p-1)/2) (p >= 5): the
+    gcds of f with x, x - 1 and x + 1 split f wherever x takes two values,
+    and c = -s_i makes x vanish mod one factor and not mod another."""
+    F, p = f.ring.base, f.ring.base.p
+    quo = UnivariateQuotient(F, f.ring.variables[0], tuple(_dense(f)))
+    w = _uq_elt(quo, w)
+    if all(k == (0,) for k, _ in w.terms):
+        return [f]
+    unit = one(f.ring)
+    for c in range(p):
+        x = add(w, from_int(quo, c))
+        x = _as_poly(pow_int(x, (p - 1) // 2) if p > 3 else x)
+        parts = [h for s in {0, 1, p - 1}
+                 if (h := _fq_gcd(f, sub(x, from_int(f.ring, s)))) != unit]
+        if len(parts) > 1:
+            return [g for h in parts for g in _split_by(h, w)]
+    raise AssertionError("w is constant mod f")
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +1061,14 @@ def _fq_gcd(a: RingElement, b: RingElement) -> RingElement:
     while not b.is_zero():
         a, b = b, _fq_divmod(a, b)[1]
     return _fq_monic(a)
+
+
+def _dense(f: RingElement) -> list[FieldCoeff]:
+    """The coefficients of f in F_q[T], low to high, up to its degree."""
+    out = [f.ring.base.zero()] * (f.terms[0][0][0] + 1 if f.terms else 0)
+    for (k,), c in f.terms:
+        out[k] = c
+    return out
 
 
 def _fq_deriv(a: RingElement) -> RingElement:
@@ -1280,11 +1368,7 @@ def _poly_elt(F: FiniteFieldSpec, var: str, coeffs) -> RingElement:
 
 def _parse_uq_modulus(ts: _Tokens, base: FiniteFieldSpec, var: str) -> list[FieldCoeff]:
     """Parse g(T) with coefficients in the base field, low-to-high."""
-    g = parse_expression(ts, RingAlgebra(_poly_ring(base, var)))
-    out = [base.zero()] * (g.terms[0][0][0] + 1 if g.terms else 0)
-    for (d,), c in g.terms:
-        out[d] = c
-    return out
+    return _dense(parse_expression(ts, RingAlgebra(_poly_ring(base, var))))
 
 
 def _parse_monomial_exps(ts: _Tokens, ring: FracLaurentRing) -> tuple[int, ...]:

@@ -1,16 +1,26 @@
 """Truncated p-typical Witt vectors W_n(A) over characteristic-p rings.
 
-Four arithmetic routes; the first two are the defaults on the rings they
-cover, the last two run on every ring and are kept alive on purpose:
+Five arithmetic routes.  ``witt_arith`` picks one of the first four from
+ring-kind attributes (``field_factors``, then ``monoid_algebra``); the last
+two run on every ring and are kept alive on purpose, as oracles:
 
-* Z_q (the default over a ``FiniteFieldSpec``): W_n(F_q) is the strict
-  p-ring Z_q mod p^n, i.e. the coefficient ring (Z/p^n)[u]/(M~) at K = n.
-  x goes in as sum_i p^i [x_i^(p^-i)], the operation runs there, and the
-  result comes back one Teichmueller digit at a time: t = z mod p gives
-  x_i = t^(p^i), then z <- (z - [t]) / p.  [a] mod p^m is any lift of a
-  raised to q^(m-1); those lifts are memoized.
-* the strict p-ring route (the default over a monoid algebra A = F_q[M],
-  i.e. a frac ring without a monomial quotient): W_n(A) lies in
+* Z_q (over a ``FiniteFieldSpec``): W_n(F_q) is the strict p-ring Z_q mod
+  p^n, i.e. the coefficient ring (Z/p^n)[u]/(M~) at K = n.  x goes in as
+  sum_i p^i [x_i^(p^-i)], the operation runs there, and the result comes
+  back one Teichmueller digit at a time: t = z mod p gives x_i = t^(p^i),
+  then z <- (z - [t]) / p.  [a] mod p^m is any lift of a^(p^-(m-1))
+  raised to p^(m-1); those lifts are memoized.
+* the split route (over a reduced A = F_p[T]/(g), base e = 1): with
+  g = prod g_i over distinct monic irreducibles (Berlekamp, in
+  ``base_rings``), A is the product of the fields F_i = F_p[u]/(g_i) by the
+  Chinese remainder theorem, and W_n(A) = prod W_n(F_i), since W_n commutes
+  with finite products and a ring map acts on Witt coordinates one
+  coordinate at a time.  Each coordinate is reduced mod every g_i, each
+  factor runs the Z_q route, and the result coordinates come back through
+  the idempotents e_i; both maps are F_p-linear and computed once per ring,
+  on its first Witt op.
+* the strict p-ring route (over a monoid algebra A = F_q[M], i.e. a frac
+  ring without a monomial quotient): W_n(A) lies in
   W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n, where the Teichmueller lift of a
   monomial is the monomial (Serre, Local Fields, II.5-6).  It is the Z_q
   route with exponent keys scaled by p^(n-1), so that A's own kernel runs
@@ -18,40 +28,43 @@ cover, the last two run on every ring and are kept alive on purpose:
   divided by p^(n-1-i).  A one-term [a] is a monomial times a Z_q lift, a
   longer one any lift of a^(p^-(m-1)) raised to p^(m-1), memoized per
   coordinate since results come back as operands.
-* route="lift" (the default over uq rings and frac rings with a quotient):
-  read the coordinates over Z/p^K (K = n+1) with the base ring's own
-  kernel, apply the ghost map there, do the operation componentwise, and
-  solve the triangular system back.
-* route="table": evaluate the universal structural polynomials (generated by
-  the exact ghost recursion over Z, reduced mod p at evaluation time).
+* the lift route ``_witt_op_lift`` (over uq rings with base e > 1 or a
+  modulus that is not squarefree, and frac rings with a quotient): read the
+  coordinates over Z/p^K (K = n+1) with the base ring's own kernel, apply
+  the ghost map there, do the operation componentwise, and solve the
+  triangular system back.
+* the table route ``_witt_op_table``: evaluate the universal structural
+  polynomials (generated by the exact ghost recursion over Z, reduced mod p
+  at evaluation time).
 
-The default route first answers what needs no arithmetic.  Every x in W_n(A)
+``witt_arith`` first answers what needs no arithmetic.  Every x in W_n(A)
 is sum_i V^i[x_i] (Serre, Local Fields, II.6), so when no index i has x_i
 and y_i both nonzero, x + y is the coordinatewise union of x and y; a zero
 operand is the commonest case.  For odd p negation is coordinatewise, the
 negation of zero is zero, and a product with one operand of at most one
-nonzero coordinate is V^k(F^k(x) * [b]).  These shortcuts belong to
-route="auto" only: route="lift" and route="table" always run their full
-computation, so each stays an independent oracle.  Any other route is
-refused before any work.
+nonzero coordinate is V^k(F^k(x) * [b]).  The lift and table routes never
+take these shortcuts, so each stays an independent oracle.
 
-Every division by p in the Z_q, strict p-ring and lift routes is checked
-for exactness; a failure is a bug, not an input condition.  The strict
-p-ring route also checks that each digit it reads back lies in A.  The
-table route is exact but its term counts explode combinatorially, so it
+Every division by p in the Z_q, split, strict p-ring and lift routes is
+checked for exactness; a failure is a bug, not an input condition.  The
+strict p-ring route also checks that each digit it reads back lies in A.
+The table route is exact but its term counts explode combinatorially, so it
 only covers small (p, level) pairs; ``term_count_bound`` gives the a-priori
-monomial-count ceiling that the generation guard enforces.  route="lift"
-and route="table" run on every ring and stay as the oracles: cross-route
-agreement is part of the test suite, so no route can drift.
+monomial-count ceiling that the generation guard enforces.  Cross-route
+agreement with the lift and table routes is part of the test suite, so no
+route can drift.
 
 The Z_q route needs no guard digit: Z_q/p^n is W_n(F_q) itself, not an
 approximation of it.  Sums and products there are exact mod p^n, and each
 step back subtracts the Teichmueller lift of the digit it reads, so its
 division by p is exact and leaves z mod p^(n-i-1), all that the n-i-1
-digits still to read depend on.  The strict p-ring route needs none for
-the same reason: Z_q[M^(1/p^inf)]/p^n is W_n(A^perf) itself, and
-W_n(A) -> W_n(A^perf) is an injective ring map.  The lift route, by
-contrast, runs at K = n+1 with a digit to spare (its ledger follows).
+digits still to read depend on.  The split route needs none either: it
+runs the Z_q route in each factor, and its two maps are the coordinatewise
+images of the ring isomorphism A = prod F_i and its inverse, exact over
+F_p.  The strict p-ring route needs none for the same reason as Z_q:
+Z_q[M^(1/p^inf)]/p^n is W_n(A^perf) itself, and W_n(A) -> W_n(A^perf) is
+an injective ring map.  The lift route, by contrast, runs at K = n+1 with
+a digit to spare (its ledger follows).
 
 Precision ledger for the lift route: with K = n+1, the solved coordinate r_i
 is correct mod p^(K-i).  Proof sketch: the subtracted term p^j r_j^(p^(i-j))
@@ -541,13 +554,10 @@ def witt_one(ring: Ring, n: int) -> WittVector:
     return WittVector(ring, (br.one(ring),) + (br.zero(ring),) * (n - 1))
 
 
-def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
-               route: str = "auto") -> WittVector:
+def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVector:
     """Ring operation on Witt vectors; op in {add, mul, neg}."""
     if op not in ("add", "mul", "neg"):
         raise SpecParseError(f"unknown op {op!r}")
-    if route not in ("auto", "lift", "table"):
-        raise SpecParseError(f"unknown route {route!r}")
     if op == "neg":
         y = None
     elif y is None:
@@ -557,33 +567,31 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None,
             raise MismatchError("Witt vectors over different rings")
         if x.length != y.length:
             raise MismatchError("Witt vectors of different lengths")
-    if route == "auto":
-        # Z_q over finite fields, the strict p-ring route over monoid
-        # algebras, the lift route elsewhere: all work at every length; the
-        # table route is opt-in since its term counts explode with level
-        if op == "neg" and br.ring_char(x.ring) != 2:
-            # iota_i = -X_i for odd p, against both oracles in the test suite
-            return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
-        if op == "add":
-            for a, b in zip(x.coords, y.coords):
-                if a.terms and b.terms:
-                    break
-            else:
-                # disjoint supports (a zero operand included): the union
-                return WittVector(x.ring, tuple(b if b.terms else a
-                                                for a, b in zip(x.coords, y.coords)))
-        elif op == "neg" and not any(c.terms for c in x.coords):
-            return x
-        elif op == "mul":
-            fast = _mul_single_coord(x, y)
-            if fast is not None:
-                return fast
-        if isinstance(x.ring, br.FiniteFieldSpec):
-            return _witt_op_zq(op, x, y)
-        if x.ring.monoid_algebra:
-            return _witt_op_perf(op, x, y)
-        route = "lift"
-    return (_witt_op_table if route == "table" else _witt_op_lift)(op, x, y)
+    if op == "neg" and br.ring_char(x.ring) != 2:
+        # iota_i = -X_i for odd p, against both oracles in the test suite
+        return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
+    if op == "add":
+        for a, b in zip(x.coords, y.coords):
+            if a.terms and b.terms:
+                break
+        else:
+            # disjoint supports (a zero operand included): the union
+            return WittVector(x.ring, tuple(b if b.terms else a
+                                            for a, b in zip(x.coords, y.coords)))
+    elif op == "neg" and not any(c.terms for c in x.coords):
+        return x
+    elif op == "mul":
+        fast = _mul_single_coord(x, y)
+        if fast is not None:
+            return fast
+    # Z_q over a finite field, one Z_q per factor field over a reduced uq
+    # ring, the strict p-ring route over monoid algebras, the lift route
+    # elsewhere: all work at every length
+    ring = x.ring
+    fields = ring.field_factors
+    if fields is None:
+        return (_witt_op_perf if ring.monoid_algebra else _witt_op_lift)(op, x, y)
+    return (_witt_op_zq if fields[0] is ring else _witt_op_split)(op, x, y)
 
 
 def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
@@ -607,51 +615,127 @@ def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
 
 @lru_cache(maxsize=4096)
 def _teich(F: br.FiniteFieldSpec, a, m: int):
-    """[a] mod p^m: any lift of a raised to the q^(m-1)-th power."""
+    """[a] mod p^m: any lift of a^(p^-(m-1)) raised to p^(m-1), since a lift
+    of b is [b] mod p, so its p^(m-1)-th power is [b^(p^(m-1))] mod p^m."""
     if F.e == 1:
-        return (pow(a[0], F.q ** (m - 1), F.p ** m),)
-    return br._CoeffRing(F, m).cpow(a, F.q ** (m - 1))
+        return (pow(a[0], F.p ** (m - 1), F.p ** m),)
+    return br._CoeffRing(F, m).cpow(F.cfrob(a, 1 - m), F.p ** (m - 1))
 
 
-def _to_zq(x: WittVector) -> list:
-    """x as sum_i p^i [x_i^(p^-i)], a representative of its class in
-    Z_q/p^n; digit i needs only p^(n-i)."""
-    F, n, acc = x.ring, x.length, [0] * x.ring.e
-    for i, c in enumerate(x.coords):
-        if c.terms:
+def _coeffs(x: WittVector) -> list:
+    """The coordinates of x over F_q as coefficient tuples, None for zero."""
+    return [c.terms[0][1] if c.terms else None for c in x.coords]
+
+
+def _to_zq(F: br.FiniteFieldSpec, coeffs: list, n: int) -> list:
+    """sum_i p^i [a_i^(p^-i)] for the coordinates a_i (``_coeffs``), a
+    representative of its class in Z_q/p^n; digit i needs only p^(n-i)."""
+    acc = [0] * F.e
+    for i, a in enumerate(coeffs):
+        if a is not None:
             pi = F.p ** i
-            t = _teich(F, F.cfrob(c.terms[0][1], -i), n - i)
+            t = _teich(F, F.cfrob(a, -i), n - i)
             acc = [u + pi * v for u, v in zip(acc, t)]
     return acc
 
 
-def _from_zq(F: br.FiniteFieldSpec, z, n: int) -> tuple:
-    """Witt coordinates of z in Z_q/p^n, one Teichmueller digit at a time."""
-    p, coords, z = F.p, [], list(z)
+def _from_zq(F: br.FiniteFieldSpec, z, n: int) -> list:
+    """The Witt coordinates of z in Z_q/p^n as ``_coeffs``, one Teichmueller
+    digit at a time."""
+    p, coeffs, z = F.p, [], list(z)
     for i in range(n):
         t = tuple([v % p for v in z])
         if any(t):
-            coords.append(br.RingElement(F, (((), F.cfrob(t, i)),)))
+            coeffs.append(F.cfrob(t, i))
             z = [a - b for a, b in zip(z, _teich(F, t, n - i))]
         else:
-            coords.append(br.zero(F))
+            coeffs.append(None)
         d, z = z, [v // p for v in z]
         if [v * p for v in z] != d:
             raise IntegralityViolation(
                 f"Z_q digit {i}: {d} is not divisible by {p}")
-    return tuple(coords)
+    return coeffs
 
 
-def _witt_op_zq(op: str, x: WittVector, y: WittVector | None) -> WittVector:
-    C = br._CoeffRing(x.ring, x.length)
-    z = _to_zq(x)
+def _zq_op(F: br.FiniteFieldSpec, op: str, a: list, b: list | None, n: int) -> list:
+    """op on the vectors of W_n(F_q) with coordinates a and b (``_coeffs``),
+    run in Z_q/p^n."""
+    C = br._CoeffRing(F, n)
+    z = _to_zq(F, a, n)
     if op == "neg":
         z = C.cneg(z)
     elif op == "add":
-        z = C.cadd(z, _to_zq(y))
+        z = C.cadd(z, _to_zq(F, b, n))
     else:
-        z = C.cmul(z, _to_zq(y))
-    return WittVector(x.ring, _from_zq(x.ring, z, x.length))
+        z = C.cmul(z, _to_zq(F, b, n))
+    return _from_zq(F, z, n)
+
+
+def _witt_op_zq(op: str, x: WittVector, y: WittVector | None) -> WittVector:
+    F, zero = x.ring, br.zero(x.ring)
+    out = _zq_op(F, op, _coeffs(x), None if y is None else _coeffs(y), x.length)
+    return WittVector(F, tuple([zero if a is None else br.RingElement(F, (((), a),))
+                                for a in out]))
+
+
+# ---------------------------------------------------------------------------
+# the split route: a reduced A = F_p[T]/(g) is prod F_i, F_i = F_p[u]/(g_i),
+# and W_n(A) = prod W_n(F_i) coordinatewise, each factor run by Z_q.
+
+
+@lru_cache(maxsize=64)
+def _split(ring: Ring) -> tuple:
+    """(F_i, red_i, lift_i) per factor field of a reduced F_p[T]/(g):
+    red_i[k] is T^k mod g_i as a coefficient of F_i, for k < deg g, and
+    lift_i[m] is e_i T^m mod g by degree, where the idempotent
+    e_i = h (h^-1 mod g_i), h = g / g_i, is 1 mod g_i and 0 mod the other
+    factors (Chinese remainder theorem).  Both maps are F_p-linear."""
+    F, var = ring.base, ring.var
+    g, t = br._poly_elt(F, var, ring.modulus), br.variable(ring, var)
+    out = []
+    for Fi in ring.field_factors:
+        quo = br.UnivariateQuotient(F, var, tuple((c,) for c in Fi.modulus))
+        gi, u = br._poly_elt(F, var, quo.modulus), br.variable(quo, var)
+        red = tuple(tuple(br._uq_vec(u ** k)) for k in range(ring.degree))
+        h = br._fq_divmod(g, gi)[0]
+        e = br._uq_elt(ring, br.mul(h, br._fq_poly_invmod(h, gi)))
+        lift = tuple(tuple(br._uq_vec(e * t ** m)) for m in range(Fi.e))
+        out.append((Fi, red, lift))
+    return tuple(out)
+
+
+def _split_reduce(F: br.FiniteFieldSpec, red: tuple, x: WittVector) -> list:
+    """The coordinates of x mapped into F = F_p[u]/(g_i), as ``_coeffs``."""
+    p, e, out = F.p, F.e, []
+    for c in x.coords:
+        if e == 1:
+            v = sum([a * red[k][0] for (k,), (a,) in c.terms]) % p
+            out.append((v,) if v else None)
+            continue
+        v = [0] * e
+        for (k,), (a,) in c.terms:
+            v = [s + a * b for s, b in zip(v, red[k])]
+        v = tuple([s % p for s in v])
+        out.append(v if any(v) else None)
+    return out
+
+
+def _witt_op_split(op: str, x: WittVector, y: WittVector | None) -> WittVector:
+    ring, n = x.ring, x.length
+    p, top = ring.base.p, ring.degree - 1
+    acc = [[0] * ring.degree for _ in range(n)]
+    for F, red, lift in _split(ring):
+        out = _zq_op(F, op, _split_reduce(F, red, x),
+                     None if y is None else _split_reduce(F, red, y), n)
+        for i, a in enumerate(out):
+            if a is not None:
+                for b, row in zip(a, lift):
+                    if b:
+                        acc[i] = [s + b * r for s, r in zip(acc[i], row)]
+    return WittVector(ring, tuple(
+        br.RingElement(ring, tuple([((k,), (v,)) for k in range(top, -1, -1)
+                                    if (v := a[k] % p)]))
+        for a in acc))
 
 
 # ---------------------------------------------------------------------------

@@ -692,8 +692,10 @@ def test_parser_structure_golden():
 
 # Commands that no other test runs: rw add / mul / frobpi / divpi / twist over
 # E = X^2-3, X^3-2 at p = 2, X^2-2 over F_4, X^2-3X-3 and X^2-2 at p = 2, on
-# ff, frac and uq rings, plus witt frob and fontaine shift.  Recorded from the
-# CLI: command (its argv, shell-quoted) -> (exit code, stdout).  The five divpi
+# ff, frac and uq rings, plus witt frob and fontaine shift, and witt add, mul
+# and neg over reduced uq rings over F_2, F_3 and F_5 (split, mixed-degree
+# and inert moduli), recorded while the lift route still ran them.  Recorded
+# from the CLI: command (its argv, shell-quoted) -> (exit code, stdout).  The five divpi
 # lines at p = 2 marked "was" changed only in the top (guard) coordinate of
 # their last slot, when the unit -(e_0/p)^-1 became exact for an integer e_0;
 # the certified digits are the same.  The divpi and twist lines marked
@@ -813,6 +815,18 @@ CLI_GOLDEN = {
         (0, 'FONT{0;u^4;u^2}\n'),
     "fontaine shift --ring 'frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=false' --x 'FONT{x;x^(1/3)}' --dir bwd":
         (0, 'FONT{x^3;x}\n'),
+    "witt add --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 6 --x 'W{T^2+2*T+1;2*T^2+T;T+2;2*T^2+1;T^2+T+1;2*T+2}' --y 'W{2*T^2+1;T^2+T;2*T+1;T^2+2*T+2;2;T^2+2}'":
+        (0, 'W{2*T+2;2*T^2+2*T+1;0;2*T;T^2+T;T^2+2*T+1}\n'),
+    "witt mul --ring 'uq base=(ff p=3 e=1) var=T modulus=T^3-T' --n 6 --x 'W{T^2+2*T+1;2*T^2+T;T+2;2*T^2+1;T^2+T+1;2*T+2}' --y 'W{2*T^2+1;T^2+T;2*T+1;T^2+2*T+2;2;T^2+2}'":
+        (0, 'W{2*T^2+1;T^2+T;0;2*T^2;2*T^2+T+2;0}\n'),
+    "witt add --ring 'uq base=(ff p=3 e=1) var=T modulus=T^4+1' --n 6 --x 'W{T^3+2*T+1;2*T^2+T;T^3+T+2;2*T^3+T^2+1;T^2+T+1;2*T^3+2}' --y 'W{2*T^3+T^2+1;T^2+T;2*T^3+2*T+1;T^3+T^2+2*T+2;2*T;T^3+2}'":
+        (0, 'W{T^2+2*T+2;2*T;T^3+T;2*T^3+2*T^2+T;T^3+2*T^2+2*T;2*T+2}\n'),
+    "witt mul --ring 'uq base=(ff p=3 e=1) var=T modulus=T^4+1' --n 6 --x 'W{T^3+2*T+1;2*T^2+T;T^3+T+2;2*T^3+T^2+1;T^2+T+1;2*T^3+2}' --y 'W{2*T^3+T^2+1;T^2+T;2*T^3+2*T+1;T^3+T^2+2*T+2;2*T;T^3+2}'":
+        (0, 'W{2*T^3+2*T^2+T;T^3;T^3+T^2+2*T;T^3+1;T^3+1;1}\n'),
+    "witt neg --ring 'uq base=(ff p=2 e=1) var=T modulus=T^3+T^2+T' --n 5 --x 'W{T^2+1;T;T^2+T;1;T^2}'":
+        (0, 'W{T^2+1;1;1;0;T^2+1}\n'),
+    "witt mul --ring 'uq base=(ff p=5 e=1) var=T modulus=T^3-1' --n 4 --x 'W{T^2+3*T+1;4*T;2*T^2+1;T+4}' --y 'W{3*T^2+2;T^2+T;4;2*T^2+3*T}'":
+        (0, 'W{4*T+1;4*T^2+2*T+4;3*T;4*T^2+2*T+1}\n'),
 }
 
 

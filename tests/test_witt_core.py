@@ -15,7 +15,6 @@ from wittforge.errors import (
     MismatchError,
     NotDivisible,
     NotInGhostImage,
-    SpecParseError,
 )
 
 F2 = br.make_ring("ff p=2 e=1")
@@ -38,6 +37,7 @@ LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=
 
 LIFT = {"_lift_ghost", "_lift_solve"}
 STRICT = {"_to_perf", "_from_perf"}
+SPLIT = {"_witt_op_split", "_zq_op"}
 
 
 def record_route_calls(monkeypatch, names=LIFT) -> list:
@@ -305,8 +305,7 @@ class TestWittArithmetic:
             n = rng.randint(1, 4)
             x, y = rand_witt(ring, rng, n, **kw), rand_witt(ring, rng, n, **kw)
             for op in ("add", "mul", "neg"):
-                assert (wc.witt_arith(op, x, y, route="lift")
-                        == wc.witt_arith(op, x, y, route="table"))
+                assert wc._witt_op_lift(op, x, y) == wc._witt_op_table(op, x, y)
 
     @pytest.mark.parametrize("ring", [F3, F4, F9], ids=["F3", "F4", "F9"])
     @given(data=st.data())
@@ -314,7 +313,7 @@ class TestWittArithmetic:
     def test_lift_route_equals_table_route(self, ring, data):
         """add, mul and neg agree on both routes at lengths 1..3, over
         Hypothesis-drawn coordinates: 60 derandomized examples per ring.  Odd-p
-        neg runs each route in full; only route="auto" takes it coordinatewise."""
+        neg runs each route in full; only witt_arith takes it coordinatewise."""
         F = ring.base
         n = data.draw(st.integers(1, 3))
         coord = st.tuples(*[st.integers(0, F.p - 1)] * F.e).map(
@@ -323,8 +322,7 @@ class TestWittArithmetic:
             lambda cs: wc.WittVector(ring, tuple(cs)))
         x, y = data.draw(vector), data.draw(vector)
         for op in ("add", "mul", "neg"):
-            assert (wc.witt_arith(op, x, y, route="lift")
-                    == wc.witt_arith(op, x, y, route="table"))
+            assert wc._witt_op_lift(op, x, y) == wc._witt_op_table(op, x, y)
 
     def test_ring_axioms_random(self):
         rng = random.Random(8)
@@ -375,8 +373,8 @@ class TestZqRoute:
     @given(data=st.data())
     @settings(max_examples=10, derandomize=True, deadline=None)
     def test_matches_lift_and_table_routes(self, ring, n, data):
-        """add, mul and neg (p = 2 neg included) agree with route="lift" at
-        n = 1..8, and with route="table" wherever check_table_request admits
+        """add, mul and neg (p = 2 neg included) agree with the lift route at
+        n = 1..8, and with the table route wherever check_table_request admits
         a table of at most TABLE_TERMS terms: 10 derandomized examples per
         field and length.  The five larger admitted tables ((2, sum|product, 5),
         (3, sum|product, 4), (5, sum, 3)) take 0.2-9 s to generate and
@@ -385,14 +383,14 @@ class TestZqRoute:
         x, y = data.draw(zq_operand(ring, n)), data.draw(zq_operand(ring, n))
         for op, kind in (("add", "sum"), ("mul", "product"), ("neg", "negation")):
             got = wc._witt_op_zq(op, x, None if op == "neg" else y)
-            assert got == wc.witt_arith(op, x, y, route="lift")
+            assert got == wc._witt_op_lift(op, x, y)
             assert got == wc.witt_arith(op, x, y)
             try:
                 wc.check_table_request(p, n - 1, kind)
             except LevelTooLarge:
                 continue
             if wc.term_count_bound(p, n - 1, kind) <= self.TABLE_TERMS:
-                assert got == wc.witt_arith(op, x, y, route="table")
+                assert got == wc._witt_op_table(op, x, y)
 
     @pytest.mark.parametrize("ring", FIELDS, ids=IDS)
     @given(data=st.data())
@@ -403,10 +401,11 @@ class TestZqRoute:
         F = ring.base
         n = data.draw(st.integers(1, 8))
         x = data.draw(zq_operand(ring, n))
-        assert wc._from_zq(F, wc._to_zq(x), n) == x.coords
+        coeffs = wc._coeffs(x)
+        assert wc._from_zq(F, wc._to_zq(F, coeffs, n), n) == coeffs
         a = data.draw(st.tuples(*[st.integers(0, F.p - 1)] * F.e))
         assert (wc._from_zq(F, wc._teich(F, a, n), n)
-                == wc.teichmuller(br.from_coeff(ring, a), n).coords)
+                == wc._coeffs(wc.teichmuller(br.from_coeff(ring, a), n)))
 
     def test_auto_route_uses_the_ghost_lift_only_off_finite_fields(self, monkeypatch):
         # finite fields run Z_q; off them a frac ring without a quotient runs
@@ -472,7 +471,7 @@ class TestStrictRoute:
     @given(data=st.data())
     @settings(max_examples=6, derandomize=True, deadline=None)
     def test_matches_lift_route(self, spec, n, data):
-        """add, mul and neg (odd-p neg included) agree with route="lift" at
+        """add, mul and neg (odd-p neg included) agree with the lift route at
         each length up to the ring's longest (6 for p2 and p3laur), and the
         embedding reads back as the identity: 6 derandomized examples per
         ring and length."""
@@ -481,23 +480,25 @@ class TestStrictRoute:
         assert wc._from_perf(ring, wc._to_perf(x), n) == x.coords
         for op in ("add", "mul", "neg"):
             got = wc._witt_op_perf(op, x, None if op == "neg" else y)
-            assert got == wc.witt_arith(op, x, y, route="lift")
+            assert got == wc._witt_op_lift(op, x, y)
             assert got == wc.witt_arith(op, x, y)
 
     def test_rings_with_relations_keep_the_lift_route(self, monkeypatch):
         # uq rings and frac rings with a monomial quotient are no monoid
-        # algebras, so the frac kernel cannot run their perfection
-        calls = record_route_calls(monkeypatch, LIFT | STRICT)
+        # algebras, so the frac kernel cannot run their perfection: the
+        # fields F_8 = UQ2 and F_243 = UQ5 take the split route, UQ9 (base
+        # e = 2) and QUOT2 the ghost lift
+        calls = record_route_calls(monkeypatch, LIFT | STRICT | SPLIT)
         rng = random.Random(29)
-        for ring in (UQ9, UQ2, UQ5, QUOT2):
+        for ring, steps in ((UQ9, LIFT), (UQ2, SPLIT), (UQ5, SPLIT), (QUOT2, LIFT)):
             assert not ring.monoid_algebra
             x = rand_witt(ring, rng, 3, allow_zero=False)
             y = rand_witt(ring, rng, 3, allow_zero=False)
             for op in ("add", "mul"):
                 calls.clear()
                 got = wc.witt_arith(op, x, y)
-                assert set(calls) == LIFT
-                assert got == wc.witt_arith(op, x, y, route="table")
+                assert set(calls) == steps
+                assert got == wc._witt_op_table(op, x, y)
         assert PERF3.monoid_algebra and LAUR9.monoid_algebra
 
     def test_read_back_refuses_what_is_not_in_the_ring(self):
@@ -520,6 +521,136 @@ class TestStrictRoute:
         monkeypatch.setattr(wc, "_perf_teich", lambda c, i, n: {(9,): (2,)})
         with pytest.raises(IntegralityViolation, match="not divisible by 3"):
             wc._from_perf(PERF3, z, 2)
+
+
+# id: uq descriptor over F_2, F_3 or F_5 with a squarefree modulus g that
+# splits into linear factors, stays irreducible (inert) or mixes degrees
+SPLIT_RINGS = {
+    "split-p2": "uq base=(ff p=2 e=1) var=T modulus=T^2+T",
+    "split-p3": "uq base=(ff p=3 e=1) var=T modulus=T^3-T",
+    "split-p5": "uq base=(ff p=5 e=1) var=T modulus=T^4-1",
+    "inert-p2": "uq base=(ff p=2 e=1) var=T modulus=T^4+T^3+T^2+T+1",
+    "inert-p3": "uq base=(ff p=3 e=1) var=T modulus=T^2+1",
+    "inert-p5": "uq base=(ff p=5 e=1) var=T modulus=T^2+2",
+    "mixed-p2": "uq base=(ff p=2 e=1) var=T modulus=T^3+T^2+T",
+    "mixed-p3": "uq base=(ff p=3 e=1) var=T modulus=T^4+1",
+    "mixed-p5": "uq base=(ff p=5 e=1) var=T modulus=T^3-1",
+}
+# squarefree moduli for the factorization itself, the large primes
+# included: Berlekamp splits by quadratic characters from p = 5 on
+FACTOR_RINGS = list(SPLIT_RINGS.values()) + [
+    "uq base=(ff p=2 e=1) var=T modulus=T^15-1",
+    "uq base=(ff p=2 e=1) var=T modulus=T^3+T+1",
+    "uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1",
+    "uq base=(ff p=3 e=1) var=T modulus=T^9-T",
+    "uq base=(ff p=7 e=1) var=T modulus=T^6-1",
+    "uq base=(ff p=17 e=1) var=T modulus=T^8+1",
+    "uq base=(ff p=1009 e=1) var=T modulus=T^8-1",
+    "uq base=(ff p=1009 e=1) var=T modulus=T^5+T+3",
+    "uq base=(ff p=3 e=1) var=T modulus=T-2",
+]
+
+
+def uq_operand(ring, n):
+    """Length-n vectors over F_p[T]/(g): dense (every coefficient of every
+    coordinate drawn) or sparse (at most two nonzero coordinates)."""
+    p, d = ring.base.p, ring.degree
+    coeffs = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    elt = coeffs.map(lambda cs: br._mk(ring, {(k,): (c,) for k, c in enumerate(cs) if c}))
+    dense = st.lists(elt, min_size=n, max_size=n)
+    sparse = st.dictionaries(st.integers(0, n - 1), elt, max_size=2).map(
+        lambda m: [m.get(i, br.zero(ring)) for i in range(n)])
+    return st.one_of(dense, sparse).map(lambda cs: wc.WittVector(ring, tuple(cs)))
+
+
+class TestSplitRoute:
+    """A reduced F_p[T]/(g) is the product of the fields F_p[u]/(g_i), and
+    W_n of it the product of the W_n(F_p[u]/(g_i)), each run by Z_q: the
+    default route over reduced uq rings with base e = 1."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("spec", SPLIT_RINGS.values(), ids=SPLIT_RINGS.keys())
+    @given(data=st.data())
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    def test_matches_lift_and_table_routes(self, spec, n, data):
+        """add, mul and neg (p = 2 neg included) agree with the lift route
+        at n = 1..8, and with the table route wherever check_table_request
+        admits a table of at most TestZqRoute.TABLE_TERMS terms: 4
+        derandomized examples per ring and length."""
+        ring = br.make_ring(spec)
+        p = ring.base.p
+        x, y = data.draw(uq_operand(ring, n)), data.draw(uq_operand(ring, n))
+        for op, kind in (("add", "sum"), ("mul", "product"), ("neg", "negation")):
+            got = wc._witt_op_split(op, x, None if op == "neg" else y)
+            assert got == wc._witt_op_lift(op, x, y)
+            assert got == wc.witt_arith(op, x, y)
+            try:
+                wc.check_table_request(p, n - 1, kind)
+            except LevelTooLarge:
+                continue
+            if wc.term_count_bound(p, n - 1, kind) <= TestZqRoute.TABLE_TERMS:
+                assert got == wc._witt_op_table(op, x, y)
+
+    @pytest.mark.parametrize("spec", FACTOR_RINGS)
+    def test_factors_are_irreducible_and_multiply_back(self, spec):
+        ring = br.make_ring(spec)
+        F = ring.base
+        factors = ring.field_factors
+        g = br._poly_elt(F, "T", ring.modulus)
+        prod = br.one(g.ring)
+        for Fi in factors:
+            assert (Fi.p, Fi.e) == (F.p, len(Fi.modulus) - 1)
+            assert Fi.e == 1 or br._poly_is_irreducible(F.p, Fi.modulus)
+            prod = br.mul(prod, br._poly_elt(F, "T", [(c,) for c in Fi.modulus]))
+        assert prod == g
+        assert len(set(factors)) == len(factors)
+
+    @pytest.mark.parametrize("spec", FACTOR_RINGS)
+    def test_idempotents_are_orthogonal_and_sum_to_one(self, spec):
+        # e_i is the lift of 1 from the factor F_i: e_i e_j = 0 for i != j,
+        # e_i^2 = e_i, sum e_i = 1, and e_i reduces to 1 in F_i, 0 elsewhere
+        ring = br.make_ring(spec)
+        split = wc._split(ring)
+        idem = [br._mk(ring, {(k,): (c,) for k, c in enumerate(lift[0]) if c})
+                for _, _, lift in split]
+        assert sum(idem, br.zero(ring)) == br.one(ring)
+        for i, (Fi, red, _) in enumerate(split):
+            assert idem[i] * idem[i] == idem[i]
+            for j, e in enumerate(idem):
+                if j != i:
+                    assert (idem[i] * e).is_zero()
+                image = wc._split_reduce(Fi, red, wc.WittVector(ring, (e,)))
+                assert image == [Fi.one() if i == j else None]
+
+    @pytest.mark.parametrize("spec", [
+        "uq base=(ff p=2 e=1) var=T modulus=T^9",
+        "uq base=(ff p=3 e=1) var=T modulus=T^9",
+        "uq base=(ff p=2 e=1) var=T modulus=T^3+T^2",
+        "uq base=(ff p=3 e=1) var=T modulus=T^3+T^2",
+        "uq base=(ff p=2 e=1) var=T modulus=T^4",
+        "uq base=(ff p=3 e=1) var=T modulus=T^4",
+        "uq base=(ff p=3 e=2) var=T modulus=T^2+2*T+2",  # UQ9
+    ])
+    def test_non_reduced_and_extension_bases_keep_the_lift_route(self, spec, monkeypatch):
+        ring = br.make_ring(spec)
+        assert ring.field_factors is None
+        calls = record_route_calls(monkeypatch, LIFT | SPLIT)
+        rng = random.Random(31)
+        x = rand_witt(ring, rng, 3, allow_zero=False)
+        y = rand_witt(ring, rng, 3, allow_zero=False)
+        for op in ("add", "mul"):
+            calls.clear()
+            wc.witt_arith(op, x, y)
+            assert set(calls) == LIFT
+
+    def test_factoring_waits_for_the_first_witt_op(self):
+        # make_ring and the element parser run no factorization
+        br._field_factors.cache_clear()
+        ring = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3-T")
+        x = wc.make_witt(ring, [br.evaluate(ring, "T+1"), br.evaluate(ring, "T^2")])
+        assert br._field_factors.cache_info().currsize == 0
+        wc.witt_mul(x, x)
+        assert br._field_factors.cache_info().currsize == 1
 
 
 class TestOperators:
@@ -657,8 +788,7 @@ class TestOperators:
                     y = wc.WittVector(ring, tuple(b if i == k else br.zero(ring)
                                                   for i in range(n)))
                     for u, v in ((x, y), (y, x)):
-                        assert wc._mul_single_coord(u, v) == \
-                            wc.witt_arith("mul", u, v, route="lift")
+                        assert wc._mul_single_coord(u, v) == wc._witt_op_lift("mul", u, v)
 
     @pytest.mark.parametrize("ring", [F4, F3, LAUR3, UQ2, UQ5],
                              ids=["F4", "F3", "laurent3", "uq2", "uq3"])
@@ -670,7 +800,7 @@ class TestOperators:
         rng = random.Random(17)
         p, z = br.ring_char(ring), br.zero(ring)
         for n in range(1, 6):
-            routes = ["lift"] + ["table"] * all(
+            routes = [wc._witt_op_lift] + [wc._witt_op_table] * all(
                 wc.term_count_bound(p, n - 1, kind) <= 10_000
                 for kind in ("sum", "negation"))
             zero = wc.witt_zero(ring, n)
@@ -688,21 +818,19 @@ class TestOperators:
                         c if c.terms else d for c, d in zip(u.coords, v.coords)))
                     assert wc.witt_add(u, v) == wc.witt_add(v, u) == union
                     for route in routes:
-                        assert wc.witt_arith("add", u, v, route=route) == union
-                        assert wc.witt_arith("add", v, u, route=route) == union
-                        assert wc.witt_sub(u, v) == wc.witt_arith(
-                            "add", u, wc.witt_arith("neg", v, route=route),
-                            route=route)
-                        assert wc.witt_arith("neg", zero, route=route) == zero
+                        assert route("add", u, v) == union
+                        assert route("add", v, u) == union
+                        assert wc.witt_sub(u, v) == route("add", u, route("neg", v, None))
+                        assert route("neg", zero, None) == zero
                 assert wc.witt_neg(zero) == zero
 
     def test_disjoint_sum_runs_no_ghost_lift(self, monkeypatch):
         # over frac and uq rings a disjoint sum runs no route at all; an
         # overlapping one runs the strict p-ring route over LAUR3 and the
-        # ghost lift over the uq rings
-        calls = record_route_calls(monkeypatch, LIFT | STRICT)
+        # split route over the fields UQ2 and UQ5
+        calls = record_route_calls(monkeypatch, LIFT | STRICT | SPLIT)
         rng = random.Random(19)
-        for ring, steps in ((LAUR3, STRICT), (UQ2, LIFT), (UQ5, LIFT)):
+        for ring, steps in ((LAUR3, STRICT), (UQ2, SPLIT), (UQ5, SPLIT)):
             z = br.zero(ring)
             a = rand_witt(ring, rng, 4, allow_zero=False)
             b = rand_witt(ring, rng, 4, allow_zero=False)
@@ -714,33 +842,27 @@ class TestOperators:
             assert calls == []
             wc.witt_add(a, b)
             assert set(calls) == steps
-            # the explicit lift route stays a full oracle
+            # the lift route stays a full oracle
             calls.clear()
-            wc.witt_arith("add", x, y, route="lift")
+            wc._witt_op_lift("add", x, y)
             assert set(calls) == LIFT
 
     @pytest.mark.parametrize("ring", [F3, F5], ids=["F3", "F5"])
     def test_odd_negation_runs_each_oracle_in_full(self, ring, monkeypatch):
-        # route="lift" and route="table" are independent oracles for odd-p
-        # negation too: neither takes the coordinatewise shortcut of "auto"
+        # the lift and table routes are independent oracles for odd-p
+        # negation too: neither takes the coordinatewise shortcut of witt_arith
         calls = record_route_calls(monkeypatch)
         x = rand_witt(ring, random.Random(23), 3, allow_zero=False)
         neg = wc.witt_arith("neg", x)
         assert calls == []
-        assert wc.witt_arith("neg", x, route="lift") == neg
+        assert wc._witt_op_lift("neg", x, None) == neg
         assert set(calls) == {"_lift_ghost", "_lift_solve"}
         tables = []
         structural_polys = wc.structural_polys
         monkeypatch.setattr(wc, "structural_polys",
                             lambda *a: tables.append(a) or structural_polys(*a))
-        assert wc.witt_arith("neg", x, route="table") == neg
+        assert wc._witt_op_table("neg", x, None) == neg
         assert tables == [(ring.p, 2, "negation")]
-
-    @pytest.mark.parametrize("op", ["add", "mul", "neg"])
-    def test_unknown_route_is_refused_for_every_op(self, op):
-        x = wc.make_witt(F3, [1, 2, 0])
-        with pytest.raises(SpecParseError, match="unknown route 'bogus'"):
-            wc.witt_arith(op, x, x, route="bogus")
 
     def test_witt_ord(self):
         x = wc.make_witt(F3, [0, 0, 2])
