@@ -314,11 +314,22 @@ class FiniteFieldSpec(_Monomials, _CoeffRing):
         return self.cpow(a, self.q - 2)
 
     def cfrob(self, a: FieldCoeff, k: int) -> FieldCoeff:
-        """k-fold Frobenius c -> c^(p^k); every k is defined since Frob^e = id."""
+        """k-fold Frobenius c -> c^(p^k); every k is defined since Frob^e = id.
+        It is F_p-linear, so one product with a memoized matrix."""
         k %= self.e
         if k == 0:
             return a
-        return self.cpow(a, self.p ** k)
+        p = self.p
+        return tuple([sum([m * x for m, x in zip(row, a)]) % p
+                      for row in self._frob_rows[k]])
+
+    @cached_property
+    def _frob_rows(self) -> tuple:
+        """Per k in 0..e-1 the rows of the F_p-linear map c -> c^(p^k), whose
+        column j is (u^j)^(p^k)."""
+        units = [tuple(int(i == j) for i in range(self.e)) for j in range(self.e)]
+        return tuple(tuple(zip(*[self.cpow(u, self.p ** k) for u in units]))
+                     for k in range(self.e))
 
     def nth_root(self, a: FieldCoeff, n: int) -> FieldCoeff:
         """The smallest b (as a coefficient tuple) with b^n = a, or NoRoot.

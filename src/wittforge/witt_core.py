@@ -27,7 +27,11 @@ two run on every ring and are kept alive on purpose, as oracles:
   it as A at depth_p + n - 1; a digit t comes back as x_i = F^i(t), keys
   divided by p^(n-1-i).  A one-term [a] is a monomial times a Z_q lift, a
   longer one any lift of a^(p^-(m-1)) raised to p^(m-1), memoized per
-  coordinate since results come back as operands.
+  coordinate since results come back as operands.  A result carries z
+  alone (``WittVector``): ``_from_perf`` computes its coordinates the first
+  time something reads them, and the next op takes z as it is, so only a
+  vector built from coordinates (a constant, a Teichmueller lift, assembled
+  digits, an Eisenstein coefficient) goes through ``_to_perf``, once.
 * the lift route ``_witt_op_lift`` (over uq rings with base e > 1 or a
   modulus that is not squarefree, and frac rings with a quotient): read the
   coordinates over Z/p^K (K = n+1) with the base ring's own kernel, apply
@@ -42,8 +46,10 @@ is sum_i V^i[x_i] (Serre, Local Fields, II.6), so when no index i has x_i
 and y_i both nonzero, x + y is the coordinatewise union of x and y; a zero
 operand is the commonest case.  For odd p negation is coordinatewise, the
 negation of zero is zero, and a product with one operand of at most one
-nonzero coordinate is V^k(F^k(x) * [b]).  The lift and table routes never
-take these shortcuts, so each stays an independent oracle.
+nonzero coordinate is V^k(F^k(x) * [b]).  These shortcuts run where the
+coordinates are known; an operand known by its strict image alone is
+answered without the kernel only when it is zero (z is empty).  The lift
+and table routes never take them, so each stays an independent oracle.
 
 Every division by p in the Z_q, split, strict p-ring and lift routes is
 checked for exactness; a failure is a bug, not an input condition.  The
@@ -53,6 +59,15 @@ only covers small (p, level) pairs; ``term_count_bound`` gives the a-priori
 monomial-count ceiling that the generation guard enforces.  Cross-route
 agreement with the lift and table routes is part of the test suite, so no
 route can drift.
+
+The strict route's checks run in ``_from_perf``, on every result whose
+coordinates are read (printing, comparing, a residue, an order walk).  A
+result that nothing reads is never converted, and nothing depends on its
+coordinates.  Every Hensel root is still certified, since the final
+``digit_expand(f(root))`` reads f(root).  ``witt_ord`` of a carried image
+is the p-adic valuation of z, exact in W_n(A^perf); every refusal
+(``DepthExhausted`` from a missing p-th root) comes from coordinates, which
+are read for it.
 
 The Z_q route needs no guard digit: Z_q/p^n is W_n(F_q) itself, not an
 approximation of it.  Sums and products there are exact mod p^n, and each
@@ -505,14 +520,39 @@ def _lift_solve(ring: Ring, C, targets: list) -> list:
 # Witt vectors
 
 
-@dataclass(frozen=True)
 class WittVector:
-    ring: Ring
-    coords: tuple[RingElement, ...]
+    """A vector of W_n(A): its coordinates ``coords`` over A, n = ``length``.
+
+    A strict p-ring result (``_from_z``) holds only its image z in
+    W_n(A^perf) (``_z``, a term dict with keys scaled by p^(n-1)), and
+    ``_from_perf`` computes its coordinates, with every check, the first
+    time something reads them; they are cached.  A vector built from
+    coordinates gets z from ``_to_perf`` on its first strict op, also
+    cached.  Equality, hashing and ``str`` read the coordinates.
+    """
+
+    __slots__ = ("ring", "length", "_coords", "_z")
+
+    def __init__(self, ring: Ring, coords: tuple[RingElement, ...]):
+        self.ring, self.length = ring, len(coords)
+        self._coords, self._z = coords, None
 
     @property
-    def length(self) -> int:
-        return len(self.coords)
+    def coords(self) -> tuple[RingElement, ...]:
+        if self._coords is None:
+            self._coords = _from_perf(self.ring, self._z, self.length)
+        return self._coords
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ring == other.ring and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.ring, self.coords))
+
+    def __repr__(self) -> str:
+        return f"WittVector(ring={self.ring!r}, coords={self.coords!r})"
 
     def __add__(self, other):
         return witt_arith("add", self, other)
@@ -554,6 +594,13 @@ def witt_one(ring: Ring, n: int) -> WittVector:
     return WittVector(ring, (br.one(ring),) + (br.zero(ring),) * (n - 1))
 
 
+def _is_zero(x: WittVector) -> bool:
+    """Whether x = 0, from its coordinates or else its strict image."""
+    if x._coords is None:
+        return not x._z
+    return not any(c.terms for c in x._coords)
+
+
 def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVector:
     """Ring operation on Witt vectors; op in {add, mul, neg}."""
     if op not in ("add", "mul", "neg"):
@@ -567,6 +614,14 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVecto
             raise MismatchError("Witt vectors over different rings")
         if x.length != y.length:
             raise MismatchError("Witt vectors of different lengths")
+    if x._coords is None or y is not None and y._coords is None:
+        # an operand known by its strict image alone: only a zero operand
+        # is answered without the kernel
+        if _is_zero(x):
+            return y if op == "add" else x
+        if y is not None and _is_zero(y):
+            return x if op == "add" else y
+        return _witt_op_perf(op, x, y)
     if op == "neg" and br.ring_char(x.ring) != 2:
         # iota_i = -X_i for odd p, against both oracles in the test suite
         return WittVector(x.ring, tuple(br.neg(c) for c in x.coords))
@@ -578,7 +633,7 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVecto
             # disjoint supports (a zero operand included): the union
             return WittVector(x.ring, tuple(b if b.terms else a
                                             for a, b in zip(x.coords, y.coords)))
-    elif op == "neg" and not any(c.terms for c in x.coords):
+    elif op == "neg" and _is_zero(x):
         return x
     elif op == "mul":
         fast = _mul_single_coord(x, y)
@@ -749,8 +804,9 @@ def _perf_teich(c: RingElement, i: int, n: int) -> MappingProxyType:
     """[c^(p^-i)] mod p^(n-i), keys scaled by p^(n-1): one term lifts its
     coefficient alone; more take any lift of c^(p^-(n-1)) (keys as in c,
     coefficients twisted by F^-(n-1)) raised to p^(n-1-i).  Memoized, since
-    a result's digits come back as operands (one Hensel lift to N = 6 keeps
-    at most 34 lifts, 3 in 4 lookups hit), so it is shared and read-only."""
+    digits read back come back in operands built from them (one Hensel lift
+    to N = 6 keeps at most 20 lifts, 2 in 5 lookups hit), so it is shared
+    and read-only."""
     ring = c.ring
     F = ring.base
     s = F.p ** (n - 1 - i)
@@ -811,17 +867,31 @@ def _from_perf(ring: Ring, z: dict, n: int) -> tuple:
     return tuple(coords)
 
 
+def _image(x: WittVector) -> dict:
+    """The strict image z of x, from its coordinates on first use, cached."""
+    if x._z is None:
+        x._z = _to_perf(x)
+    return x._z
+
+
+def _from_z(ring: Ring, n: int, z: dict) -> WittVector:
+    """The vector of W_n(A) with strict image z; coordinates on first read."""
+    v = WittVector.__new__(WittVector)
+    v.ring, v.length, v._coords, v._z = ring, n, None, z
+    return v
+
+
 def _witt_op_perf(op: str, x: WittVector, y: WittVector | None) -> WittVector:
     ring, n = x.ring, x.length
     C = br._CoeffRing(ring.base, n)
-    z = _to_perf(x)
+    z = _image(x)
     if op == "neg":
         z = br._kneg(C, z.items())
     elif op == "add":
-        z = br._kadd(C, z, _to_perf(y).items())
+        z = br._kadd(C, z, _image(y).items())
     else:
-        z = ring._kmul(C, z.items(), _to_perf(y).items())
-    return WittVector(ring, _from_perf(ring, z, n))
+        z = ring._kmul(C, z.items(), _image(y).items())
+    return _from_z(ring, n, z)
 
 
 def _witt_op_table(op: str, x: WittVector, y: WittVector | None) -> WittVector:
@@ -906,7 +976,15 @@ def witt_pmul(x: WittVector) -> WittVector:
 
 
 def witt_ord(x: WittVector) -> int | None:
-    """Index of the first nonzero coordinate (V-adic order); None for zero."""
+    """Index of the first nonzero coordinate (V-adic order); None for zero.
+
+    For a vector known by its strict image z alone this is the p-adic
+    valuation of z: z = p^i ([x_i^(p^-i)] + p w) when x_0..x_(i-1) vanish,
+    and [x_i^(p^-i)] is nonzero mod p exactly when x_i is nonzero."""
+    if x._coords is None:
+        z, p = x._z, x.ring.base.p
+        return next((i for i in range(x.length)
+                     if any(u % p ** (i + 1) for c in z.values() for u in c)), None)
     for i, c in enumerate(x.coords):
         if not c.is_zero():
             return i

@@ -268,11 +268,10 @@ def _rw_mul(x: RamifiedWitt, y: RamifiedWitt, prec: int) -> RamifiedWitt:
     s = [wc.witt_zero(ring, x.base.level)] * (2 * f - 1)
     # the zero guards skip a product and its sum outright; a first product
     # added to a zero s[i + j] is free already (the union rule of witt_arith)
+    ys = [(j, b) for j, b in enumerate(y.coords) if wc.witt_ord(b) is not None]
     for i, a in enumerate(x.coords):
-        if wc.witt_ord(a) is None:
-            continue
-        for j, b in enumerate(y.coords):
-            if wc.witt_ord(b) is not None:
+        if wc.witt_ord(a) is not None:
+            for j, b in ys:
                 s[i + j] = wc.witt_add(s[i + j], wc.witt_mul(a, b))
     # reduce pi^k for k >= f via pi^f = -sum e_j pi^j
     live = [j for j in range(f) if wc.witt_ord(eis[j]) is not None]

@@ -57,6 +57,22 @@ class TestFiniteField:
             assert f8.cfrob(a, 3) == a
             assert f8.cfrob(f8.cfrob(a, 1), -1) == a
 
+    def test_frobenius_matrix_matches_powering(self):
+        # cfrob(a, k) is a product with a matrix; a^(p^k) by cpow's
+        # square-and-multiply is the reference, for every k in 0..e-1 (and k - e),
+        # on every element of F_4, F_8, F_9 and on 40 of F_243 and F_512,
+        # the factor fields of T^5+2*T^2+T+1 over F_3 and T^9+T^4+1 over F_2
+        rng = random.Random(43)
+        big = [br.make_ring(f"uq base=(ff p={p} e=1) var=T modulus={g}").field_factors
+               for p, g in ((3, "T^5+2*T^2+T+1"), (2, "T^9+T^4+1"))]
+        assert [f.q for (f,) in big] == [243, 512]
+        for f in [F(2, 2), F(2, 3), F(3, 2)] + [f for (f,) in big]:
+            pool = (list(elements(f)) if f.q < 27 else
+                    [tuple(rng.randrange(f.p) for _ in range(f.e)) for _ in range(40)])
+            for k in range(f.e):
+                for a in pool:
+                    assert f.cfrob(a, k) == f.cfrob(a, k - f.e) == f.cpow(a, f.p ** k)
+
     def test_frob_f4_generator(self):
         f4 = F(2, 2)
         u = f4.gen()

@@ -110,16 +110,22 @@ def test_readme_command(command, tmp_path, monkeypatch):
 
 
 HENSEL = next(c for c in GOLDEN if c.startswith("hensel lift "))
-HENSEL_FULL_OPS = 24  # full Witt operations of the README `hensel lift` example
+# the README `hensel lift` example's strict p-ring conversions: read-backs
+# (``_from_perf``, one per Witt result whose coordinates are read) and
+# embeddings (``_to_perf``, one per vector built from coordinates that a
+# strict op takes)
+HENSEL_READ_BACKS = 10
+HENSEL_EMBEDDINGS = 12
 
 
 def test_readme_hensel_lift_solve_count(monkeypatch):
     """The README `hensel lift` example prints its pinned stdout with at most
-    HENSEL_FULL_OPS full Witt operations: calls of the strict p-ring route's
-    read-back, which its frac ring takes, or of the lift route's solve.  A
-    count does not flake as a timing does, and it catches a change that
-    brings back Witt arithmetic on zero or disjoint operands (94 lift solves
-    before the union rule of ``witt_core.witt_arith``)."""
+    HENSEL_READ_BACKS read-backs and HENSEL_EMBEDDINGS embeddings, and no
+    lift-route solve, since its frac ring takes the strict p-ring route.  A
+    count does not flake as a timing does.  It catches a change that brings
+    back Witt arithmetic on zero or disjoint operands (94 lift solves before
+    the union rule of ``witt_core.witt_arith``) or a conversion per Witt op
+    (13 read-backs and 26 embeddings before results carried their image)."""
     calls = []
 
     def counting(name):
@@ -130,9 +136,11 @@ def test_readme_hensel_lift_solve_count(monkeypatch):
             return step(*args)
         return counted
 
-    for name in ("_from_perf", "_lift_solve"):
+    for name in ("_from_perf", "_to_perf", "_lift_solve"):
         monkeypatch.setattr(wc, name, counting(name))
     out, err = StringIO(), StringIO()
     code = cli.main(shlex.split(HENSEL), stdout=out, stderr=err)
     assert (code, out.getvalue()) == GOLDEN[HENSEL], err.getvalue()
-    assert 0 < len(calls) <= HENSEL_FULL_OPS
+    assert 0 < calls.count("_from_perf") <= HENSEL_READ_BACKS
+    assert calls.count("_to_perf") <= HENSEL_EMBEDDINGS
+    assert "_lift_solve" not in calls

@@ -672,6 +672,23 @@ class TestSharedInverse:
         assert str(y) == str(counted_inverse(x))
         assert rw.rw_equal(rw.rw_mul(x, y), rw.rw_one(B_SQ3X, ring))
 
+    def test_refusals_hold_for_a_carried_image(self):
+        # V[x] = ([x] + V[x]) - [x] is a strict-route result, so slot 0
+        # holds only its image in W_4(A^perf), where V[x] = 3 [x^(1/3)] is a
+        # multiple of pi; the order still reads the coordinates, and x has
+        # no cube root in A
+        ring = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=0 depth_2=0 "
+                            "laurent=true")
+        t, z = br.variable(ring, "x"), br.zero(ring)
+        v = wc.witt_add(wc.WittVector(ring, (t, t, z, z)), wc.WittVector(ring, (-t, z, z, z)))
+        assert v._coords is None
+        x = rw.RamifiedWitt(B_SQ3E, ring, (v, wc.witt_zero(ring, 4)), 6)
+        with pytest.raises(DepthExhausted, match="exponent 1 leaves the lattice"):
+            rw.rw_is_zero(x)
+        with pytest.raises(DepthExhausted, match="exponent 1 leaves the lattice"):
+            rw.rw_equal(x, rw.rw_zero(B_SQ3E, ring))
+        assert v.coords == (z, t, z, z)
+
     def test_non_unit_keeps_its_message(self):
         with pytest.raises(NotAUnit, match="^not a unit mod pi: "):
             rw.refine_inverse(rw.rw_pi(B_SQ3X, F3), None, 6)
