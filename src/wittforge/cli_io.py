@@ -738,6 +738,9 @@ def _cmd_witt(ns, out, err) -> int:
         out.write(br.format_element(wc.project(x)) + "\n")
         return 0
     else:  # divp
+        if x.length < 2:
+            # the quotient has length n - 1 = 0, which no W{..} literal holds
+            raise NotDivisible("divp needs --n >= 2")
         res = wc.divide_by_p(x)
     out.write(format_witt(res) + "\n")
     return 0

@@ -267,7 +267,8 @@ def _rw_mul(x: RamifiedWitt, y: RamifiedWitt, prec: int) -> RamifiedWitt:
     eis, _ = _ctx(x.base, ring)
     s = [wc.witt_zero(ring, x.base.level)] * (2 * f - 1)
     # the zero guards skip a product and its sum outright; a first product
-    # added to a zero s[i + j] is free already (the union rule of witt_arith)
+    # added to a zero s[i + j] is free already (the zero-operand rule of
+    # witt_arith hands the product back as it is)
     ys = [(j, b) for j, b in enumerate(y.coords) if wc.witt_ord(b) is not None]
     for i, a in enumerate(x.coords):
         if wc.witt_ord(a) is not None:

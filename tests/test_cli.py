@@ -235,6 +235,14 @@ class TestWittCommands:
         got = cli.parse_witt(ring, out2)
         assert wc.witt_pmul(got) == wc.make_witt(ring, [0])
 
+    def test_divp_at_length_one_is_refused(self):
+        # the quotient would have length 0, and its literal W{} does not
+        # parse back
+        code, out, err = run_cli("witt", "divp", "--ring", "ff p=3 e=1",
+                                 "--n", "1", "--x", "W{0}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--n >= 2" in err
+
 
 class TestRwCommands:
     BASE_TXT = "rw p=3 e=1 eis=(X^2-3) prec=6"

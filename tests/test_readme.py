@@ -114,8 +114,8 @@ HENSEL = next(c for c in GOLDEN if c.startswith("hensel lift "))
 # (``_from_perf``, one per Witt result whose coordinates are read) and
 # embeddings (``_to_perf``, one per vector built from coordinates that a
 # strict op takes)
-HENSEL_READ_BACKS = 10
-HENSEL_EMBEDDINGS = 12
+HENSEL_READ_BACKS = 13
+HENSEL_EMBEDDINGS = 9
 
 
 def test_readme_hensel_lift_solve_count(monkeypatch):
@@ -123,9 +123,12 @@ def test_readme_hensel_lift_solve_count(monkeypatch):
     HENSEL_READ_BACKS read-backs and HENSEL_EMBEDDINGS embeddings, and no
     lift-route solve, since its frac ring takes the strict p-ring route.  A
     count does not flake as a timing does.  It catches a change that brings
-    back Witt arithmetic on zero or disjoint operands (94 lift solves before
-    the union rule of ``witt_core.witt_arith``) or a conversion per Witt op
-    (13 read-backs and 26 embeddings before results carried their image)."""
+    back Witt arithmetic on zero operands (94 lift solves before
+    ``witt_core.witt_arith`` answered them without a route) or a conversion
+    per Witt op (13 read-backs and 26 embeddings before results carried
+    their image).  With the coordinate-union sum and the single-coordinate
+    product the lift took 10 read-backs and 12 embeddings; without them
+    sparse results stay strict images, so it takes 13 and 9."""
     calls = []
 
     def counting(name):

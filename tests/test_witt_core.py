@@ -33,11 +33,17 @@ QUOT2 = br.make_ring(
 UQ5 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1")
 UQ2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
 LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true")
+NRED2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T^2")
+# sparse operands over finite fields, the strict route (LAUR3), the split
+# route (UQ2, UQ5) and the lift route (NRED2, QUOT2)
+SPARSE_RINGS = [F4, F3, LAUR3, UQ2, UQ5, NRED2, QUOT2]
+SPARSE_IDS = ["F4", "F3", "laurent3", "uq2", "uq3", "nred2", "quot2"]
 
 
 LIFT = {"_lift_ghost", "_lift_solve"}
 STRICT = {"_to_perf", "_from_perf"}
 SPLIT = {"_witt_op_split", "_zq_op"}
+ROUTES = LIFT | STRICT | SPLIT | {"_witt_op_perf", "_witt_op_zq", "_witt_op_lift"}
 
 
 def record_route_calls(monkeypatch, names=LIFT) -> list:
@@ -813,13 +819,16 @@ class TestOperators:
                 acc = wc.witt_add(acc, one)
             assert wc.int_to_witt(p ** 3, ring, 3) == wc.witt_zero(ring, 3)
 
-    @pytest.mark.parametrize("ring", [F4, F3, LAUR3, UQ2, UQ5],
-                             ids=["F4", "F3", "laurent3", "uq2", "uq3"])
+    @pytest.mark.parametrize("ring", SPARSE_RINGS, ids=SPARSE_IDS)
     def test_single_coordinate_product_matches_lift_route(self, ring):
-        # x * V^k([b]) by the fast path of witt_arith, both operand orders,
-        # against the general lift route; 3 draws per (n, k), seed 15
+        # x * V^k([b]) by the default route, both operand orders, against
+        # the general lift route, and the table route where its tables are
+        # small (at most 10,000 terms); 3 draws per (n, k), seed 15
         rng = random.Random(15)
+        p = br.ring_char(ring)
         for n in range(1, 5):
+            routes = [wc._witt_op_lift] + [wc._witt_op_table] * (
+                wc.term_count_bound(p, n - 1, "product") <= 10_000)
             for k in range(n):
                 for _ in range(3):
                     x = rand_witt(ring, rng, n, max_terms=2)
@@ -827,15 +836,17 @@ class TestOperators:
                     y = wc.WittVector(ring, tuple(b if i == k else br.zero(ring)
                                                   for i in range(n)))
                     for u, v in ((x, y), (y, x)):
-                        assert wc._mul_single_coord(u, v) == wc._witt_op_lift("mul", u, v)
+                        prod = wc.witt_mul(u, v)
+                        for route in routes:
+                            assert route("mul", u, v) == prod
 
-    @pytest.mark.parametrize("ring", [F4, F3, LAUR3, UQ2, UQ5],
-                             ids=["F4", "F3", "laurent3", "uq2", "uq3"])
+    @pytest.mark.parametrize("ring", SPARSE_RINGS, ids=SPARSE_IDS)
     def test_disjoint_sum_is_the_coordinate_union(self, ring):
-        # the default route's union rule against the full lift route, and
-        # the table route where its tables are small (at most 10,000 terms):
-        # disjoint random supports, one operand zero, both zero; n = 1..5,
-        # 4 draws per n, seed 17
+        # x = sum_i V^i[x_i], so a sum of vectors with disjoint supports is
+        # the union of their coordinates: the default route against it, the
+        # full lift route, and the table route where its tables are small
+        # (at most 10,000 terms): disjoint random supports, one operand
+        # zero, both zero; n = 1..5, 4 draws per n, seed 17
         rng = random.Random(17)
         p, z = br.ring_char(ring), br.zero(ring)
         for n in range(1, 6):
@@ -863,28 +874,41 @@ class TestOperators:
                         assert route("neg", zero, None) == zero
                 assert wc.witt_neg(zero) == zero
 
-    def test_disjoint_sum_runs_no_ghost_lift(self, monkeypatch):
-        # over frac and uq rings a disjoint sum runs no route at all; an
-        # overlapping one runs the strict p-ring route over LAUR3 and the
-        # split route over the fields UQ2 and UQ5
-        calls = record_route_calls(monkeypatch, LIFT | STRICT | SPLIT)
+    @pytest.mark.parametrize(("ring", "steps"), [(LAUR3, STRICT), (PX2, STRICT),
+                                                 (UQ2, SPLIT), (UQ5, SPLIT)],
+                             ids=["laurent3", "px2", "uq2", "uq3"])
+    def test_zero_operand_runs_no_route(self, ring, steps, monkeypatch):
+        # a zero operand, in coordinates or (over the strict rings LAUR3 and
+        # PX2) as an empty strict image, runs no route: a sum hands back the
+        # other operand, a product and a negation the zero itself, in both
+        # operand orders, at p = 3 and at p = 2.  A nonzero sum runs the
+        # ring's own route even when the supports are disjoint.
         rng = random.Random(19)
-        for ring, steps in ((LAUR3, STRICT), (UQ2, SPLIT), (UQ5, SPLIT)):
-            z = br.zero(ring)
-            a = rand_witt(ring, rng, 4, allow_zero=False)
-            b = rand_witt(ring, rng, 4, allow_zero=False)
-            x = wc.WittVector(ring, (a.coords[0], z, a.coords[2], z))
-            y = wc.WittVector(ring, (z, b.coords[1], z, b.coords[3]))
-            calls.clear()
-            wc.witt_add(x, y), wc.witt_add(y, x), wc.witt_add(x, wc.witt_zero(ring, 4))
-            wc.witt_neg(wc.witt_zero(ring, 4))
-            assert calls == []
-            wc.witt_add(a, b).coords  # a strict result reads back on a read
-            assert set(calls) == steps
-            # the lift route stays a full oracle
-            calls.clear()
-            wc._witt_op_lift("add", x, y)
-            assert set(calls) == LIFT
+        z = br.zero(ring)
+        a = rand_witt(ring, rng, 4, allow_zero=False)
+        b = rand_witt(ring, rng, 4, allow_zero=False)
+        zeros = [wc.witt_zero(ring, 4)]
+        if steps is STRICT:
+            zeros.append(wc.witt_add(a, wc.witt_neg(a)))
+            assert zeros[-1]._coords is None
+        calls = record_route_calls(monkeypatch, ROUTES)
+        for zero in zeros:
+            assert wc.witt_add(zero, a) is a and wc.witt_add(a, zero) is a
+            assert wc.witt_mul(zero, a) is zero and wc.witt_mul(a, zero) is zero
+            assert wc.witt_neg(zero) is zero
+            for other in zeros:
+                assert wc.witt_add(zero, other) is other
+                assert wc.witt_mul(zero, other) is zero
+        assert calls == []
+        x = wc.WittVector(ring, (a.coords[0], z, a.coords[2], z))
+        y = wc.WittVector(ring, (z, b.coords[1], z, b.coords[3]))
+        wc.witt_add(x, y).coords  # a strict result reads back on a read
+        wc.witt_add(y, x).coords
+        assert set(calls) - {"_witt_op_perf"} == steps
+        # the lift route stays a full oracle
+        calls.clear()
+        wc._witt_op_lift("add", x, y)
+        assert set(calls) == {"_witt_op_lift"} | LIFT
 
     @pytest.mark.parametrize("ring", [F3, F5], ids=["F3", "F5"])
     def test_odd_negation_runs_each_oracle_in_full(self, ring, monkeypatch):
