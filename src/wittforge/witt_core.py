@@ -62,10 +62,8 @@ The strict route's checks run in ``_from_perf``, on every result whose
 coordinates are read (printing, comparing, a residue, an order walk).  A
 result that nothing reads is never converted, and nothing depends on its
 coordinates.  Every Hensel root is still certified, since the final
-``digit_expand(f(root))`` reads f(root).  ``witt_ord`` of a carried image
-is the p-adic valuation of z, exact in W_n(A^perf); every refusal
-(``DepthExhausted`` from a missing p-th root) comes from coordinates, which
-are read for it.
+``digit_expand(f(root))`` reads f(root).  Every refusal (``DepthExhausted``
+from a missing p-th root) comes from coordinates, which are read for it.
 
 The Z_q route needs no guard digit: Z_q/p^n is W_n(F_q) itself, not an
 approximation of it.  Sums and products there are exact mod p^n, and each
@@ -592,7 +590,7 @@ def witt_one(ring: Ring, n: int) -> WittVector:
     return WittVector(ring, (br.one(ring),) + (br.zero(ring),) * (n - 1))
 
 
-def _is_zero(x: WittVector) -> bool:
+def witt_is_zero(x: WittVector) -> bool:
     """Whether x = 0, from its coordinates or else its strict image."""
     if x._coords is None:
         return not x._z
@@ -613,9 +611,9 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVecto
         if x.length != y.length:
             raise MismatchError("Witt vectors of different lengths")
     # a zero operand, known by its coordinates or its strict image
-    if _is_zero(x):
+    if witt_is_zero(x):
         return y if op == "add" else x
-    if y is not None and _is_zero(y):
+    if y is not None and witt_is_zero(y):
         return x if op == "add" else y
     if op == "neg" and x._coords is not None and br.ring_char(x.ring) != 2:
         # iota_i = -X_i for odd p, against both oracles in the test suite
@@ -931,22 +929,6 @@ def witt_pmul(x: WittVector) -> WittVector:
     return verschiebung(frobenius_map(x))
 
 
-def witt_ord(x: WittVector) -> int | None:
-    """Index of the first nonzero coordinate (V-adic order); None for zero.
-
-    For a vector known by its strict image z alone this is the p-adic
-    valuation of z: z = p^i ([x_i^(p^-i)] + p w) when x_0..x_(i-1) vanish,
-    and [x_i^(p^-i)] is nonzero mod p exactly when x_i is nonzero."""
-    if x._coords is None:
-        z, p = x._z, x.ring.base.p
-        return next((i for i in range(x.length)
-                     if any(u % p ** (i + 1) for c in z.values() for u in c)), None)
-    for i, c in enumerate(x.coords):
-        if not c.is_zero():
-            return i
-    return None
-
-
 def divide_by_p(x: WittVector) -> WittVector:
     """Exact division by p; shortens the vector by one coordinate."""
     if not x.coords[0].is_zero():
@@ -963,6 +945,10 @@ def divide_by_p(x: WittVector) -> WittVector:
 
 
 def int_to_witt(m: int, ring: Ring, n: int) -> WittVector:
-    """The image of the integer m in W_n(A), via its exact Z-Witt coordinates."""
-    coords = from_ghost((m,) * n, br.ring_char(ring))
-    return WittVector(ring, tuple(br.from_int(ring, c) for c in coords))
+    """The image of the integer m in W_n(A).  W_n(F_p) is Z/p^n, so its
+    coordinates are the Teichmueller digits of m mod p^n (``_from_zq`` over
+    F_p), each an element of F_p inside A."""
+    p, zero = br.ring_char(ring), br.zero(ring)
+    digits = _from_zq(br.make_field(p, 1), [m % p ** n], n)
+    return WittVector(ring, tuple([zero if a is None else br.from_int(ring, a[0])
+                                   for a in digits]))

@@ -45,9 +45,9 @@ class RamifiedBase:
     f: int
     level: int  # internal Witt length n of every coordinate
     field: FiniteFieldSpec  # F_q, q = p^e
-    eis: tuple  # e_0..e_{f-1}, WittVectors over field, length = level
+    eis: tuple  # e_0..e_{f-1} mod p^level: ints, their images in W_n(F_q)
     unit: int = dataclasses.field(repr=False)  # e_0/p mod p^level
-    # c in F_q^* when E = X^f - p*[c], else None; derived from eis
+    # c in F_q^* when E = X^f - p*[c], else None; found from the integers
     c: RingElement | None = dataclasses.field(default=None, compare=False,
                                               repr=False)
 
@@ -66,9 +66,13 @@ class RamifiedBase:
 def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBase:
     """Validated Eisenstein base for E(X) = X^f + sum coeffs[i] X^i.
 
-    Each coefficient is an int, mapped through W_n(F_q).  Raises
-    NotEisenstein when a coefficient is not divisible by p or the constant
-    term is not p times a unit.
+    Each coefficient is an int, whose image in W_n(F_q) is its class mod
+    p^level (W_n(F_p) = Z/p^n), so every test is one on integers.  Raises
+    NotEisenstein when a coefficient is not divisible by p or p^2 divides
+    the constant term.  E = X^f - p*[c] exactly when p^level divides
+    e_1..e_{f-1} and u = -e_0/p is [c] mod p^(level-1), i.e. when
+    u^p = u mod p^(level-1), the Teichmueller lifts of Z/p^k being the
+    roots of t^p = t there; then c = u mod p.
     """
     if f < 1:
         raise NotEisenstein("degree f must be >= 1")
@@ -77,29 +81,18 @@ def make_ramified_base(p: int, e: int, f: int, coeffs, level: int) -> RamifiedBa
     if len(coeffs) != f:
         raise SpecParseError(f"expected {f} coefficients e_0..e_{f - 1}")
     field = br.make_field(p, e)
-    eis = []
     for i, c in enumerate(coeffs):
         if not isinstance(c, int):
             raise SpecParseError(f"bad Eisenstein coefficient {c!r}")
-        v = wc.int_to_witt(c, field, level)
-        if not v.coords[0].is_zero():
+        if c % p:
             raise NotEisenstein(f"coefficient e_{i} is not divisible by p")
-        eis.append(v)
-    if eis[0].coords[1].is_zero():
+    if coeffs[0] % p ** 2 == 0:
         raise NotEisenstein(
             "constant term lies in the square of the maximal ideal")
-    return RamifiedBase(p, e, f, level, field, tuple(eis),
-                        coeffs[0] // p % p ** level, _teichmuller_unit(eis))
-
-
-def _teichmuller_unit(eis) -> RingElement | None:
-    """c when E = X^f - p*[c], i.e. e_1..e_{f-1} = 0 and -e_0 = (0, c^p, 0, ...)."""
-    if any(wc.witt_ord(v) is not None for v in eis[1:]):
-        return None
-    neg = wc.witt_neg(eis[0]).coords
-    if any(not a.is_zero() for a in neg[:1] + neg[2:]):
-        return None
-    return br.frobenius(neg[1], -1)
+    pn, pm, u = p ** level, p ** (level - 1), -(coeffs[0] // p)
+    shape = not any(c % pn for c in coeffs[1:]) and pow(u, p, pm) == u % pm
+    return RamifiedBase(p, e, f, level, field, tuple(c % pn for c in coeffs),
+                        coeffs[0] // p % pn, br.from_int(field, u) if shape else None)
 
 
 def parse_eisenstein(text: str):
@@ -177,16 +170,12 @@ def rw_truncate(x: RamifiedWitt, n: int) -> RamifiedWitt:
 
 @lru_cache(maxsize=64)
 def _ctx(base: RamifiedBase, ring: Ring):
-    """Per-(base, ring) data: the Eisenstein coefficients mapped into W_n(A)
-    and the negated inverse unit -(e_0/p)^(-1)."""
-
-    def map_witt(w):
-        return wc.WittVector(ring, tuple(
-            br.from_coeff(ring, c.terms[0][1]) if c.terms else br.zero(ring)
-            for c in w.coords))
-
-    inv_u = pow(base.unit, -1, base.p ** base.level)
-    return tuple(map_witt(v) for v in base.eis), wc.int_to_witt(-inv_u, ring, base.level)
+    """Per-(base, ring) data: the Eisenstein coefficients and the negated
+    inverse unit -(e_0/p)^(-1), as integers mapped into W_n(A)."""
+    n = base.level
+    inv_u = pow(base.unit, -1, base.p ** n)
+    return (tuple(wc.int_to_witt(v, ring, n) for v in base.eis),
+            wc.int_to_witt(-inv_u, ring, n))
 
 
 def _from_witt(base: RamifiedBase, ring: Ring, w: wc.WittVector) -> RamifiedWitt:
@@ -269,15 +258,15 @@ def _rw_mul(x: RamifiedWitt, y: RamifiedWitt, prec: int) -> RamifiedWitt:
     # the zero guards skip a product and its sum outright; a first product
     # added to a zero s[i + j] is free already (the zero-operand rule of
     # witt_arith hands the product back as it is)
-    ys = [(j, b) for j, b in enumerate(y.coords) if wc.witt_ord(b) is not None]
+    ys = [(j, b) for j, b in enumerate(y.coords) if not wc.witt_is_zero(b)]
     for i, a in enumerate(x.coords):
-        if wc.witt_ord(a) is not None:
+        if not wc.witt_is_zero(a):
             for j, b in ys:
                 s[i + j] = wc.witt_add(s[i + j], wc.witt_mul(a, b))
     # reduce pi^k for k >= f via pi^f = -sum e_j pi^j
-    live = [j for j in range(f) if wc.witt_ord(eis[j]) is not None]
+    live = [j for j, v in enumerate(x.base.eis) if v]
     for k in range(2 * f - 2, f - 1, -1):
-        if wc.witt_ord(s[k]) is not None:
+        if not wc.witt_is_zero(s[k]):
             for j in live:
                 s[k - f + j] = wc.witt_sub(s[k - f + j], wc.witt_mul(s[k], eis[j]))
     return RamifiedWitt(x.base, ring, tuple(s[:f]), prec)

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from io import StringIO
@@ -281,6 +282,30 @@ class TestRwCommands:
         assert (code, out) == (0, "DIGITS[0]{}\n")
         code, out2, _ = run_cli("rw", "assemble", *args, "--digits", out.strip())
         assert (code, out2) == (0, "RW[base=b0, N=0]{ W{0;0;0;0} | W{0;0;0;0} }\n")
+
+    @pytest.mark.parametrize("p,prec,expr,out", [
+        (5, 10, "1", "RW[base=b0, N=10]{ W{1;0;0;0;0;0;0;0;0;0;0} }\n"),
+        (5, 8, "1+pi", "RW[base=b0, N=8]{ W{1;1;0;0;0;0;0;0;0} }\n"),
+        (3, 12, "1+pi", "RW[base=b0, N=12]{ W{1;1;0;0;0;0;0;0;0;0;0;0;0} }\n"),
+    ])
+    def test_deep_base_embeds_within_an_alarm(self, p, prec, expr, out):
+        # integers enter W_n through Z/p^n; inverting the ghost map over Z,
+        # whose integers grow like m^(p^(n-1)), took 10-90 s on these
+        # commands
+        base = f"rw p={p} e=1 eis=(X-{p}) prec={prec}"
+
+        def on_alarm(signum, frame):
+            raise TimeoutError(f"rw embed over {base!r} ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(10)
+        try:
+            got = run_cli("rw", "embed", "--base", base,
+                          "--ring", f"ff p={p} e=1", "--expr", expr)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got == (0, out, "")
 
     def test_uncertified_precision_is_input_error(self):
         # E = X^2 - 3 at prec=4 certifies 4 digits: 28 and 1 differ at pi^6

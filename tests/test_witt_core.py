@@ -38,6 +38,11 @@ NRED2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T^2")
 # route (UQ2, UQ5) and the lift route (NRED2, QUOT2)
 SPARSE_RINGS = [F4, F3, LAUR3, UQ2, UQ5, NRED2, QUOT2]
 SPARSE_IDS = ["F4", "F3", "laurent3", "uq2", "uq3", "nred2", "quot2"]
+# per p: the prime field, F_(p^2) and a Laurent frac ring
+INT_RINGS = {p: [br.make_ring(f"ff p={p} e=1"), br.make_ring(f"ff p={p} e=2"),
+                 br.make_ring(f"frac base=(ff p={p} e=1) vars=x depth_p=1 "
+                              "depth_2=0 laurent=true")]
+             for p in (2, 3, 5)}
 
 
 LIFT = {"_lift_ghost", "_lift_solve"}
@@ -526,8 +531,8 @@ class TestStrictRoute:
     @settings(max_examples=4, derandomize=True, deadline=None)
     def test_carried_image_reads_as_its_coordinates(self, spec, n, data):
         """A vector known by its strict image alone equals, hashes and prints
-        as the one built from its coordinates; its order, read off the image,
-        is theirs (zero and order n - 1 included); and a chain of six mixed
+        as the one built from its coordinates; it is zero, read off the image,
+        exactly when they are (a lone top coordinate included); and a chain of six mixed
         ops on such vectors, each returning one, agrees with the same chain
         on the lift route, which in two variables stops at n = 4: 4
         derandomized examples per ring and length."""
@@ -543,9 +548,8 @@ class TestStrictRoute:
         for v in [wc.witt_zero(ring, n), top] + [
                 wc.WittVector(ring, (br.zero(ring),) * k + x.coords[k:]) for k in range(n)]:
             w = lazy(v)
-            assert wc.witt_ord(w) == wc.witt_ord(v)
+            assert wc.witt_is_zero(w) == wc.witt_is_zero(v)
             assert w._coords is None
-        assert wc.witt_ord(lazy(top)) == n - 1
         if n > 4 and len(ring.variables) > 1:
             return  # one p2e2xy chain at n = 5 took 6 s on the lift route
         xs, carried = (x, y), (lazy(x), lazy(y))
@@ -819,6 +823,24 @@ class TestOperators:
                 acc = wc.witt_add(acc, one)
             assert wc.int_to_witt(p ** 3, ring, 3) == wc.witt_zero(ring, 3)
 
+    @given(data=st.data())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_int_to_witt_matches_the_ghost_oracle(self, data):
+        """int_to_witt against the exact Z-Witt coordinates of m (from_ghost)
+        reduced mod p, over F_p, F_(p^2) and a frac ring, at n = 1..6, with m
+        negative, zero or a multiple of p^k; and it is additive and
+        multiplicative: 80 derandomized examples."""
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        ring = data.draw(st.sampled_from(INT_RINGS[p]))
+        n = data.draw(st.integers(1, 6))
+        a, b = (data.draw(st.integers(-40, 40)) * p ** data.draw(st.integers(0, n + 1))
+                for _ in range(2))
+        want = tuple(br.from_int(ring, c) for c in wc.from_ghost((a,) * n, p))
+        assert wc.int_to_witt(a, ring, n).coords == want
+        x, y = wc.int_to_witt(a, ring, n), wc.int_to_witt(b, ring, n)
+        assert wc.witt_add(x, y) == wc.int_to_witt(a + b, ring, n)
+        assert wc.witt_mul(x, y) == wc.int_to_witt(a * b, ring, n)
+
     @pytest.mark.parametrize("ring", SPARSE_RINGS, ids=SPARSE_IDS)
     def test_single_coordinate_product_matches_lift_route(self, ring):
         # x * V^k([b]) by the default route, both operand orders, against
@@ -927,8 +949,15 @@ class TestOperators:
         assert wc._witt_op_table("neg", x, None) == neg
         assert tables == [(ring.p, 2, "negation")]
 
-    def test_witt_ord(self):
-        x = wc.make_witt(F3, [0, 0, 2])
-        assert wc.witt_ord(x) == 2
-        assert wc.witt_ord(wc.witt_zero(F3, 3)) is None
-        assert wc.witt_ord(wc.witt_one(F3, 3)) == 0
+    def test_witt_is_zero(self):
+        assert not wc.witt_is_zero(wc.make_witt(F3, [0, 0, 2]))
+        assert wc.witt_is_zero(wc.witt_zero(F3, 3))
+        assert not wc.witt_is_zero(wc.witt_one(F3, 3))
+        # carried images, read without their coordinates: x - x, x + x and a
+        # lone top coordinate
+        x = wc.make_witt(PERF3, [br.evaluate(PERF3, "x"), 0, 1])
+        top = wc.make_witt(PERF3, [0, 0, 1])
+        zero, double = wc.witt_sub(x, x), wc.witt_add(x, x)
+        carried = [zero, double, wc._from_z(PERF3, 3, wc._to_perf(top))]
+        assert all(v._coords is None for v in carried)
+        assert [wc.witt_is_zero(v) for v in carried] == [True, False, False]

@@ -59,6 +59,16 @@ class TestEisensteinValidation:
         with pytest.raises(NotEisenstein, match="square of the maximal ideal"):
             rw.make_ramified_base(3, 1, 2, [-9, 0], 7)  # X^2 - 9
 
+    def test_bases_built_apart_hash_equal(self):
+        # the base keeps each e_i mod p^level, its image in W_n(F_q): X^2 - 3
+        # and X^2 + 81X + 240 agree mod 3^4, and e_0/p agrees mod 3^4 too
+        a = rw.make_ramified_base(3, 1, 2, [-3, 0], 4)
+        b = rw.make_ramified_base(3, 1, 2, [240, 81], 4)
+        assert a is not b and a == b and a.eis == (78, 0)
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a.c == b.c == br.one(F3)
+        assert rw.rw_pi(a, F3) == rw.rw_pi(b, F3)
+
     def test_constant_not_divisible(self):
         with pytest.raises(NotEisenstein, match="e_0"):
             rw.make_ramified_base(3, 1, 2, [-1, -3], 7)
@@ -473,6 +483,24 @@ def _rand_element(case, seed, prec):
     return rw.RamifiedWitt(base, ring, coords, prec % (base.default_precision + 1))
 
 
+def _witt_shape_c(base, coeffs):
+    """c read off the Witt images (from the ghost oracle) of the integer
+    coefficients: E = X^f - p*[c] when e_1..e_{f-1} vanish in W_n(F_q) and
+    -e_0 = (0, c^p, 0, ...), so c is one inverse Frobenius of coordinate 1
+    of witt_neg of e_0's image; else None."""
+    F, n = base.field, base.level
+
+    def image(m):
+        return wc.WittVector(F, tuple(br.from_int(F, c)
+                                      for c in wc.from_ghost((m,) * n, base.p)))
+
+    neg = wc.witt_neg(image(coeffs[0])).coords
+    if (all(wc.witt_is_zero(image(c)) for c in coeffs[1:])
+            and all(a.is_zero() for a in neg[:1] + neg[2:])):
+        return br.frobenius(neg[1], -1)
+    return None
+
+
 class TestClosedForm:
     """E = X^f - p*[c]: the closed forms against the walk and Horner's rule.
 
@@ -494,6 +522,43 @@ class TestClosedForm:
         # X^2 - 35 at p = 5: 35 = 5*[2] mod 5^3, since [2] = 2^5 = 7 mod 25
         assert rw.make_ramified_base(5, 1, 2, [-35, 0], 3).c == br.from_int(F5, 2)
         assert "c=" not in repr(B_PLUS3)
+
+    @given(st.sampled_from((2, 3, 5)), st.integers(1, 2), st.integers(1, 3),
+           st.integers(2, 5), st.integers(0, 2 ** 32))
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+    def test_shape_from_integers_matches_witt_reference(self, p, e, f, level, seed):
+        """c, found from the integers alone, against the Witt reading
+        (_witt_shape_c) over random coefficients at levels 2-5.  Half the
+        draws plant X^f - p*[c]: EXAMPLES derandomized examples."""
+        rng = random.Random(seed)
+        pn = p ** level
+        # e_0 = -p*u with u a unit: a Teichmueller lift mod p^level, moved
+        # by p^(level-1) (still the shape) or p^(level-2) (off it), or any
+        planted = rng.random() < 0.5
+        if planted:
+            shifts = [0, pn // p] + ([pn // p ** 2] if level > 2 else [])
+            u = pow(rng.randrange(1, p), pn // p, pn) + rng.choice(shifts)
+        else:
+            u = rng.randrange(1, pn) * p + rng.randrange(1, p)
+        coeffs = [-p * u * rng.choice((1, 1 + pn))] + [
+            p * rng.randrange(-9, 10) * (pn // p if planted else rng.choice((1, p)))
+            for _ in range(f - 1)]
+        base = rw.make_ramified_base(p, e, f, coeffs, level)
+        assert base.c == _witt_shape_c(base, coeffs)
+
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_shape_of_named_bases(self, level, e):
+        # (p, e_0, c): X^2 - 3 and X^2 + 3 (c = -1); X^2 - 2 and X^2 + 2 at
+        # p = 2, where -1 = 1 mod 2 but is no Teichmueller lift mod 4; and
+        # X^2 - 35 at p = 5: 35 = 5*[2] mod 5^3, since [2] = 2^5 = 7 mod 25,
+        # but 2^25 = 57 mod 125
+        for p, e0, c in ((3, -3, 1), (3, 3, -1), (2, -2, 1),
+                         (2, 2, 1 if level == 2 else None),
+                         (5, -35, 2 if level <= 3 else None)):
+            base = rw.make_ramified_base(p, e, 2, [e0, 0], level)
+            assert base.c == _witt_shape_c(base, [e0, 0])
+            assert base.c == (None if c is None else br.from_int(base.field, c))
 
     @given(st.integers(0, len(CLOSED_CASES) - 1), st.integers(0, 2 ** 32),
            st.integers(0, 40), st.integers(0, 40))
