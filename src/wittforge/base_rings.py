@@ -7,6 +7,8 @@ finite field F_q, q = p^e, and ``FiniteFieldSpec`` is that instance; the
 Witt lift route (``witt_core``) runs the same code at K = n+1, where each
 F_p digit is its own integer lift.  At K = n it is Z_q/p^n = W_n(F_q), the
 ring the Z_q route of ``witt_core`` computes in for Witt vectors over F_q.
+That route runs the same way over a squarefree M, ``EtaleAlgebra``: a
+reduced F_p[T]/(g) is its own coefficient ring, with M = g.
 Three ring kinds sit on top, each a monomial ring followed by a reduction
 (``_Monomials``): elements are sparse term dicts {exponent key: coefficient},
 a key holds the integer numerators of the exponents over the lattice
@@ -55,9 +57,10 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import zip_longest
-from math import gcd
+from math import gcd, log10
 
 from .errors import (
+    BudgetExceeded,
     DepthExhausted,
     IntegralityViolation,
     LatticeError,
@@ -204,10 +207,10 @@ class _Monomials:
         return not self.quotient
 
     @property
-    def field_factors(self) -> tuple[FiniteFieldSpec, ...] | None:
-        """The finite fields whose product A is, on the ring kinds where that
-        is known: (F_q,) for F_q itself, the fields F_p[u]/(g_i) for a
-        reduced F_p[T]/(g); None elsewhere."""
+    def zq_coeffs(self) -> ZqCoeffs | None:
+        """The ring A' whose lift to K = n is W_n(A), where A is finite
+        etale over F_p: F_q itself, F_p[u]/(g) for a reduced F_p[T]/(g);
+        None elsewhere."""
         return None
 
     @property
@@ -296,8 +299,8 @@ class FiniteFieldSpec(_Monomials, _CoeffRing):
         return self.p ** self.e
 
     @property
-    def field_factors(self) -> tuple[FiniteFieldSpec]:
-        return (self,)
+    def zq_coeffs(self) -> FiniteFieldSpec:
+        return self
 
     def from_int(self, n: int) -> FieldCoeff:
         return (n % self.p,) + (0,) * (self.e - 1)
@@ -441,6 +444,59 @@ def make_field(p: int, e: int, modulus: tuple[int, ...] | None = None,
     return FiniteFieldSpec(p, e, modulus, gen_name)
 
 
+@dataclass(frozen=True)
+class EtaleAlgebra(_CoeffRing):
+    """F_p[u]/(g) for a squarefree monic g over F_p of degree e, stored
+    low-to-high: the coefficient ring at K = 1 of a reduced F_p[T]/(g), u = T.
+    It is a product of fields, not one, so it has no ``cinv`` or roots."""
+
+    p: int
+    e: int
+    modulus: tuple[int, ...]
+
+    __hash__ = _hash_once
+
+    def __post_init__(self):
+        object.__setattr__(self, "pk", self.p)
+
+    def cfrob(self, a: FieldCoeff, k: int) -> FieldCoeff:
+        """c -> c^(p^k) for every integer k: Frobenius is an automorphism of
+        period lcm(deg g_i), not e (6 for g = T^5+T^4+1 over F_2), so k is
+        never reduced; a product with the matrix of F^k (``_frob_power``)."""
+        rows = self._frob_power(k)
+        if rows is None:
+            return a
+        p = self.p
+        return tuple([sum([m * x for m, x in zip(row, a)]) % p for row in rows])
+
+    @cached_property
+    def _frob_memo(self) -> dict:
+        return {0: None}
+
+    def _frob_power(self, k: int):
+        """The rows of F^k, None for the identity: for k = 1 F's matrix
+        (column j is (u^j)^p), for k = -1 its inverse by one Gauss-Jordan,
+        else F^(+-1) times F^(k -+ 1).  Only the k asked for are built, each
+        once: the period can run to thousands (4620 at deg g = 30)."""
+        memo, p, e = self._frob_memo, self.p, self.e
+        if k not in memo:
+            s = 1 if k > 0 else -1
+            unit = [[int(i == j) for i in range(e)] for j in range(e)]
+            if k == s:
+                rows = [list(r) for r in zip(*[self.cpow(tuple(u), p) for u in unit])]
+                if k < 0:
+                    aug = [row + u for row, u in zip(rows, unit)]
+                    _row_reduce(aug, e, p)
+                    rows = [row[e:] for row in aug]
+            else:
+                a, b = self._frob_power(s), self._frob_power(k - s)
+                rows = a if b is None else b if a is None else [
+                    [sum([x * y for x, y in zip(row, col)]) % p for col in zip(*b)]
+                    for row in a]
+            memo[k] = None if rows is None or rows == unit else tuple(map(tuple, rows))
+        return memo[k]
+
+
 # ---------------------------------------------------------------------------
 # ring descriptors
 
@@ -488,9 +544,9 @@ class UnivariateQuotient(_Monomials):
         return len(self.modulus) - 1
 
     @property
-    def field_factors(self) -> tuple[FiniteFieldSpec, ...] | None:
-        """Factored on first use, once per ring (``_field_factors``)."""
-        return _field_factors(self)
+    def zq_coeffs(self) -> EtaleAlgebra | None:
+        """Decided on first use, once per ring (``_zq_coeffs``)."""
+        return _zq_coeffs(self)
 
     @cached_property
     def _tail(self) -> list:  # the terms of g below its leading one
@@ -546,6 +602,7 @@ class UnivariateQuotient(_Monomials):
 
 
 Ring = FiniteFieldSpec | FracLaurentRing | UnivariateQuotient
+ZqCoeffs = FiniteFieldSpec | EtaleAlgebra  # coefficient rings of the Z_q route
 
 
 def ring_char(ring: Ring) -> int:
@@ -861,15 +918,25 @@ def pow_fraction(x: RingElement, r: Fraction) -> RingElement:
 # Frobenius
 
 
+_EXP_DIGITS = 4300  # the longest int that int() and str() convert by default
+
+
 def frobenius(x: RingElement, k: int) -> RingElement:
     """k-fold Frobenius y -> y^(p^k), one map of the keys: k >= 0 scales
     them by p^k and the ring reduces; k < 0 divides them by p^|k|, and where
     p^|k| does not divide one, a frac ring raises DepthExhausted and a uq
-    ring decides exactly (``_uq_root``)."""
+    ring decides exactly (``_uq_root``).  On a frac ring, a k that scales a
+    key past _EXP_DIGITS digits is refused (BudgetExceeded) before p^k is
+    formed: no exponent that long could be printed."""
     ring, F = x.ring, x.ring.base
     p, uq = F.p, isinstance(ring, UnivariateQuotient)
     if k >= 0:
-        q, quo, terms = p ** k, ring.quotient, []
+        top = max([abs(n) for key, _ in x.terms for n in key], default=0)
+        if top and not uq and log10(top) + k * log10(p) >= _EXP_DIGITS:
+            raise BudgetExceeded(
+                f"Frobenius power k={k} would scale an exponent numerator past "
+                f"{_EXP_DIGITS} digits, the most an exponent prints with")
+        q, quo, terms = p ** k if top else 1, ring.quotient, []
         for key, c in x.terms:
             key = tuple([e * q for e in key])
             if not (quo and ring._killed(key)):
@@ -988,55 +1055,6 @@ def _root_solver(ring: UnivariateQuotient, k: int):
     return solve
 
 
-@lru_cache(maxsize=64)
-def _field_factors(ring: UnivariateQuotient) -> tuple[FiniteFieldSpec, ...] | None:
-    """The fields F_p[u]/(g_i), g = prod g_i over distinct monic irreducible
-    g_i, of a reduced ring over F_p; None for base e > 1 or g not squarefree.
-
-    Berlekamp's algorithm (Knuth, TAOCP vol. 2, 4.6.2): the kernel of F - 1,
-    F the Frobenius matrix, is the subalgebra of the elements that are
-    constant mod every g_i, and each of its basis vectors splits g by gcds
-    (``_split_by``); together they separate every pair of factors.
-    """
-    F = ring.base
-    if F.e > 1 or not is_reduced_univariate(ring).reduced:
-        return None
-    p, dim, poly = F.p, ring.degree, _poly_ring(F, ring.var)
-    rows = [[v - (i == j) for j, v in enumerate(row)]
-            for i, row in enumerate(_frobenius_matrix(ring, 1))]
-    piv = _row_reduce(rows, dim, p)
-    parts = [_poly_elt(F, ring.var, ring.modulus)]
-    for free in (c for c in range(dim) if c not in piv):
-        v = {(free,): (1,)} | {(c,): (-rows[r][free] % p,)
-                               for r, c in enumerate(piv) if rows[r][free]}
-        parts = [h for f in parts for h in _split_by(f, _mk(poly, v))]
-    moduli = sorted((tuple(c for (c,) in _dense(h)) for h in parts), key=lambda m: (len(m), m))
-    return tuple(FiniteFieldSpec(p, len(m) - 1, m) for m in moduli)
-
-
-def _split_by(f: RingElement, w: RingElement) -> list[RingElement]:
-    """The monic factors of a squarefree f in F_p[T] on each of which w is
-    constant, for a w with w^p = w mod f, i.e. with a value s_i in F_p mod
-    each irreducible factor.  Where w is not constant mod f, let x be w + c
-    (p <= 3) or its quadratic character (w + c)^((p-1)/2) (p >= 5): the
-    gcds of f with x, x - 1 and x + 1 split f wherever x takes two values,
-    and c = -s_i makes x vanish mod one factor and not mod another."""
-    F, p = f.ring.base, f.ring.base.p
-    quo = UnivariateQuotient(F, f.ring.variables[0], tuple(_dense(f)))
-    w = _uq_elt(quo, w)
-    if all(k == (0,) for k, _ in w.terms):
-        return [f]
-    unit = one(f.ring)
-    for c in range(p):
-        x = add(w, from_int(quo, c))
-        x = _as_poly(pow_int(x, (p - 1) // 2) if p > 3 else x)
-        parts = [h for s in {0, 1, p - 1}
-                 if (h := _fq_gcd(f, sub(x, from_int(f.ring, s)))) != unit]
-        if len(parts) > 1:
-            return [g for h in parts for g in _split_by(h, w)]
-    raise AssertionError("w is constant mod f")
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_q: elements of F_q[T] = _poly_ring(F, var)
 
@@ -1148,6 +1166,18 @@ def is_reduced_univariate(ring: UnivariateQuotient) -> ReducednessReport:
     return ReducednessReport(False, _uq_elt(ring, reduce(mul, (a for _, a in layers))), top)
 
 
+@lru_cache(maxsize=64)
+def _zq_coeffs(ring: UnivariateQuotient) -> EtaleAlgebra | None:
+    """F_p[u]/(g) for a reduced ring F_p[T]/(g), u = T; None for base e > 1
+    or g not squarefree.  Such a ring is finite etale over F_p, so its Witt
+    ring is the etale lift Z_p[u]/(g~), for any monic integer lift g~ of g
+    (Serre, Local Fields, II.5), and W_n of it is (Z/p^n)[u]/(g~)."""
+    F = ring.base
+    if F.e > 1 or not is_reduced_univariate(ring).reduced:
+        return None
+    return EtaleAlgebra(F.p, ring.degree, tuple([c for (c,) in ring.modulus]))
+
+
 # ---------------------------------------------------------------------------
 # monomial intersection certificates (desk colon-ideal checks)
 
@@ -1238,6 +1268,15 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return out
 
 
+def read_int(digits: str) -> int:
+    """A decimal integer token; SpecParseError past the digits int() reads
+    (4300 by default, ``sys.set_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SpecParseError(f"integer literal of {len(digits)} digits is too long") from None
+
+
 def _shown(v: str | None) -> str:
     """A token value as a parse error quotes it; None is the end of input."""
     return "end of input" if v is None else repr(v)
@@ -1280,7 +1319,7 @@ def _expect_kv_int(ts: _Tokens, key: str) -> int:
     if ts.peek() == ("sym", "-"):
         ts.next()
         sign = -1
-    return sign * int(ts.expect("int"))
+    return sign * read_int(ts.expect("int"))
 
 
 def make_ring(text: str) -> Ring:
@@ -1460,18 +1499,18 @@ def _parse_exponent(ts: _Tokens) -> Fraction:
     if k != "int":
         raise SpecParseError("exponent must be an integer or (rational)")
     if ts.peek() != ("sym", "/"):
-        return Fraction(int(v))
+        return Fraction(read_int(v))
     ts.next()
-    den = int(ts.expect("int"))
+    den = read_int(ts.expect("int"))
     if den == 0:
         raise SpecParseError("zero denominator in exponent")
-    return Fraction(int(v), den)
+    return Fraction(read_int(v), den)
 
 
 def _parse_atom(ts: _Tokens, alg):
     k, v = ts.next()
     if k == "int":
-        return alg.int(int(v))
+        return alg.int(read_int(v))
     if k == "ident":
         return alg.name(v)
     if (k, v) == ("sym", "("):

@@ -63,11 +63,11 @@ def parse_witt(ring, text: str, n: int | None = None) -> wc.WittVector:
         hm = _W_HDR_RE.match(m.group("hdr"))
         if not hm:
             raise SpecParseError(f"bad Witt header: {m.group('hdr')!r}")
-        if int(hm.group(1)) != br.ring_char(ring):
+        if br.read_int(hm.group(1)) != br.ring_char(ring):
             raise SpecParseError(
                 f"literal p={hm.group(1)} but the ring has "
                 f"characteristic {br.ring_char(ring)}")
-        hn = int(hm.group(2))
+        hn = br.read_int(hm.group(2))
         if n is not None and hn != n:
             raise SpecParseError(f"literal n={hn} but the command says n={n}")
         n = hn
@@ -86,7 +86,7 @@ def parse_base(text: str) -> rw.RamifiedBase:
     m = _BASE_RE.match(text)
     if not m:
         raise SpecParseError(f"bad base descriptor: {text!r}")
-    p, e, prec = int(m.group("p")), int(m.group("e")), int(m.group("prec"))
+    p, e, prec = (br.read_int(m.group(k)) for k in ("p", "e", "prec"))
     if prec < 1:
         raise SpecParseError("prec must be >= 1")
     f, coeffs = rw.parse_eisenstein(m.group("eis"))
@@ -106,7 +106,7 @@ def parse_rw(base: rw.RamifiedBase, ring, text: str) -> rw.RamifiedWitt:
     if len(parts) != base.f:
         raise SpecParseError(f"expected {base.f} slots, got {len(parts)}")
     coords = tuple(parse_witt(ring, part, base.level) for part in parts)
-    return rw.RamifiedWitt(base, ring, coords, int(m.group("n")))
+    return rw.RamifiedWitt(base, ring, coords, br.read_int(m.group("n")))
 
 
 def format_rw(x: rw.RamifiedWitt) -> str:
@@ -120,7 +120,7 @@ def parse_digits(base: rw.RamifiedBase, ring, text: str) -> rw.DigitExpansion:
         raise SpecParseError(f"not a digit literal: {text!r}")
     body = m.group("body")
     parts = body.split(";") if body.strip() else []  # DIGITS[0]{} is empty
-    if len(parts) != int(m.group("n")):
+    if len(parts) != br.read_int(m.group("n")):
         raise SpecParseError(
             f"header says {m.group('n')} digits, body has {len(parts)}")
     digits = tuple(br.evaluate(ring, part) for part in parts)

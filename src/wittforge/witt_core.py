@@ -1,24 +1,18 @@
 """Truncated p-typical Witt vectors W_n(A) over characteristic-p rings.
 
-Five arithmetic routes.  ``witt_arith`` picks one of the first four from
-ring-kind attributes (``field_factors``, then ``monoid_algebra``); the last
-two run on every ring and are kept alive on purpose, as oracles:
+Four arithmetic routes.  ``witt_arith`` picks one of the first three from
+ring-kind attributes (``zq_coeffs``, then ``monoid_algebra``); the last two
+run on every ring and are kept alive on purpose, as oracles:
 
-* Z_q (over a ``FiniteFieldSpec``): W_n(F_q) is the strict p-ring Z_q mod
-  p^n, i.e. the coefficient ring (Z/p^n)[u]/(M~) at K = n.  x goes in as
-  sum_i p^i [x_i^(p^-i)], the operation runs there, and the result comes
-  back one Teichmueller digit at a time: t = z mod p gives x_i = t^(p^i),
-  then z <- (z - [t]) / p.  [a] mod p^m is any lift of a^(p^-(m-1))
-  raised to p^(m-1); those lifts are memoized.
-* the split route (over a reduced A = F_p[T]/(g), base e = 1): with
-  g = prod g_i over distinct monic irreducibles (Berlekamp, in
-  ``base_rings``), A is the product of the fields F_i = F_p[u]/(g_i) by the
-  Chinese remainder theorem, and W_n(A) = prod W_n(F_i), since W_n commutes
-  with finite products and a ring map acts on Witt coordinates one
-  coordinate at a time.  Each coordinate is reduced mod every g_i, each
-  factor runs the Z_q route, and the result coordinates come back through
-  the idempotents e_i; both maps are F_p-linear and computed once per ring,
-  on its first Witt op.
+* Z_q (over a ring A finite etale over F_p: F_q itself, or a reduced
+  F_p[T]/(g) with base e = 1): W_n(A) is the coefficient ring
+  (Z/p^n)[u]/(M~) at K = n, M the modulus of ``A.zq_coeffs`` (g for a uq
+  ring), since the etale lift of A is a strict p-ring with residue ring A
+  (Serre, Local Fields, II.5).  x goes in as sum_i p^i [x_i^(p^-i)], a uq
+  coordinate as its dense T-coefficients, the operation runs there, and
+  the result comes back one Teichmueller digit at a time: t = z mod p
+  gives x_i = t^(p^i), then z <- (z - [t]) / p.  [a] mod p^m is any lift
+  of a^(p^-(m-1)) raised to p^(m-1); those lifts are memoized.
 * the strict p-ring route (over a monoid algebra A = F_q[M], i.e. a frac
   ring without a monomial quotient): W_n(A) lies in
   W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n, where the Teichmueller lift of a
@@ -49,7 +43,7 @@ are known.  Everything else goes to the ring's route, so a sparse result
 from one strict op stays in W_n(A^perf) for the next.  The lift and table
 routes never take either shortcut, so each stays an independent oracle.
 
-Every division by p in the Z_q, split, strict p-ring and lift routes is
+Every division by p in the Z_q, strict p-ring and lift routes is
 checked for exactness; a failure is a bug, not an input condition.  The
 strict p-ring route also checks that each digit it reads back lies in A.
 The table route is exact but its term counts explode combinatorially, so it
@@ -65,17 +59,12 @@ coordinates.  Every Hensel root is still certified, since the final
 ``digit_expand(f(root))`` reads f(root).  Every refusal (``DepthExhausted``
 from a missing p-th root) comes from coordinates, which are read for it.
 
-The Z_q route needs no guard digit: Z_q/p^n is W_n(F_q) itself, not an
-approximation of it.  Sums and products there are exact mod p^n, and each
-step back subtracts the Teichmueller lift of the digit it reads, so its
-division by p is exact and leaves z mod p^(n-i-1), all that the n-i-1
-digits still to read depend on.  The split route needs none either: it
-runs the Z_q route in each factor, and its two maps are the coordinatewise
-images of the ring isomorphism A = prod F_i and its inverse, exact over
-F_p.  The strict p-ring route needs none for the same reason as Z_q:
-Z_q[M^(1/p^inf)]/p^n is W_n(A^perf) itself, and W_n(A) -> W_n(A^perf) is
-an injective ring map.  The lift route, by contrast, runs at K = n+1 with
-a digit to spare (its ledger follows).
+The Z_q and strict p-ring routes need no guard digit: (Z/p^n)[u]/(M~) is
+W_n(A) itself, and Z_q[M^(1/p^inf)]/p^n is W_n(A^perf), into which W_n(A)
+maps injectively, not approximations.  Each step back subtracts the
+Teichmueller lift of the digit it reads, so its division by p is exact.
+The lift route, by contrast, runs at K = n+1 with a digit to spare (its
+ledger follows).
 
 Precision ledger for the lift route: with K = n+1, the solved coordinate r_i
 is correct mod p^(K-i).  Proof sketch: the subtracted term p^j r_j^(p^(i-j))
@@ -618,14 +607,13 @@ def witt_arith(op: str, x: WittVector, y: WittVector | None = None) -> WittVecto
     if op == "neg" and x._coords is not None and br.ring_char(x.ring) != 2:
         # iota_i = -X_i for odd p, against both oracles in the test suite
         return WittVector(x.ring, tuple(br.neg(c) for c in x._coords))
-    # Z_q over a finite field, one Z_q per factor field over a reduced uq
-    # ring, the strict p-ring route over monoid algebras, the lift route
-    # elsewhere: all work at every length
+    # Z_q over a finite field or a reduced uq ring over F_p, the strict
+    # p-ring route over monoid algebras, the lift route elsewhere: all work
+    # at every length
     ring = x.ring
-    fields = ring.field_factors
-    if fields is None:
-        return (_witt_op_perf if ring.monoid_algebra else _witt_op_lift)(op, x, y)
-    return (_witt_op_zq if fields[0] is ring else _witt_op_split)(op, x, y)
+    if ring.zq_coeffs is not None:
+        return _witt_op_zq(op, x, y)
+    return (_witt_op_perf if ring.monoid_algebra else _witt_op_lift)(op, x, y)
 
 
 def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
@@ -648,7 +636,7 @@ def _witt_op_lift(op: str, x: WittVector, y: WittVector | None) -> WittVector:
 
 
 @lru_cache(maxsize=4096)
-def _teich(F: br.FiniteFieldSpec, a, m: int):
+def _teich(F: br.ZqCoeffs, a, m: int):
     """[a] mod p^m: any lift of a^(p^-(m-1)) raised to p^(m-1), since a lift
     of b is [b] mod p, so its p^(m-1)-th power is [b^(p^(m-1))] mod p^m."""
     if F.e == 1:
@@ -657,11 +645,14 @@ def _teich(F: br.FiniteFieldSpec, a, m: int):
 
 
 def _coeffs(x: WittVector) -> list:
-    """The coordinates of x over F_q as coefficient tuples, None for zero."""
+    """The coordinates of x as coefficients of ``x.ring.zq_coeffs``, None for
+    zero: an F_q element's one coefficient, a uq element's T-coefficients."""
+    if x.ring.variables:
+        return [tuple(br._uq_vec(c)) if c.terms else None for c in x.coords]
     return [c.terms[0][1] if c.terms else None for c in x.coords]
 
 
-def _to_zq(F: br.FiniteFieldSpec, coeffs: list, n: int) -> list:
+def _to_zq(F: br.ZqCoeffs, coeffs: list, n: int) -> list:
     """sum_i p^i [a_i^(p^-i)] for the coordinates a_i (``_coeffs``), a
     representative of its class in Z_q/p^n; digit i needs only p^(n-i)."""
     acc = [0] * F.e
@@ -673,7 +664,7 @@ def _to_zq(F: br.FiniteFieldSpec, coeffs: list, n: int) -> list:
     return acc
 
 
-def _from_zq(F: br.FiniteFieldSpec, z, n: int) -> list:
+def _from_zq(F: br.ZqCoeffs, z, n: int) -> list:
     """The Witt coordinates of z in Z_q/p^n as ``_coeffs``, one Teichmueller
     digit at a time."""
     p, coeffs, z = F.p, [], list(z)
@@ -691,9 +682,9 @@ def _from_zq(F: br.FiniteFieldSpec, z, n: int) -> list:
     return coeffs
 
 
-def _zq_op(F: br.FiniteFieldSpec, op: str, a: list, b: list | None, n: int) -> list:
-    """op on the vectors of W_n(F_q) with coordinates a and b (``_coeffs``),
-    run in Z_q/p^n."""
+def _zq_op(F: br.ZqCoeffs, op: str, a: list, b: list | None, n: int) -> list:
+    """op on the vectors of W_n(A) with coordinates a and b (``_coeffs``),
+    run in (Z/p^n)[u]/(M~), F = ``A.zq_coeffs``."""
     C = br._CoeffRing(F, n)
     z = _to_zq(F, a, n)
     if op == "neg":
@@ -706,70 +697,15 @@ def _zq_op(F: br.FiniteFieldSpec, op: str, a: list, b: list | None, n: int) -> l
 
 
 def _witt_op_zq(op: str, x: WittVector, y: WittVector | None) -> WittVector:
-    F, zero = x.ring, br.zero(x.ring)
-    out = _zq_op(F, op, _coeffs(x), None if y is None else _coeffs(y), x.length)
-    return WittVector(F, tuple([zero if a is None else br.RingElement(F, (((), a),))
-                                for a in out]))
-
-
-# ---------------------------------------------------------------------------
-# the split route: a reduced A = F_p[T]/(g) is prod F_i, F_i = F_p[u]/(g_i),
-# and W_n(A) = prod W_n(F_i) coordinatewise, each factor run by Z_q.
-
-
-@lru_cache(maxsize=64)
-def _split(ring: Ring) -> tuple:
-    """(F_i, red_i, lift_i) per factor field of a reduced F_p[T]/(g):
-    red_i[k] is T^k mod g_i as a coefficient of F_i, for k < deg g, and
-    lift_i[m] is e_i T^m mod g by degree, where the idempotent
-    e_i = h (h^-1 mod g_i), h = g / g_i, is 1 mod g_i and 0 mod the other
-    factors (Chinese remainder theorem).  Both maps are F_p-linear."""
-    F, var = ring.base, ring.var
-    g, t = br._poly_elt(F, var, ring.modulus), br.variable(ring, var)
-    out = []
-    for Fi in ring.field_factors:
-        quo = br.UnivariateQuotient(F, var, tuple((c,) for c in Fi.modulus))
-        gi, u = br._poly_elt(F, var, quo.modulus), br.variable(quo, var)
-        red = tuple(tuple(br._uq_vec(u ** k)) for k in range(ring.degree))
-        h = br._fq_divmod(g, gi)[0]
-        e = br._uq_elt(ring, br.mul(h, br._fq_poly_invmod(h, gi)))
-        lift = tuple(tuple(br._uq_vec(e * t ** m)) for m in range(Fi.e))
-        out.append((Fi, red, lift))
-    return tuple(out)
-
-
-def _split_reduce(F: br.FiniteFieldSpec, red: tuple, x: WittVector) -> list:
-    """The coordinates of x mapped into F = F_p[u]/(g_i), as ``_coeffs``."""
-    p, e, out = F.p, F.e, []
-    for c in x.coords:
-        if e == 1:
-            v = sum([a * red[k][0] for (k,), (a,) in c.terms]) % p
-            out.append((v,) if v else None)
-            continue
-        v = [0] * e
-        for (k,), (a,) in c.terms:
-            v = [s + a * b for s, b in zip(v, red[k])]
-        v = tuple([s % p for s in v])
-        out.append(v if any(v) else None)
-    return out
-
-
-def _witt_op_split(op: str, x: WittVector, y: WittVector | None) -> WittVector:
-    ring, n = x.ring, x.length
-    p, top = ring.base.p, ring.degree - 1
-    acc = [[0] * ring.degree for _ in range(n)]
-    for F, red, lift in _split(ring):
-        out = _zq_op(F, op, _split_reduce(F, red, x),
-                     None if y is None else _split_reduce(F, red, y), n)
-        for i, a in enumerate(out):
-            if a is not None:
-                for b, row in zip(a, lift):
-                    if b:
-                        acc[i] = [s + b * r for s, r in zip(acc[i], row)]
-    return WittVector(ring, tuple(
-        br.RingElement(ring, tuple([((k,), (v,)) for k in range(top, -1, -1)
-                                    if (v := a[k] % p)]))
-        for a in acc))
+    ring, zero = x.ring, br.zero(x.ring)
+    A = ring.zq_coeffs
+    out = _zq_op(A, op, _coeffs(x), None if y is None else _coeffs(y), x.length)
+    if A is ring:
+        return WittVector(ring, tuple([zero if a is None else br.RingElement(ring, (((), a),))
+                                       for a in out]))
+    top = A.e - 1
+    return WittVector(ring, tuple([zero if a is None else br.RingElement(ring, tuple(
+        [((k,), (a[k],)) for k in range(top, -1, -1) if a[k]])) for a in out]))
 
 
 # ---------------------------------------------------------------------------

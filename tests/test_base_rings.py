@@ -61,17 +61,32 @@ class TestFiniteField:
         # cfrob(a, k) is a product with a matrix; a^(p^k) by cpow's
         # square-and-multiply is the reference, for every k in 0..e-1 (and k - e),
         # on every element of F_4, F_8, F_9 and on 40 of F_243 and F_512,
-        # the factor fields of T^5+2*T^2+T+1 over F_3 and T^9+T^4+1 over F_2
+        # with the moduli T^5+2*T^2+T+1 over F_3 and T^9+T^4+1 over F_2
         rng = random.Random(43)
-        big = [br.make_ring(f"uq base=(ff p={p} e=1) var=T modulus={g}").field_factors
-               for p, g in ((3, "T^5+2*T^2+T+1"), (2, "T^9+T^4+1"))]
-        assert [f.q for (f,) in big] == [243, 512]
-        for f in [F(2, 2), F(2, 3), F(3, 2)] + [f for (f,) in big]:
+        big = [F(3, 5, (1, 1, 2, 0, 0, 1)), F(2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))]
+        assert [f.q for f in big] == [243, 512]
+        for f in [F(2, 2), F(2, 3), F(3, 2)] + big:
             pool = (list(elements(f)) if f.q < 27 else
                     [tuple(rng.randrange(f.p) for _ in range(f.e)) for _ in range(40)])
             for k in range(f.e):
                 for a in pool:
                     assert f.cfrob(a, k) == f.cfrob(a, k - f.e) == f.cpow(a, f.p ** k)
+
+    @pytest.mark.parametrize("p,g,sample", [(3, "T^3-T", None), (2, "T^5+T^4+1", None),
+                                            (2, "T^15-1", 40)])
+    def test_etale_frobenius_matches_powering(self, p, g, sample):
+        # on F_p[u]/(g) for a squarefree g, F^k is a matrix power and F^-k
+        # its inverse's, for every k in 0..8, against a^(p^k) by cpow: on
+        # every element, or 40 of them for T^15-1.  Over T^5+T^4+1 =
+        # (T^2+T+1)(T^3+T+1) the period is 6, so k mod deg g would be wrong
+        A = br.make_ring(f"uq base=(ff p={p} e=1) var=T modulus={g}").zq_coeffs
+        rng = random.Random(47)
+        pool = ([br._digits(i, p, A.e) for i in range(p ** A.e)] if sample is None else
+                [tuple(rng.randrange(p) for _ in range(A.e)) for _ in range(sample)])
+        for k in range(9):
+            for a in pool:
+                assert A.cfrob(a, k) == A.cpow(a, p ** k)
+                assert A.cfrob(A.cfrob(a, -k), k) == a
 
     def test_frob_f4_generator(self):
         f4 = F(2, 2)

@@ -680,6 +680,39 @@ class TestExitCodeMapping:
         code, _, _ = run_cli("--help")
         assert code == 0
 
+    LONG = "1" * 5000  # past the 4300 digits int() converts by default
+    BASE_TXT = "rw p=3 e=1 eis=(X^2-3) prec=6"
+    FRAC3 = "frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true"
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--ring", "ff p=3 e=1", "--expr", LONG),
+        ("ring", "check", "--ring", f"ff p={LONG} e=1"),
+        ("rw", "embed", "--base", f"rw p=3 e=1 eis=(X^2-3) prec={LONG}",
+         "--ring", "ff p=3 e=1", "--expr", "1"),
+        ("rw", "expand", "--base", BASE_TXT, "--ring", "ff p=3 e=1",
+         "--x", f"RW[base=b0, N={LONG}]{{ W{{1;0;0;0}} | W{{1;0;0;0}} }}"),
+        ("eval", "--ring", FRAC3, "--expr", f"x^({LONG}/3)"),
+    ], ids=["element", "descriptor", "base", "rw-literal", "exponent"])
+    def test_overlong_integer_literal_is_a_parse_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: integer literal of 5000 digits is too long\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("witt", "frob", "--ring", FRAC3, "--n", "1", "--x", "W{x}"),
+        ("rw", "frobpi", "--base", BASE_TXT, "--ring", FRAC3,
+         "--x", "RW[base=b0, N=6]{ W{x;0;0;0} | W{0;0;0;0} }"),
+    ], ids=["witt-frob", "rw-frobpi"])
+    def test_frobenius_power_past_printable_exponents_is_refused(self, argv):
+        # x^(3^9000) has a 4295-digit exponent and prints; at k = 9100 it
+        # would have 4343 digits, and at k = 10^9 p^k alone is 200 MB
+        code, out, _ = run_cli(*argv, "--k", "9000")
+        assert code == 0 and f"x^{3 ** 9000}" in out
+        for k in ("9100", "1000000000"):
+            code, out, err = run_cli(*argv, "--k", k)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: Frobenius power k={k} ") and "4300 digits" in err
+
     def test_taxonomy_mapping(self):
         from wittforge import errors as er
         assert er.DepthExhausted("x").exit_code == 3

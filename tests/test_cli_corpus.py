@@ -2,7 +2,7 @@
 
 A seeded generator draws `witt add/mul/neg`, `eval`, `rw embed` and
 `hensel lift` commands over ff, frac and uq rings (reduced uq rings, which
-take the split route, among them) from the descriptors and the expression
+take the Z_q route, among them) from the descriptors and the expression
 grammar of the README, with random expressions, some of them ill-formed
 or out of range on purpose.  Each runs in process through ``cli_io.main``
 under a fixed alarm: it must exit 0, 2 or 3, print an ``error:`` line on

@@ -1,4 +1,5 @@
 import random
+import signal
 import time
 from functools import partial
 
@@ -34,8 +35,8 @@ UQ5 = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1")
 UQ2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T+1")
 LAUR3 = br.make_ring("frac base=(ff p=3 e=1) vars=x depth_p=1 depth_2=0 laurent=true")
 NRED2 = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^3+T^2")
-# sparse operands over finite fields, the strict route (LAUR3), the split
-# route (UQ2, UQ5) and the lift route (NRED2, QUOT2)
+# sparse operands over finite fields, the strict route (LAUR3), the Z_q
+# route over reduced uq rings (UQ2, UQ5) and the lift route (NRED2, QUOT2)
 SPARSE_RINGS = [F4, F3, LAUR3, UQ2, UQ5, NRED2, QUOT2]
 SPARSE_IDS = ["F4", "F3", "laurent3", "uq2", "uq3", "nred2", "quot2"]
 # per p: the prime field, F_(p^2) and a Laurent frac ring
@@ -47,7 +48,7 @@ INT_RINGS = {p: [br.make_ring(f"ff p={p} e=1"), br.make_ring(f"ff p={p} e=2"),
 
 LIFT = {"_lift_ghost", "_lift_solve"}
 STRICT = {"_to_perf", "_from_perf"}
-SPLIT = {"_witt_op_split", "_zq_op"}
+SPLIT = {"_witt_op_zq", "_zq_op"}
 ROUTES = LIFT | STRICT | SPLIT | {"_witt_op_perf", "_witt_op_zq", "_witt_op_lift"}
 
 
@@ -497,7 +498,7 @@ class TestStrictRoute:
     def test_rings_with_relations_keep_the_lift_route(self, monkeypatch):
         # uq rings and frac rings with a monomial quotient are no monoid
         # algebras, so the frac kernel cannot run their perfection: the
-        # fields F_8 = UQ2 and F_243 = UQ5 take the split route, UQ9 (base
+        # fields F_8 = UQ2 and F_243 = UQ5 take the Z_q route, UQ9 (base
         # e = 2) and QUOT2 the ghost lift
         calls = record_route_calls(monkeypatch, LIFT | STRICT | SPLIT)
         rng = random.Random(29)
@@ -573,7 +574,8 @@ class TestStrictRoute:
 
 
 # id: uq descriptor over F_2, F_3 or F_5 with a squarefree modulus g that
-# splits into linear factors, stays irreducible (inert) or mixes degrees
+# splits into linear factors, stays irreducible (inert) or mixes degrees;
+# over T^5+T^4+1 = (T^2+T+1)(T^3+T+1) Frobenius has period 6 > deg g
 SPLIT_RINGS = {
     "split-p2": "uq base=(ff p=2 e=1) var=T modulus=T^2+T",
     "split-p3": "uq base=(ff p=3 e=1) var=T modulus=T^3-T",
@@ -584,10 +586,11 @@ SPLIT_RINGS = {
     "mixed-p2": "uq base=(ff p=2 e=1) var=T modulus=T^3+T^2+T",
     "mixed-p3": "uq base=(ff p=3 e=1) var=T modulus=T^4+1",
     "mixed-p5": "uq base=(ff p=5 e=1) var=T modulus=T^3-1",
+    "period6-p2": "uq base=(ff p=2 e=1) var=T modulus=T^5+T^4+1",
 }
-# squarefree moduli for the factorization itself, the large primes
-# included: Berlekamp splits by quadratic characters from p = 5 on
-FACTOR_RINGS = list(SPLIT_RINGS.values()) + [
+# more squarefree moduli, with large primes (7, 17, 1009), deg g = 1 and
+# many factors (T^15-1 has five over F_2, T^9-T nine linear ones over F_3)
+SQUAREFREE_RINGS = [
     "uq base=(ff p=2 e=1) var=T modulus=T^15-1",
     "uq base=(ff p=2 e=1) var=T modulus=T^3+T+1",
     "uq base=(ff p=3 e=1) var=T modulus=T^5+2*T^2+T+1",
@@ -598,6 +601,10 @@ FACTOR_RINGS = list(SPLIT_RINGS.values()) + [
     "uq base=(ff p=1009 e=1) var=T modulus=T^5+T+3",
     "uq base=(ff p=3 e=1) var=T modulus=T-2",
 ]
+# irreducible factors of degrees 3, 4, 5, 7 and 11 over F_2: deg g = 30 and
+# Frobenius period lcm = 4620
+LONG_PERIOD = ("uq base=(ff p=2 e=1) var=T modulus="
+               "(T^3+T+1)*(T^4+T+1)*(T^5+T^2+1)*(T^7+T+1)*(T^11+T^2+1)")
 
 
 def uq_operand(ring, n):
@@ -613,9 +620,10 @@ def uq_operand(ring, n):
 
 
 class TestSplitRoute:
-    """A reduced F_p[T]/(g) is the product of the fields F_p[u]/(g_i), and
-    W_n of it the product of the W_n(F_p[u]/(g_i)), each run by Z_q: the
-    default route over reduced uq rings with base e = 1."""
+    """A reduced A = F_p[T]/(g) is finite etale over F_p, so W_n(A) is
+    (Z/p^n)[u]/(g~), the coefficient ring of ``A.zq_coeffs`` at K = n: the
+    Z_q route, the default over reduced uq rings with base e = 1, whether g
+    splits, stays irreducible or mixes degrees."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("spec", SPLIT_RINGS.values(), ids=SPLIT_RINGS.keys())
@@ -630,7 +638,7 @@ class TestSplitRoute:
         p = ring.base.p
         x, y = data.draw(uq_operand(ring, n)), data.draw(uq_operand(ring, n))
         for op, kind in (("add", "sum"), ("mul", "product"), ("neg", "negation")):
-            got = wc._witt_op_split(op, x, None if op == "neg" else y)
+            got = wc._witt_op_zq(op, x, None if op == "neg" else y)
             assert got == wc._witt_op_lift(op, x, y)
             assert got == wc.witt_arith(op, x, y)
             try:
@@ -640,36 +648,40 @@ class TestSplitRoute:
             if wc.term_count_bound(p, n - 1, kind) <= TestZqRoute.TABLE_TERMS:
                 assert got == wc._witt_op_table(op, x, y)
 
-    @pytest.mark.parametrize("spec", FACTOR_RINGS)
-    def test_factors_are_irreducible_and_multiply_back(self, spec):
+    @pytest.mark.parametrize("spec", list(SPLIT_RINGS.values()) + SQUAREFREE_RINGS)
+    def test_squarefree_moduli_are_their_own_zq_coefficients(self, spec):
+        # zq_coeffs is F_p[u]/(g) with g's own coefficients, and one W_3
+        # add, mul and neg of random vectors on it equals the lift route
         ring = br.make_ring(spec)
-        F = ring.base
-        factors = ring.field_factors
-        g = br._poly_elt(F, "T", ring.modulus)
-        prod = br.one(g.ring)
-        for Fi in factors:
-            assert (Fi.p, Fi.e) == (F.p, len(Fi.modulus) - 1)
-            assert Fi.e == 1 or br._poly_is_irreducible(F.p, Fi.modulus)
-            prod = br.mul(prod, br._poly_elt(F, "T", [(c,) for c in Fi.modulus]))
-        assert prod == g
-        assert len(set(factors)) == len(factors)
+        A = ring.zq_coeffs
+        assert (A.p, A.e) == (ring.base.p, ring.degree)
+        assert A.modulus == tuple(c for (c,) in ring.modulus)
+        rng = random.Random(41)
+        x = rand_witt(ring, rng, 3, max_terms=4)
+        y = rand_witt(ring, rng, 3, max_terms=4)
+        for op in ("add", "mul", "neg"):
+            assert wc._witt_op_zq(op, x, y) == wc._witt_op_lift(op, x, y)
 
-    @pytest.mark.parametrize("spec", FACTOR_RINGS)
-    def test_idempotents_are_orthogonal_and_sum_to_one(self, spec):
-        # e_i is the lift of 1 from the factor F_i: e_i e_j = 0 for i != j,
-        # e_i^2 = e_i, sum e_i = 1, and e_i reduces to 1 in F_i, 0 elsewhere
-        ring = br.make_ring(spec)
-        split = wc._split(ring)
-        idem = [br._mk(ring, {(k,): (c,) for k, c in enumerate(lift[0]) if c})
-                for _, _, lift in split]
-        assert sum(idem, br.zero(ring)) == br.one(ring)
-        for i, (Fi, red, _) in enumerate(split):
-            assert idem[i] * idem[i] == idem[i]
-            for j, e in enumerate(idem):
-                if j != i:
-                    assert (idem[i] * e).is_zero()
-                image = wc._split_reduce(Fi, red, wc.WittVector(ring, (e,)))
-                assert image == [Fi.one() if i == j else None]
+    def test_long_frobenius_period_builds_only_the_powers_used(self):
+        # W_4 needs F^k for |k| < 4 only; a table of F^k over the whole
+        # period 4620 took 10.7-12.0 s here, the product itself 0.02 s
+        ring = br.make_ring(LONG_PERIOD)
+        rng = random.Random(37)
+        x = rand_witt(ring, rng, 4, max_terms=8, allow_zero=False)
+        y = rand_witt(ring, rng, 4, max_terms=8, allow_zero=False)
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("the first W_4 product ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(5)
+        try:
+            got = wc.witt_mul(x, y)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ring.zq_coeffs is not None
+        assert got == wc._witt_op_lift("mul", x, y)
 
     @pytest.mark.parametrize("spec", [
         "uq base=(ff p=2 e=1) var=T modulus=T^9",
@@ -682,7 +694,7 @@ class TestSplitRoute:
     ])
     def test_non_reduced_and_extension_bases_keep_the_lift_route(self, spec, monkeypatch):
         ring = br.make_ring(spec)
-        assert ring.field_factors is None
+        assert ring.zq_coeffs is None
         calls = record_route_calls(monkeypatch, LIFT | SPLIT)
         rng = random.Random(31)
         x = rand_witt(ring, rng, 3, allow_zero=False)
@@ -692,14 +704,14 @@ class TestSplitRoute:
             wc.witt_arith(op, x, y)
             assert set(calls) == LIFT
 
-    def test_factoring_waits_for_the_first_witt_op(self):
-        # make_ring and the element parser run no factorization
-        br._field_factors.cache_clear()
+    def test_reducedness_waits_for_the_first_witt_op(self):
+        # make_ring and the element parser do not decide reducedness
+        br._zq_coeffs.cache_clear()
         ring = br.make_ring("uq base=(ff p=3 e=1) var=T modulus=T^3-T")
         x = wc.make_witt(ring, [br.evaluate(ring, "T+1"), br.evaluate(ring, "T^2")])
-        assert br._field_factors.cache_info().currsize == 0
+        assert br._zq_coeffs.cache_info().currsize == 0
         wc.witt_mul(x, x)
-        assert br._field_factors.cache_info().currsize == 1
+        assert br._zq_coeffs.cache_info().currsize == 1
 
 
 class TestOperators:
