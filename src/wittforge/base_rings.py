@@ -41,11 +41,15 @@ Elements are immutable: a ``RingElement`` holds a sorted tuple of
 (exponent key, field coefficient) pairs, so equal elements have identical
 representations and hash equal.  All operations return new elements.
 
-Frobenius F^k scales every key by p^k.  Its inverse divides them by p^k, in
-one pass, and is partial: on a ``FracLaurentRing`` it fails with
-``DepthExhausted`` where an exponent denominator would leave the lattice.  On a
-``UnivariateQuotient`` it is exact: where the division refuses, one F_p-linear
-solve decides y^(p^k) = x, so ``NoRoot`` means that no p^k-th root exists.
+Frobenius F^k is F_p-linear, and ``_frob_matrix`` gives its matrix on the
+F_p-basis of F_q, of an ``EtaleAlgebra`` or of a ``UnivariateQuotient``: a
+matrix power, so p^k is never formed.  On F_q and frac rings F^k scales
+every key by p^k, on a uq ring it is one product with that matrix.  Its
+inverse divides the keys by p^k, in one pass, and is partial: on a
+``FracLaurentRing`` it fails with ``DepthExhausted`` where an exponent
+denominator would leave the lattice.  On a ``UnivariateQuotient`` it is
+exact: where the division refuses, one F_p-linear solve decides
+y^(p^k) = x, so ``NoRoot`` means that no p^k-th root exists.
 """
 
 from __future__ import annotations
@@ -328,11 +332,8 @@ class FiniteFieldSpec(_Monomials, _CoeffRing):
 
     @cached_property
     def _frob_rows(self) -> tuple:
-        """Per k in 0..e-1 the rows of the F_p-linear map c -> c^(p^k), whose
-        column j is (u^j)^(p^k)."""
-        units = [tuple(int(i == j) for i in range(self.e)) for j in range(self.e)]
-        return tuple(tuple(zip(*[self.cpow(u, self.p ** k) for u in units]))
-                     for k in range(self.e))
+        """Per k in 0..e-1 the rows of c -> c^(p^k) (``_frob_matrix``)."""
+        return tuple(_frob_matrix(self, k) for k in range(self.e))
 
     def nth_root(self, a: FieldCoeff, n: int) -> FieldCoeff:
         """The smallest b (as a coefficient tuple) with b^n = a, or NoRoot.
@@ -461,9 +462,15 @@ class EtaleAlgebra(_CoeffRing):
 
     def cfrob(self, a: FieldCoeff, k: int) -> FieldCoeff:
         """c -> c^(p^k) for every integer k: Frobenius is an automorphism of
-        period lcm(deg g_i), not e (6 for g = T^5+T^4+1 over F_2), so k is
-        never reduced; a product with the matrix of F^k (``_frob_power``)."""
-        rows = self._frob_power(k)
+        period lcm(deg g_i), not e (6 for T^5+T^4+1 over F_2, 4620 for some g
+        of degree 30), so k is never reduced: a product with F^k's matrix
+        (``_frob_matrix``), built for the k asked for and kept per k on the
+        instance, None for the identity."""
+        try:
+            rows = self._frob_memo[k]
+        except KeyError:
+            rows = _frob_matrix(self, k)
+            rows = self._frob_memo[k] = None if rows == _frob_matrix(self, 0) else rows
         if rows is None:
             return a
         p = self.p
@@ -472,29 +479,6 @@ class EtaleAlgebra(_CoeffRing):
     @cached_property
     def _frob_memo(self) -> dict:
         return {0: None}
-
-    def _frob_power(self, k: int):
-        """The rows of F^k, None for the identity: for k = 1 F's matrix
-        (column j is (u^j)^p), for k = -1 its inverse by one Gauss-Jordan,
-        else F^(+-1) times F^(k -+ 1).  Only the k asked for are built, each
-        once: the period can run to thousands (4620 at deg g = 30)."""
-        memo, p, e = self._frob_memo, self.p, self.e
-        if k not in memo:
-            s = 1 if k > 0 else -1
-            unit = [[int(i == j) for i in range(e)] for j in range(e)]
-            if k == s:
-                rows = [list(r) for r in zip(*[self.cpow(tuple(u), p) for u in unit])]
-                if k < 0:
-                    aug = [row + u for row, u in zip(rows, unit)]
-                    _row_reduce(aug, e, p)
-                    rows = [row[e:] for row in aug]
-            else:
-                a, b = self._frob_power(s), self._frob_power(k - s)
-                rows = a if b is None else b if a is None else [
-                    [sum([x * y for x, y in zip(row, col)]) % p for col in zip(*b)]
-                    for row in a]
-            memo[k] = None if rows is None or rows == unit else tuple(map(tuple, rows))
-        return memo[k]
 
 
 # ---------------------------------------------------------------------------
@@ -922,17 +906,19 @@ _EXP_DIGITS = 4300  # the longest int that int() and str() convert by default
 
 
 def frobenius(x: RingElement, k: int) -> RingElement:
-    """k-fold Frobenius y -> y^(p^k), one map of the keys: k >= 0 scales
-    them by p^k and the ring reduces; k < 0 divides them by p^|k|, and where
-    p^|k| does not divide one, a frac ring raises DepthExhausted and a uq
-    ring decides exactly (``_uq_root``).  On a frac ring, a k that scales a
-    key past _EXP_DIGITS digits is refused (BudgetExceeded) before p^k is
-    formed: no exponent that long could be printed."""
+    """k-fold Frobenius y -> y^(p^k): on a uq ring k >= 0 is a product with
+    F^k's matrix (``_frob_matrix``), elsewhere it scales the keys by p^k; k < 0
+    divides them by p^|k| (capped past k = -64 where p^|k| exceeds every
+    numerator), and where that fails a frac ring raises DepthExhausted and a
+    uq ring decides exactly (``_uq_root``).  A frac k that scales a key past
+    _EXP_DIGITS digits is refused (BudgetExceeded) before p^k is formed."""
     ring, F = x.ring, x.ring.base
     p, uq = F.p, isinstance(ring, UnivariateQuotient)
+    if uq and k >= 0:
+        return _uq_frob(_frob_matrix(ring, k), x)
     if k >= 0:
         top = max([abs(n) for key, _ in x.terms for n in key], default=0)
-        if top and not uq and log10(top) + k * log10(p) >= _EXP_DIGITS:
+        if top and log10(top) + k * log10(p) >= _EXP_DIGITS:
             raise BudgetExceeded(
                 f"Frobenius power k={k} would scale an exponent numerator past "
                 f"{_EXP_DIGITS} digits, the most an exponent prints with")
@@ -941,11 +927,11 @@ def frobenius(x: RingElement, k: int) -> RingElement:
             key = tuple([e * q for e in key])
             if not (quo and ring._killed(key)):
                 terms.append((key, F.cfrob(c, k)))
-        if uq:
-            return _mk(ring, ring._reduce(F, dict(terms)))
         # scaling every key by p^k keeps their order
         return RingElement(ring, tuple(terms))
-    q, terms = p ** -k, []
+    m = -k if k > -64 else min(-k, max(  # p^m > every numerator: it divides as p^-k
+        [abs(n).bit_length() for ks, _ in x.terms for n in ks], default=0))
+    q, terms = p ** m, []
     for key, c in x.terms:
         if any(n % q for n in key):
             # name the exponent where single p-th roots stop: after the s
@@ -974,16 +960,17 @@ def _uq_root(x: RingElement, k: int, bad: int) -> RingElement:
     which p-th roots taken one at a time would stop.  On g = T^m that
     refusal is already exact: the p^k-th powers there are the elements
     whose exponents p^k divides.
-    Otherwise one F_p-linear solve of y^(p^k) = x decides (iterated p-th
+    Otherwise one F_p-linear solve of F^k y = x decides (iterated p-th
     roots would not: on a non-reduced ring the p-th root found first can fail
-    to be a p^(k-1)-th power while another one is).
+    to be a p^(k-1)-th power while another one is); only its check F^k y = x
+    rejects an x outside the image.
     """
     ring, F = x.ring, x.ring.base
     if not ring._tail:  # g = T^m
         raise NoRoot("canonical representative is not a p-th power "
                      f"(T-exponent {bad} not divisible by {F.p})")
-    y = _root_solver(ring, k)(x)
-    if y is None:
+    y = _uq_frob(_frob_matrix(ring, -k), x)
+    if _uq_frob(_frob_matrix(ring, k), y) != x:
         raise NoRoot(f"not a p^{k}-th power, p = {F.p} (decided by an "
                      f"F_{F.p}-linear solve)")
     return y
@@ -999,13 +986,13 @@ def _uq_vec(z: RingElement) -> list[int]:
     return out
 
 
-def _frobenius_matrix(ring: UnivariateQuotient, k: int) -> list[list[int]]:
-    """The rows of the F_p-linear map y -> y^(p^k) on ``_uq_vec`` coordinates."""
-    e, pk = ring.base.e, ring.base.p ** k
-    unit = [tuple(int(a == b) for b in range(e)) for a in range(e)]
-    cols = [_uq_vec(pow_int(_term(ring, (i,), unit[a]), pk))
-            for i in range(ring.degree) for a in range(e)]
-    return [list(row) for row in zip(*cols)]
+def _uq_frob(rows: tuple, z: RingElement) -> RingElement:
+    """The element of z's uq ring whose ``_uq_vec`` is rows times z's."""
+    ring, F = z.ring, z.ring.base
+    p, e, v = F.p, F.e, _uq_vec(z)
+    out = [sum([m * x for m, x in zip(row, v)]) % p for row in rows]
+    return _mk(ring, _nonzero({(i,): tuple(out[i * e:(i + 1) * e])
+                               for i in range(ring.degree)}))
 
 
 def _row_reduce(rows: list[list[int]], ncols: int, p: int) -> list[int]:
@@ -1029,30 +1016,35 @@ def _row_reduce(rows: list[list[int]], ncols: int, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def _root_solver(ring: UnivariateQuotient, k: int):
-    """The solve of y^(p^k) = x in F_q[T]/(g): a function of x giving y or None.
-
-    y -> y^(p^k) is F_p-linear on the coordinates (``_uq_vec``).  [M | I] is
-    row-reduced once, so each solve is one product with the reduced inverse;
-    every candidate is verified.
-    """
-    F = ring.base
-    p, e, pk = F.p, F.e, F.p ** k
-    dim = ring.degree * e
-    aug = [row + [int(j == r) for j in range(dim)]
-           for r, row in enumerate(_frobenius_matrix(ring, k))]
-    pivots = [(c, aug[r][dim:]) for r, c in enumerate(_row_reduce(aug, dim, p))]
-
-    def solve(x: RingElement) -> RingElement | None:
-        t = [(j, v) for j, v in enumerate(_uq_vec(x)) if v]
-        out = [0] * dim
-        for c, row in pivots:
-            out[c] = sum(row[j] * v for j, v in t) % p
-        y = _mk(ring, _nonzero({(i,): tuple(out[i * e:(i + 1) * e])
-                                for i in range(ring.degree)}))
-        return y if pow_int(y, pk) == x else None
-
-    return solve
+def _frob_matrix(R: FiniteFieldSpec | EtaleAlgebra | UnivariateQuotient,
+                 k: int) -> tuple:
+    """The rows of F^k on R's F_p-basis: coefficient tuples of F_q or an
+    ``EtaleAlgebra``, ``_uq_vec`` on a uq ring.  Column j of F is basis
+    vector j to the p, F^k (k > 1) a square-and-multiply matrix power.  For
+    k < 0 it solves F^|k| y = x: [F^|k| | I] row-reduced once gives y's
+    coordinate at each pivot column, 0 elsewhere: F^k where F is bijective,
+    else a candidate, which the caller checks."""
+    uq = isinstance(R, UnivariateQuotient)
+    F = R.base if uq else R
+    p, dim = F.p, R.degree * F.e if uq else F.e
+    if k < 0:
+        aug = [list(r + u) for r, u in zip(_frob_matrix(R, -k), _frob_matrix(R, 0))]
+        out = [(0,) * dim] * dim
+        for r, c in enumerate(_row_reduce(aug, dim, p)):
+            out[c] = tuple(aug[r][dim:])
+        return tuple(out)
+    if k > 1:
+        def mul(a, b):
+            cols = list(zip(*b))
+            return tuple([tuple([sum([x * y for x, y in zip(row, col)]) % p
+                                 for col in cols]) for row in a])
+        return _power(mul, _frob_matrix(R, 1), k, None)
+    if k == 0:
+        return tuple([tuple([int(i == j) for j in range(dim)]) for i in range(dim)])
+    unit = _frob_matrix(F, 0)  # the basis of F_q, or of R itself
+    cols = ([_uq_vec(pow_int(_term(R, (i,), u), p)) for i in range(R.degree) for u in unit]
+            if uq else [R.cpow(u, p) for u in unit])
+    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

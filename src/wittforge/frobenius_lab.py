@@ -112,7 +112,14 @@ def _check_counts(least: int, **counts) -> None:
 
 def perfection_report(ring: Ring, budget: int = 4, samples: int = 10,
                       seed: int = 0) -> PerfectionReport:
-    """Frobenius injectivity/surjectivity diagnosis with verified witnesses."""
+    """Frobenius injectivity/surjectivity diagnosis with verified witnesses.
+
+    The uq surjectivity probe is exact: it tries T first, T generates the
+    ring, and F's image is a subring containing F_q, so T has a p-th root
+    iff F is onto, iff F is injective (the ring is finite), iff g is
+    squarefree.  SURJECTIVE_UP_TO is 0 with witness T exactly when there is
+    a kernel generator, else unbounded.  On frac rings it counts probe roots.
+    """
     _check_counts(0, budget=budget, samples=samples)
     notes: list[str] = []
     witnesses: list = []

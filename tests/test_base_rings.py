@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -87,6 +88,14 @@ class TestFiniteField:
             for a in pool:
                 assert A.cfrob(a, k) == A.cpow(a, p ** k)
                 assert A.cfrob(A.cfrob(a, -k), k) == a
+
+    def test_etale_frobenius_at_far_k_needs_no_recursion(self):
+        # F^k is one matrix power however far k is; over T^5+T^4+1 the
+        # period is 6, so F^(+-5000) = F^(+-2)
+        A = br.make_ring("uq base=(ff p=2 e=1) var=T modulus=T^5+T^4+1").zq_coeffs
+        for a in [br._digits(i, 2, A.e) for i in range(2 ** A.e)]:
+            assert A.cfrob(a, 5000) == A.cfrob(a, 5000 % 6)
+            assert A.cfrob(a, -5000) == A.cfrob(a, -(5000 % 6))
 
     def test_frob_f4_generator(self):
         f4 = F(2, 2)
@@ -808,6 +817,38 @@ class TestFrobenius:
         f8 = br.make_ring("ff p=2 e=3")
         u1 = br.evaluate(f8, "u+1")
         assert br.frobenius(u1, -100) == br.frobenius(u1, 2) == br.pow_int(u1, 4)
+
+    @pytest.mark.parametrize("desc", [
+        "ff p=3 e=1", "ff p=2 e=3",
+        "frac base=(ff p=3 e=1) vars=x depth_p=2 depth_2=0 laurent=true",
+        "frac base=(ff p=2 e=2) vars=x,y depth_p=1 depth_2=1 laurent=false",
+    ])
+    def test_inverse_at_far_k_forms_no_power_of_p(self, desc):
+        # a power of p past every exponent numerator divides only 0, so
+        # k = -(about 10^18) answers as k = -40e does: both are multiples of
+        # e, the period of F on F_q, and p^40 exceeds every numerator here
+        ring, rng = br.make_ring(desc), random.Random(17)
+        e = ring.base.e
+
+        def outcome(x, k):
+            try:
+                return br.frobenius(x, k)
+            except DepthExhausted as exc:
+                return str(exc)
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("inverse Frobenius at k = -10^18 ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(5)
+        try:
+            for _ in range(30):
+                x = br.random_element(ring, rng, max_terms=3, denom_depth=1)
+                far = 10 ** 18 + 40 * e - 10 ** 18 % e
+                assert outcome(x, -far) == outcome(x, -40 * e)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_field_coefficients_get_rooted(self):
         ring = br.make_ring("frac base=(ff p=2 e=2) vars=x depth_p=1 depth_2=0 laurent=false")

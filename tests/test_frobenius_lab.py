@@ -31,6 +31,24 @@ class TestPerfectionReports:
         assert aspects.get("surjectivity") == "x"
         assert rep.verdict
 
+    def test_uq_surjectivity_probe_is_exact(self):
+        # T generates F_q[T]/(g), so T has a p-th root iff Frobenius is onto
+        # iff g is squarefree: every monic g of degree 2-4 over F_2 and F_3
+        count = 0
+        for p, deg in itertools.product((2, 3), (2, 3, 4)):
+            for cs in itertools.product(range(p), repeat=deg):
+                g = f"T^{deg}" + "".join(f"+{c}*T^{i}" for i, c in enumerate(cs))
+                U = br.make_ring(f"uq base=(ff p={p} e=1) var=T modulus={g}")
+                rep = fl.perfection_report(U, budget=2, samples=1)
+                count += 1
+                if rep.kernel_generators:
+                    assert rep.surjective_up_to == 0
+                    assert ("surjectivity", "T", "no p^1-th root (exact F_p-linear "
+                            "solve)") in rep.witnesses
+                else:
+                    assert rep.surjective_up_to is None
+        assert count == 145
+
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_depth_monotonicity(self, m):
         R = br.make_ring(
@@ -147,7 +165,7 @@ class TestPthRootSolver:
             assert r is not None and br.pow_int(r, 3) == x
 
     def test_solver_memo_is_bounded(self):
-        bound = br._root_solver.cache_info().maxsize
+        bound = br._frob_matrix.cache_info().maxsize
         for idx in range(1, bound + 2):  # distinct monic quartics other than T^4
             a, b, c, d = br._digits(idx, 3, 4)
             U = br.make_ring("uq base=(ff p=3 e=1) var=T "
@@ -155,7 +173,55 @@ class TestPthRootSolver:
             t = br.variable(U, "T")  # dilation refuses T, so the solver runs
             r = _root(t)
             assert r is None or br.pow_int(r, 3) == t
-        assert br._root_solver.cache_info().currsize == bound
+        assert br._frob_matrix.cache_info().currsize == bound
+
+
+def _orbit_oracle(U):
+    """F^k and the image of F^k on F_q[T]/(g), for any k, from y -> y^p
+    alone: the ring is finite, so a's orbit has a tail and a cycle, and the
+    images F^j(U) shrink until they stop at the periodic elements."""
+    elements = _all_elements(U)
+    frob = {y: br.pow_int(y, U.base.p) for y in elements}
+    images = [set(elements)]
+    while len(images) < 2 or images[-1] != images[-2]:
+        images.append({frob[y] for y in images[-1]})
+
+    def power(a, k):
+        orbit, seen = [a], {a: 0}
+        while frob[orbit[-1]] not in seen:
+            seen[frob[orbit[-1]]] = len(orbit)
+            orbit.append(frob[orbit[-1]])
+        mu = seen[frob[orbit[-1]]]
+        return orbit[k] if k < len(orbit) else orbit[mu + (k - mu) % (len(orbit) - mu)]
+
+    return elements, power, lambda k: images[min(k, len(images) - 1)]
+
+
+class TestFrobeniusAgainstOrbits:
+    """br.frobenius against an oracle that shares no matrix code with it."""
+
+    @pytest.mark.parametrize("spec", [
+        "uq base=(ff p=3 e=1) var=T modulus=T^2+1",
+        "uq base=(ff p=2 e=1) var=T modulus=T^3+T^2",
+        "uq base=(ff p=2 e=1) var=T modulus=T^5+T^4+1",
+        "uq base=(ff p=2 e=1) var=T modulus=T^4+T^2",
+        "uq base=(ff p=3 e=2) var=T modulus=T^2+T+u",
+    ])
+    def test_every_element_at_far_k(self, spec):
+        U = br.make_ring(spec)
+        elements, power, image = _orbit_oracle(U)
+        ks = list(range(8)) + [12, 59, 60, 64, 1000, 5003, 10 ** 6, 10 ** 9 + 7]
+        for k in ks:
+            for a in elements:
+                assert br.frobenius(a, k) == power(a, k)
+                if k == 0:
+                    continue
+                root = _root(a, k)
+                if a in image(k):
+                    assert root is not None and power(root, k) == a
+                    assert br.frobenius(root, k) == a
+                else:
+                    assert root is None
 
 
 class TestSemiperfectTower:
