@@ -16,7 +16,10 @@ witt_ramified.refine_inverse seeds it once (the Teichmueller lift of the
 residue's inverse) and refines it, s <- s + s*err with err = 1 - f'(r)*s,
 until err vanishes to the residual's certified order.  The correction
 r <- r - f(r)*s then doubles the residual's order just as the exact
-inverse would.
+inverse would.  Over a frac ring the orders of f(r), f'(r) and err are
+read from their strict images wherever those lie in Z_q[M]/p^n
+(``rw_ord``), with no coordinate read back, and f' takes no product:
+i*c_i is formed by doubling.
 """
 
 from __future__ import annotations
@@ -89,11 +92,10 @@ def poly_eval(coeffs, x: RamifiedWitt) -> RamifiedWitt:
 
 
 def poly_derivative(coeffs):
-    base, ring = coeffs[0].base, coeffs[0].ring
-    out = []
-    for i, c in enumerate(coeffs[1:], start=1):
-        out.append(rw.rw_mul(rw.rw_from_int(i, base, ring), c))
-    return tuple(out)
+    """(i*c_i) for i >= 1, each i*c_i formed by doubling (no identity is
+    needed at i >= 1), at c_i's precision."""
+    return tuple(br._power(rw.rw_add, c, i, None)
+                 for i, c in enumerate(coeffs[1:], start=1))
 
 
 def hensel_lift(prob: HenselProblem) -> RamifiedWitt:

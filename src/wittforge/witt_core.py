@@ -53,9 +53,12 @@ agreement with the lift and table routes is part of the test suite, so no
 route can drift.
 
 The strict route's checks run in ``_from_perf``, on every result whose
-coordinates are read (printing, comparing, a residue, an order walk).  A
-result that nothing reads is never converted, and nothing depends on its
-coordinates.  Every Hensel root is still certified, since the final
+coordinates are read (printing, comparing, a residue, a digit, the order
+of a value outside Z_q[M]/p^n).  A result that nothing reads is never
+converted, and nothing depends on its coordinates.  Inside Z_q[M]/p^n
+every digit lies in A and the image fixes the first nonzero coordinate,
+so ``_perf_order`` reads that index from z (``witt_ramified.rw_ord`` has
+the proof).  Every Hensel root is still certified, since the final
 ``digit_expand(f(root))`` reads f(root).  Every refusal (``DepthExhausted``
 from a missing p-th root) comes from coordinates, which are read for it.
 
@@ -77,6 +80,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -780,6 +784,32 @@ def _from_perf(ring: Ring, z: dict, n: int) -> tuple:
                     t[k] = r
         z = out
     return tuple(coords)
+
+
+def _perf_order(x: WittVector) -> int | None:
+    """The index of x's first nonzero coordinate (its length n for x = 0),
+    read off the strict image z alone: v_p(z), the least p-adic valuation of
+    z's coefficient entries, where z is carried (only the strict route sets
+    ``_z``) and lies in Z_q[M]/p^n, i.e. every key of z is a multiple of
+    p^(n-1) (z comes from A, so no key is negative off a Laurent ring).
+    Otherwise None, and the caller reads the coordinates.  ``rw_ord``'s
+    docstring has the proof."""
+    if witt_is_zero(x):
+        return x.length
+    z = x._z
+    if z is None:
+        return None
+    p, n = x.ring.base.p, x.length
+    s, g = p ** (n - 1), p ** n
+    for k, c in z.items():
+        if any(e % s for e in k):
+            return None
+        g = math.gcd(g, *c)
+    v = 0
+    while g > 1:  # g = p^v, a divisor of p^n
+        g //= p
+        v += 1
+    return v
 
 
 def _image(x: WittVector) -> dict:

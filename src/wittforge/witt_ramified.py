@@ -362,16 +362,34 @@ def _slot0_over_p(x: RamifiedWitt) -> wc.WittVector:
 def rw_ord(x: RamifiedWitt, limit: int | None = None) -> int | None:
     """pi-adic order below min(limit, N); None when 0 mod pi^min(limit, N).
 
-    x is first truncated to that bound, so a coordinate that no digit below
-    it reads never refuses a root.  For E = X^f - p*[c] digit k vanishes
-    exactly when coordinate k // f of slot k % f does, so the order is read
-    off the coordinates; other bases walk the digit expansion up to the
-    first nonzero digit.
+    For E = X^f - p*[c] digit fi + j vanishes exactly when coordinate i of
+    slot j does.  Where every nonzero slot carries a strict image z_j in
+    Z_q[M]/p^n (``wc._perf_order``), the order is min_j (f*v_p(z_j) + j),
+    read from the images with no coordinate:
+    1. The index is right.  In W_n(A^perf) = Z_q[M^(1/p^inf)]/p^n,
+       z = sum_i p^i [t_i] uniquely (Serre, Local Fields, II.5-6), so
+       coordinate i is the first nonzero one exactly when p^i || z, and
+       A inside A^perf changes no coordinate.
+    2. The roots exist.  [x^a] = x^a for a in M, so Z_q[M] lies in W(A).
+       If z_j = p^d u with u in Z_q[M], then z_j = V^d F^d(u), so every
+       coordinate i >= d of slot j is a p^d-th power in A.  At k steps
+       ``_walk_roots`` takes ceil((k - j)/f) <= v_p(z_j) roots of slot j, so
+       all of them exist: the coordinate reading below returns the same k
+       and never reaches the walk.
+    Elsewhere x is first truncated to the bound, so a coordinate that no
+    digit below it reads never refuses a root, and the order is read off the
+    coordinates; other bases walk the digit expansion up to the first
+    nonzero digit.
     """
     bound = max(0, x.precision if limit is None else min(limit, x.precision))
+    f = x.base.f
+    if x.base.c is not None:
+        vs = [wc._perf_order(r) for r in x.coords]
+        if None not in vs:
+            k = min(f * v + j for j, v in enumerate(vs))
+            return k if k < bound else None
     x = rw_truncate(x, bound)
     if x.base.c is not None:
-        f = x.base.f
         k = next((k for k in range(bound)
                   if not x.coords[k % f].coords[k // f].is_zero()), None)
         if _walk_roots(x, bound if k is None else k) is not None:

@@ -114,11 +114,11 @@ HENSEL = next(c for c in GOLDEN if c.startswith("hensel lift "))
 # (``_from_perf``, one per Witt result whose coordinates are read) and
 # embeddings (``_to_perf``, one per vector built from coordinates that a
 # strict op takes)
-HENSEL_READ_BACKS = 13
-HENSEL_EMBEDDINGS = 9
+HENSEL_READ_BACKS = 5
+HENSEL_EMBEDDINGS = 7
 
 
-def test_readme_hensel_lift_solve_count(monkeypatch):
+def test_readme_hensel_lift_conversion_count(monkeypatch):
     """The README `hensel lift` example prints its pinned stdout with at most
     HENSEL_READ_BACKS read-backs and HENSEL_EMBEDDINGS embeddings, and no
     lift-route solve, since its frac ring takes the strict p-ring route.  A
@@ -128,7 +128,10 @@ def test_readme_hensel_lift_solve_count(monkeypatch):
     per Witt op (13 read-backs and 26 embeddings before results carried
     their image).  With the coordinate-union sum and the single-coordinate
     product the lift took 10 read-backs and 12 embeddings; without them
-    sparse results stay strict images, so it takes 13 and 9."""
+    sparse results stay strict images, so it took 13 and 9.  Since
+    ``rw_ord`` reads the order of a carried image in Z_q[M]/p^n from the
+    image, and f' is formed by doubling instead of from the images of the
+    integers i, it takes 5 and 7."""
     calls = []
 
     def counting(name):

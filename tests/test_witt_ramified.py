@@ -759,6 +759,166 @@ class TestSharedInverse:
             rw.refine_inverse(rw.rw_pi(B_SQ3X, F3), None, 6)
 
 
+def _ord_by_coordinates(x, limit=None):
+    """rw_ord as it was before the image path, kept as the oracle: truncate
+    to the bound, read the first nonzero coordinate and check its roots on
+    E = X^f - p*[c], else walk the digits."""
+    bound = max(0, x.precision if limit is None else min(limit, x.precision))
+    x = rw.rw_truncate(x, bound)
+    if x.base.c is not None:
+        f = x.base.f
+        k = next((k for k in range(bound)
+                  if not x.coords[k % f].coords[k // f].is_zero()), None)
+        if rw._walk_roots(x, bound if k is None else k) is not None:
+            return k
+    return rw._ord_walk(x, bound)
+
+
+def _frac(spec):
+    return br.make_ring(f"frac base=({spec[0]}) vars={spec[1]} depth_p={spec[2]} "
+                        f"depth_2={spec[3]} laurent={spec[4]}")
+
+
+# strict-route rings: p = 2, 3, 5, F_4 and F_9, Laurent or not, depth_2 0 and
+# 1, one and two variables; the first is 5i's ring, with no p-th roots
+IMAGE_RINGS = {p: [_frac(s) for s in specs] for p, specs in {
+    (3, 1): [("ff p=3 e=1", "x", 0, 0, "true"), ("ff p=3 e=1", "x,y", 1, 1, "false"),
+             ("ff p=3 e=1", "x", 2, 0, "true")],
+    (2, 1): [("ff p=2 e=1", "x", 1, 0, "false"), ("ff p=2 e=1", "x,y", 0, 1, "true")],
+    (5, 1): [("ff p=5 e=1", "x", 1, 1, "true")],
+    (2, 2): [("ff p=2 e=2", "x", 1, 0, "true")],
+    (3, 2): [("ff p=3 e=2", "x,y", 0, 1, "false")],
+}.items()}
+# f = 1-3, c = 1 and c = -1 (X^2 - 6 at level 2, X^2 + 3, X^2 - 24), and one
+# base off the shape, which never takes the image path
+IMAGE_BASES = [(p, e, E, level) for p, e, bases in (
+    (3, 1, (([-3], 4), ([-6, 0], 2), ([3, 0], 4), ([-24, 0], 3), ([-3, 0, 0], 3),
+            ([-3, -3], 3))),
+    (2, 1, (([-2], 4), ([-2, 0], 4), ([-2, 0, 0], 3))),
+    (5, 1, (([-5], 3), ([-35, 0], 3))),
+    (2, 2, (([-2, 0], 3),)),
+    (3, 2, (([3, 0], 3), ([-3, 0, 0], 2))),
+) for E, level in bases]
+IMAGE_CASES = [(rw.make_ramified_base(p, e, len(E), E, level), ring)
+               for p, e, E, level in IMAGE_BASES for ring in IMAGE_RINGS[p, e]]
+
+
+def _rand_monomial(ring, rng):
+    """A random term of ring, its exponents anywhere in the ring's lattice."""
+    F, parts = ring.base, []
+    for v in ring.variables:
+        den = F.p ** rng.randint(0, ring.depth_p) * 2 ** rng.randint(0, ring.depth_2)
+        num = rng.randint(-3 if ring.laurent else 0, 3)
+        parts.append(f"{v}^({num}/{den})")
+    while not any(c := br.random_coeff(F, rng)):
+        pass
+    return br.mul(br.evaluate(ring, "*".join(parts)), br.from_coeff(ring, c))
+
+
+def _rand_ring_element(ring, rng, terms):
+    out = br.zero(ring)
+    for _ in range(terms):
+        out = br.add(out, _rand_monomial(ring, rng))
+    return out
+
+
+def _rand_atom(base, ring, rng):
+    """A value built from coordinates: a lifted monomial, alone or times pi
+    (images in Z_q[M]); the lift of a two-term sum, an integer, pi, zero; or
+    random monomial coordinates, whose images leave Z_q[M] wherever a
+    coordinate above the zeroth is nonzero."""
+    kind = rng.randrange(18)
+    if kind < 6:
+        return rw.teich_embed(_rand_monomial(ring, rng), base)
+    if kind < 10:
+        return rw.rw_mul_pi(rw.teich_embed(_rand_monomial(ring, rng), base))
+    if kind == 10:
+        return rw.teich_embed(_rand_ring_element(ring, rng, 2), base)
+    if kind == 11:
+        return rw.rw_from_int(rng.choice((-1, 2, base.p, 3 * base.p)), base, ring)
+    if kind == 12:
+        return rw.rw_pi(base, ring)
+    if kind == 13:
+        return rw.rw_zero(base, ring)
+    coords = tuple(wc.WittVector(ring, tuple(
+        br.zero(ring) if rng.random() < 0.5 else _rand_monomial(ring, rng)
+        for _ in range(base.level))) for _ in range(base.f))
+    return rw.RamifiedWitt(base, ring, coords, base.default_precision)
+
+
+def _rand_value(base, ring, rng, depth):
+    """An atom, or a strict-route sum, difference or product of two values
+    (a result carries z alone), a value times pi, or x - x."""
+    if depth == 0 or rng.random() < 0.2:
+        return _rand_atom(base, ring, rng)
+    op = rng.randrange(20)
+    x = _rand_value(base, ring, rng, depth - 1)
+    if op < 3:
+        return rw.rw_mul_pi(x)
+    if op == 3:
+        return rw.rw_sub(x, x)
+    y = _rand_value(base, ring, rng, depth - 1)
+    return (rw.rw_add, rw.rw_sub, rw.rw_mul)[op % 3](x, y)
+
+
+def _image_path(x):
+    return x.base.c is not None and None not in [wc._perf_order(r) for r in x.coords]
+
+
+def _refuse(*args):
+    raise AssertionError("conversion taken")
+
+
+class TestImageOrder:
+    """rw_ord reads the order of carried strict images in Z_q[M]/p^n from
+    the images; everything else reads coordinates as before, so 5i's V[x]
+    keeps its refusal (``TestSharedInverse``)."""
+
+    VALUES = 30  # per case, each at four limits
+
+    def test_matches_the_coordinate_reading(self):
+        # derandomized: every value and limit from one seed per case.  The
+        # image path is taken before the oracle reads a coordinate
+        tally = {"image": 0, "refused": 0, "total": 0}
+        for case, (base, ring) in enumerate(IMAGE_CASES):
+            rng = random.Random(case)
+            for _ in range(self.VALUES):
+                x = _rand_value(base, ring, rng, 2)
+                x = rw.rw_truncate(x, rng.choice((x.precision, rng.randint(0, x.precision))))
+                for limit in (None, rng.randint(-1, x.precision + 1), 1, x.precision):
+                    image = _image_path(x)
+                    got = _outcome(rw.rw_ord, x, limit)
+                    want = _outcome(_ord_by_coordinates, x, limit)
+                    assert got == want, (str(x), limit)
+                    tally["image"] += image
+                    tally["refused"] += isinstance(got, tuple)
+                    tally["total"] += 1
+        assert tally["total"] == len(IMAGE_CASES) * self.VALUES * 4
+        assert tally["image"] > tally["total"] // 4 and tally["refused"] > 0
+
+    def test_carried_images_read_no_coordinates(self, monkeypatch):
+        # z-only slots in Z_q[M]: [x^(1/3)] + 3 [x], and pi^2 [x] = -3 [x]
+        ring = IMAGE_RINGS[3, 1][2]
+        base = rw.make_ramified_base(3, 1, 2, [3, 0], 4)  # pi^2 = -3
+        t = rw.teich_embed(br.evaluate(ring, "x"), base)
+        u = rw.teich_embed(br.evaluate(ring, "x^(1/3)"), base)
+        for x, k in ((rw.rw_add(u, rw.rw_mul(rw.rw_from_int(3, base, ring), t)), 0),
+                     (rw.rw_mul(t, rw.rw_mul(rw.rw_pi(base, ring), rw.rw_pi(base, ring))), 2)):
+            assert all(r._coords is None for r in x.coords if not wc.witt_is_zero(r))
+            monkeypatch.setattr(wc, "_from_perf", _refuse)
+            assert rw.rw_ord(x) == k
+            monkeypatch.undo()
+            assert _ord_by_coordinates(x) == k
+
+    def test_coordinate_slots_embed_nothing(self, monkeypatch):
+        ring = IMAGE_RINGS[3, 1][0]
+        base = rw.make_ramified_base(3, 1, 2, [-3, 0], 4)
+        x = rw.teich_embed(br.evaluate(ring, "x+1"), base)
+        monkeypatch.setattr(wc, "_to_perf", _refuse)
+        assert rw.rw_ord(x) == 0
+        assert rw.rw_ord(rw.rw_mul_pi(rw.rw_zero(base, ring))) is None
+
+
 class TestFrobenius:
     def test_fixes_pi_and_one(self):
         for base, ring in [(B_SQ3, F3), (B_CB2, F2), (B_SQ4, F4)]:
